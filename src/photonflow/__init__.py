@@ -31,7 +31,6 @@ from .fields import (
     PlaneWaveSpec,
     TirTwoWaveSpec,
     WaveParameters,
-    build_tir_field,
     evaluate,
     field_from_dict,
     field_to_dict,

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ResolutionError
-from .fields import FieldSpec, TirTwoWaveSpec
-from .grids import GridSpec, frame_names
-from .observables import SINGULAR_REL_THRESHOLD
+from .fields import FieldSample, FieldSpec, TirTwoWaveSpec
+from .grids import GridSpec, frame_names, sample_grid
+from .observables import local_momentum, singular_cells
 
 LABELS = ("normal", "backflow", "superluminal", "singular")
 LABEL_CODES = {name: code for code, name in enumerate(LABELS)}
@@ -62,6 +62,13 @@ def phase_winding(phases) -> float:
     return float(steps.sum())
 
 
+def _plaquette_edges(ph):
+    """Wrapped phase steps along rows and columns, and each plaquette's sum of them."""
+    d_col = wrap_angle(np.diff(ph, axis=1))
+    d_row = wrap_angle(np.diff(ph, axis=0))
+    return d_col, d_row, d_col[:-1, :] + d_row[:, 1:] - d_col[1:, :] - d_row[:, :-1]
+
+
 def plaquette_winding(phases: np.ndarray) -> np.ndarray:
     """Raw winding (rad) of every grid plaquette of a 2D phase array.
 
@@ -73,9 +80,7 @@ def plaquette_winding(phases: np.ndarray) -> np.ndarray:
     ph = np.asarray(phases, dtype=float)
     if ph.ndim != 2 or ph.shape[0] < 2 or ph.shape[1] < 2:
         raise ParameterError(f"need a 2D phase array with >= 2 samples per axis, got {ph.shape}")
-    d_col = wrap_angle(np.diff(ph, axis=1))
-    d_row = wrap_angle(np.diff(ph, axis=0))
-    return d_col[:-1, :] + d_row[:, 1:] - d_col[1:, :] - d_row[:, :-1]
+    return _plaquette_edges(ph)[2]
 
 
 @dataclass(frozen=True)
@@ -116,12 +121,6 @@ class AnomalyMap:
         return np.array(LABELS, dtype=object)[self.labels]
 
 
-def _grid_sample(spec, grid):
-    meshes = grid.mesh(spec.ndim)
-    psi, grads = spec.psi_grad(*meshes)
-    return meshes, psi, grads
-
-
 def _frame_point(grid: GridSpec, ndim: int, a1: float, a2: float) -> tuple:
     names = frame_names(ndim)
     fixed = dict(grid.fixed)
@@ -159,6 +158,14 @@ def _refined_edge(spec, pa, ph_a, pb, ph_b, floor, depth=0):
 def detect_vortices(spec: FieldSpec, grid: GridSpec) -> list:
     """Locate phase singularities on the grid by plaquette winding.
 
+    Samples the grid and runs vortices_in_sample on it.
+    """
+    return vortices_in_sample(spec, grid, sample_grid(spec, grid))
+
+
+def vortices_in_sample(spec: FieldSpec, grid: GridSpec, sample: FieldSample) -> list:
+    """Vortices of a grid sample (sample_grid(spec, grid)) by plaquette winding.
+
     Requires the grid to resolve the fastest local phase advance
     (spacing under an eighth of the shortest local wavelength).  Returns
     one VortexRecord per nonzero-winding plaquette, in row-major grid
@@ -167,15 +174,10 @@ def detect_vortices(spec: FieldSpec, grid: GridSpec) -> list:
     a fabricated charge.
     """
     _check_resolution(spec, grid)
-    meshes, psi, _ = _grid_sample(spec, grid)
-    amp = np.abs(psi)
-    floor = SINGULAR_REL_THRESHOLD * float(amp.max())
-    singular = amp <= floor
-    ph = np.angle(psi)
+    floor, singular = singular_cells(sample.amplitude)
+    ph = np.angle(sample.psi)
 
-    d_col = wrap_angle(np.diff(ph, axis=1))
-    d_row = wrap_angle(np.diff(ph, axis=0))
-    w_raw = d_col[:-1, :] + d_row[:, 1:] - d_col[1:, :] - d_row[:, :-1]
+    d_col, d_row, w_raw = _plaquette_edges(ph)
 
     rough_edge = ((np.abs(d_col[:-1, :]) > _HALF_PI) | (np.abs(d_col[1:, :]) > _HALF_PI)
                   | (np.abs(d_row[:, 1:]) > _HALF_PI) | (np.abs(d_row[:, :-1]) > _HALF_PI))
@@ -213,16 +215,15 @@ def detect_vortices(spec: FieldSpec, grid: GridSpec) -> list:
     return records
 
 
-def _bound_array(spec, bound_model, meshes):
+def _bound_array(spec, bound_model, grid):
     k = spec.wave.k
-    shape = meshes[0].shape
     if bound_model == "uniform":
-        return np.full(shape, k)
+        return np.full(tuple(reversed(grid.counts)), k)
     if bound_model == "piecewise":
         if not isinstance(spec, TirTwoWaveSpec):
             raise ParameterError(
                 "piecewise bound (n k in glass, k in air) requires a two-wave TIR field")
-        x = meshes[0]
+        x = grid.mesh(spec.ndim)[0]
         return np.where(x < 0.0, spec.n * k, k)
     raise ParameterError(f"bound_model must be 'uniform' or 'piecewise', got {bound_model!r}")
 
@@ -230,6 +231,17 @@ def _bound_array(spec, bound_model, meshes):
 def classify_anomalies(spec: FieldSpec, grid: GridSpec, bound_model: str = "uniform",
                        superluminal_guard: float = 0.0) -> AnomalyMap:
     """Label every grid sample normal / backflow / superluminal / singular.
+
+    Samples the grid and runs anomalies_in_sample on it.
+    """
+    return anomalies_in_sample(spec, grid, sample_grid(spec, grid), bound_model,
+                               superluminal_guard)
+
+
+def anomalies_in_sample(spec: FieldSpec, grid: GridSpec, sample: FieldSample,
+                        bound_model: str = "uniform",
+                        superluminal_guard: float = 0.0) -> AnomalyMap:
+    """Labels of a grid sample (sample_grid(spec, grid)).
 
     backflow: re_p_z < 0.  superluminal: re_p_z > b*(1 + guard), with b
     the local spectrum bound from bound_model.  The guard (default 0,
@@ -240,19 +252,13 @@ def classify_anomalies(spec: FieldSpec, grid: GridSpec, bound_model: str = "unif
     """
     if not superluminal_guard >= 0.0:
         raise ParameterError(f"superluminal_guard must be >= 0, got {superluminal_guard!r}")
-    meshes, psi, grads = _grid_sample(spec, grid)
-    bound = _bound_array(spec, bound_model, meshes)
+    bound = _bound_array(spec, bound_model, grid)
+    floor, singular = singular_cells(sample.amplitude)
+    re_p = local_momentum(sample, floor).re_p
+    re_pz = re_p[-1]
+    re_p_mag = np.sqrt(np.sum(re_p * re_p, axis=0))
 
-    amp2 = (psi.real * psi.real + psi.imag * psi.imag)
-    floor = SINGULAR_REL_THRESHOLD * float(np.sqrt(amp2.max()))
-    singular = np.sqrt(amp2) <= floor
-    safe = np.where(singular, 1.0, amp2)
-
-    flux = [(np.conj(psi) * g).imag for g in grads]       # re_p * |psi|^2
-    re_pz = flux[-1] / safe
-    re_p_mag = np.sqrt(sum(f * f for f in flux)) / safe
-
-    labels = np.zeros(psi.shape, dtype=np.int8)
+    labels = np.zeros(sample.psi.shape, dtype=np.int8)
     labels[re_pz < 0.0] = LABEL_CODES["backflow"]
     labels[re_pz > bound * (1.0 + superluminal_guard)] = LABEL_CODES["superluminal"]
     labels[singular] = LABEL_CODES["singular"]

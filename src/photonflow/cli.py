@@ -5,6 +5,9 @@ Six subcommands: fieldmap (named observable layers on a grid), stokes
 anomaly (vortices plus backflow/superluminal labeling), force (dipole
 force maps), render (PGM raster of one scalar layer).
 
+The CLI holds no physics: each grid command samples its grid once and
+hands the sample to the library's element-wise observables.
+
 Output discipline: JSON is compact with sorted keys, floats use Python's
 shortest round-trip repr, CSV floats likewise, PGM is binary P5; no
 timestamps or environment data enter any output, so identical inputs
@@ -17,25 +20,22 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .anomaly import classify_anomalies, detect_vortices
+from .anomaly import anomalies_in_sample, vortices_in_sample
 from .errors import ParameterError
 from .fields import FieldSpec, GaussianPairSpec, field_from_dict
-from .grids import GridSpec, frame_names
-from .observables import SINGULAR_REL_THRESHOLD, PolarizationState
+from .forces import Polarizability, force_from_sample, forces_from_momentum
+from .grids import GridSpec, frame_names, sample_grid
+from .observables import (PolarizationState, energy_density, local_momentum,
+                          poynting_from_sample, singular_cells)
 from .tracing import ARC_LENGTH, PARAXIAL, TraceConfig, trace_streamline
-
-SCALAR_LAYERS = ("amp", "phase", "re_px", "re_pz", "im_px", "im_pz",
-                 "S1", "S2", "S3", "W")
-VECTOR_LAYERS = ("P_O", "P_S")
-ALL_LAYERS = SCALAR_LAYERS + VECTOR_LAYERS + ("label",)
+from .weakmeasure import (CalciteSpec, calcite_fields, predicted_parameters, readout_momentum,
+                          stokes_parameters)
 
 _POLS = {
     "diag": PolarizationState.linear_diag,
@@ -92,104 +92,59 @@ def _vector_rows(vx, vy, vz, mask=None):
     return rows
 
 
-class _LayerBuilder:
-    """Vectorized layer evaluation over one grid, shared between subcommands."""
+# grid layers: name -> (library result the layer reads, rows built from that
+# result and the sample's singular mask)
+_LAYERS = {
+    "amp": ("sample", lambda s, sing: _scalar_rows(s.amplitude)),
+    "phase": ("sample", lambda s, sing: _scalar_rows(np.angle(s.psi), sing)),
+    "re_px": ("momentum", lambda m, sing: _scalar_rows(m.re_p[0], sing)),
+    "re_pz": ("momentum", lambda m, sing: _scalar_rows(m.re_p[-1], sing)),
+    "im_px": ("momentum", lambda m, sing: _scalar_rows(m.im_p[0], sing)),
+    "im_pz": ("momentum", lambda m, sing: _scalar_rows(m.im_p[-1], sing)),
+    "S1": ("stokes", lambda st, sing: _scalar_rows(st[0], st[3])),
+    "S2": ("stokes", lambda st, sing: _scalar_rows(st[1], st[3])),
+    "S3": ("stokes", lambda st, sing: _scalar_rows(st[2], st[3])),
+    "W": ("poynting", lambda dec, sing: _scalar_rows(dec.W)),
+    "P_O": ("poynting", lambda dec, sing: _vector_rows(*dec.P_O)),
+    "P_S": ("poynting", lambda dec, sing: _vector_rows(*dec.P_S)),
+    "label": ("anomalies", lambda amap, sing: amap.label_names().tolist()),
+    "S1_pred": ("prediction", lambda pr, sing: _scalar_rows(pr[0], sing)),
+    "S2_pred": ("prediction", lambda pr, sing: _scalar_rows(pr[1], sing)),
+    "S3_pred": ("prediction", lambda pr, sing: _scalar_rows(pr[2], sing)),
+    "re_px_readout": ("readout", lambda ro, sing: _scalar_rows(ro[0], ro[2])),
+    "im_px_readout": ("readout", lambda ro, sing: _scalar_rows(ro[1], ro[2])),
+}
+ALL_LAYERS = ("amp", "phase", "re_px", "re_pz", "im_px", "im_pz", "S1", "S2", "S3", "W",
+              "P_O", "P_S", "label")
+_STOKES_LAYERS = ("S1", "S2", "S3", "S1_pred", "S2_pred", "S3_pred", "re_px_readout",
+                  "im_px_readout", "re_px", "im_px")
 
-    def __init__(self, spec, grid, delta_x=1e-4, pol=None, bound_model="uniform",
-                 guard=0.0):
-        self.spec = spec
-        self.grid = grid
-        self.delta_x = delta_x
-        self.pol = pol if pol is not None else PolarizationState.linear_diag()
-        self.bound_model = bound_model
-        self.guard = guard
-        self._base_done = False
-        self._stokes_done = False
 
-    def _base(self):
-        if self._base_done:
-            return
-        spec = self.spec
-        self.names = frame_names(spec.ndim)
-        self.meshes = self.grid.mesh(spec.ndim)
-        psi, grads = spec.psi_grad(*self.meshes)
-        self.psi = psi
-        self.amp = np.abs(psi)
-        floor = SINGULAR_REL_THRESHOLD * float(self.amp.max())
-        self.sing = self.amp <= floor
-        amp2 = self.amp * self.amp
-        safe = np.where(self.sing, 1.0, amp2)
-        self.flux = {n: np.conj(psi) * g for n, g in zip(self.names, grads)}
-        self.re_p = {n: f.imag / safe for n, f in self.flux.items()}
-        self.im_p = {n: -f.real / safe for n, f in self.flux.items()}
-        self._base_done = True
+def _grid_layers(spec, grid, names, cal, args) -> dict:
+    """Rows of each named layer from one grid sample; each library result is
+    computed once, and only when a named layer reads it."""
+    sample = sample_grid(spec, grid)
+    floor, sing = singular_cells(sample.amplitude)
+    calls = {
+        "sample": lambda: sample,
+        "momentum": lambda: local_momentum(sample, floor),
+        "poynting": lambda: poynting_from_sample(sample, cal.pol),
+        "stokes": lambda: stokes_parameters(
+            *calcite_fields(spec, cal, grid.mesh(spec.ndim), sample.psi)),
+        "prediction": lambda: predicted_parameters(get("momentum"), cal),
+        "readout": lambda: (*readout_momentum(get("stokes")[0], get("stokes")[2], cal),
+                            get("stokes")[3]),
+        "anomalies": lambda: anomalies_in_sample(spec, grid, sample, args.bound,
+                                                 args.superluminal_guard),
+    }
+    results = {}
 
-    def _stokes(self):
-        if self._stokes_done:
-            return
-        self._base()
-        spec = self.spec
-        if isinstance(spec, GaussianPairSpec) and abs(self.delta_x) > spec.w0_mm / 100.0:
-            warnings.warn(
-                f"delta_x = {self.delta_x} mm exceeds w0/100; first-order readout degrades",
-                stacklevel=2)
-        shifted = list(self.meshes)
-        shifted[0] = self.meshes[0] - self.delta_x
-        psi_shift, _ = spec.psi_grad(*shifted)
-        ex = self.pol.ex * psi_shift
-        ey = self.pol.ey * self.psi
-        intensity = (ex.real ** 2 + ex.imag ** 2) + (ey.real ** 2 + ey.imag ** 2)
-        root = np.sqrt(intensity)
-        self.sing_stokes = root <= SINGULAR_REL_THRESHOLD * float(root.max())
-        safe = np.where(self.sing_stokes, 1.0, intensity)
-        cross = np.conj(ex) * ey
-        self.S = {
-            "S1": ((ex.real ** 2 + ex.imag ** 2) - (ey.real ** 2 + ey.imag ** 2)) / safe,
-            "S2": 2.0 * cross.real / safe,
-            "S3": 2.0 * cross.imag / safe,
-        }
-        self._stokes_done = True
+    def get(source):
+        if source not in results:
+            results[source] = calls[source]()
+        return results[source]
 
-    def _flux3(self):
-        """Re/Im of psi* grad psi embedded as (x, y, z) component arrays."""
-        self._base()
-        fx = self.flux["x"]
-        fz = self.flux["z"]
-        fy = self.flux.get("y", np.zeros_like(fx))
-        return fx, fy, fz
-
-    def layer(self, name):
-        if name == "amp":
-            self._base()
-            return _scalar_rows(self.amp)
-        if name == "phase":
-            self._base()
-            return _scalar_rows(np.angle(self.psi), self.sing)
-        if name in ("re_px", "re_pz", "im_px", "im_pz"):
-            self._base()
-            table = self.re_p if name.startswith("re") else self.im_p
-            return _scalar_rows(table[name[-1]], self.sing)
-        if name in ("S1", "S2", "S3"):
-            self._stokes()
-            return _scalar_rows(self.S[name], self.sing_stokes)
-        if name == "W":
-            self._base()
-            return _scalar_rows(0.5 * self.amp * self.amp)
-        if name == "P_O":
-            fx, fy, fz = self._flux3()
-            scale = 1.0 / (2.0 * self.spec.wave.omega)
-            return _vector_rows(fx.imag * scale, fy.imag * scale, fz.imag * scale)
-        if name == "P_S":
-            fx, fy, _ = self._flux3()
-            scale = self.pol.s3 / (4.0 * self.spec.wave.omega)
-            gix = 2.0 * fx.real
-            giy = 2.0 * fy.real
-            return _vector_rows(giy * scale, -gix * scale, np.zeros_like(gix))
-        if name == "label":
-            amap = classify_anomalies(self.spec, self.grid, self.bound_model,
-                                      superluminal_guard=self.guard)
-            return amap.label_names().tolist()
-        raise ParameterError(f"unknown layer {name!r}; expected one of {ALL_LAYERS}")
+    return {name: _LAYERS[name][1](get(_LAYERS[name][0]), sing) for name in names}
 
 
 def _load_field(args) -> FieldSpec:
@@ -247,9 +202,11 @@ def _cmd_fieldmap(args) -> int:
     names = [s for s in args.layers.split(",") if s]
     if not names:
         raise ParameterError("at least one layer is required")
-    builder = _LayerBuilder(spec, grid, delta_x=args.delta_x_mm, pol=_POLS[args.pol](),
-                            bound_model=args.bound, guard=args.superluminal_guard)
-    layers = {name: builder.layer(name) for name in names}
+    for name in names:
+        if name not in ALL_LAYERS:
+            raise ParameterError(f"unknown layer {name!r}; expected one of {ALL_LAYERS}")
+    cal = CalciteSpec(delta_x=args.delta_x_mm, pol=_POLS[args.pol]())
+    layers = _grid_layers(spec, grid, names, cal, args)
     result = GridResult(grid=grid, layers=layers, provenance=_provenance(spec, args))
     _write_json(args.out, result.to_dict())
     return 0
@@ -259,31 +216,11 @@ def _cmd_stokes(args) -> int:
     """Exact calcite readout next to its first-order prediction and the truth."""
     spec = _load_field(args)
     grid = _grid_of(args)
-    dx = args.delta_x_mm
-    if dx == 0.0:
-        raise ParameterError("--delta-x-mm must be nonzero for the stokes readout")
-    builder = _LayerBuilder(spec, grid, delta_x=dx, pol=_POLS[args.pol]())
-    builder._stokes()
-
-    s1p_raw = dx * builder.im_p["x"]
-    s3p_raw = dx * builder.re_p["x"]
-    norm = np.sqrt(1.0 + s1p_raw ** 2 + s3p_raw ** 2)
-
-    layers = {
-        "S1": _scalar_rows(builder.S["S1"], builder.sing_stokes),
-        "S2": _scalar_rows(builder.S["S2"], builder.sing_stokes),
-        "S3": _scalar_rows(builder.S["S3"], builder.sing_stokes),
-        "S1_pred": _scalar_rows(s1p_raw / norm, builder.sing),
-        "S2_pred": _scalar_rows(1.0 / norm, builder.sing),
-        "S3_pred": _scalar_rows(s3p_raw / norm, builder.sing),
-        "re_px_readout": _scalar_rows(builder.S["S3"] / dx, builder.sing_stokes),
-        "im_px_readout": _scalar_rows(builder.S["S1"] / dx, builder.sing_stokes),
-        "re_px": _scalar_rows(builder.re_p["x"], builder.sing),
-        "im_px": _scalar_rows(builder.im_p["x"], builder.sing),
-    }
+    cal = CalciteSpec(delta_x=args.delta_x_mm, pol=_POLS[args.pol]())
+    layers = _grid_layers(spec, grid, _STOKES_LAYERS, cal, args)
     result = GridResult(grid=grid, layers=layers, provenance=_provenance(spec, args))
     out = result.to_dict()
-    out["delta_x_mm"] = dx
+    out["delta_x_mm"] = cal.delta_x
     _write_json(args.out, out)
     return 0
 
@@ -291,8 +228,10 @@ def _cmd_stokes(args) -> int:
 def _cmd_anomaly(args) -> int:
     spec = _load_field(args)
     grid = _grid_of(args)
-    vortices = detect_vortices(spec, grid)
-    amap = classify_anomalies(spec, grid, args.bound, superluminal_guard=args.superluminal_guard)
+    sample = sample_grid(spec, grid)
+    vortices = vortices_in_sample(spec, grid, sample)
+    amap = anomalies_in_sample(spec, grid, sample, args.bound,
+                               superluminal_guard=args.superluminal_guard)
     out = {
         "grid": grid.to_dict(),
         "bound_model": args.bound,
@@ -443,33 +382,22 @@ def _cmd_force(args) -> int:
         re_chi, im_chi = (float(tok) for tok in args.chi.split(","))
     except ValueError:
         raise ParameterError(f"--chi must be 're,im', got {args.chi!r}")
-    if im_chi < 0.0:
-        warnings.warn("Im(chi) < 0 describes gain, not a passive particle", stacklevel=2)
-    builder = _LayerBuilder(spec, grid)
-    fx, fy, fz = builder._flux3()
-    w = 0.5 * builder.amp * builder.amp
-
+    chi = Polarizability(complex(re_chi, im_chi))
+    sample = sample_grid(spec, grid)
     if args.normalized:
-        mask = builder.sing
-        grad_comps = [-re_chi * builder.im_p[n] for n in builder.names]
-        scat_comps = [im_chi * builder.re_p[n] for n in builder.names]
-        if spec.ndim == 2:
-            zero = np.zeros_like(grad_comps[0])
-            grad_comps = [grad_comps[0], zero, grad_comps[1]]
-            scat_comps = [scat_comps[0], zero, scat_comps[1]]
+        floor, mask = singular_cells(sample.amplitude)
+        f_grad, f_scat = forces_from_momentum(local_momentum(sample, floor), chi)
     else:
         mask = None
-        grad_comps = [0.5 * re_chi * f.real for f in (fx, fy, fz)]
-        scat_comps = [0.5 * im_chi * f.imag for f in (fx, fy, fz)]
-
+        f_grad, f_scat = force_from_sample(sample, chi)
     layers = {
-        "F_grad": _vector_rows(*grad_comps, mask),
-        "F_scat": _vector_rows(*scat_comps, mask),
-        "W": _scalar_rows(w),
+        "F_grad": _vector_rows(*f_grad, mask),
+        "F_scat": _vector_rows(*f_scat, mask),
+        "W": _scalar_rows(energy_density(sample)),
     }
     result = GridResult(grid=grid, layers=layers, provenance=_provenance(spec, args))
     out = result.to_dict()
-    out["chi"] = [re_chi, im_chi]
+    out["chi"] = [chi.chi.real, chi.chi.imag]
     out["normalized"] = bool(args.normalized)
     _write_json(args.out, out)
     return 0
@@ -620,7 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layer", required=True)
     p.add_argument("--component", choices=sorted(_COMPONENTS), default=None,
                    help="component selector for vector layers")
-    p.add_argument("--palette", choices=("gray",), default="gray")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_render)
 

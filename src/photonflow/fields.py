@@ -69,12 +69,14 @@ class WaveParameters:
 
 @dataclass(frozen=True)
 class FieldSample:
-    """psi and its exact gradient at one point.
+    """psi and its exact gradient at one point (evaluate) or on a grid.
 
     grad_psi has one complex entry per spatial coordinate of the field's
-    frame: (d/dx, d/dz) for planar families, (d/dx, d/dy, d/dz) for 3D.
-    The wavenumber k of the generating field rides along so that
-    momentum consumers can normalize without re-fetching the spec.
+    frame on its leading axis: (d/dx, d/dz) for planar families,
+    (d/dx, d/dy, d/dz) for 3D; grid samples (grids.sample_grid) carry
+    arrays of shape (counts2, counts1) behind it.  The wavenumber k of
+    the generating field rides along so that momentum consumers can
+    normalize without re-fetching the spec.
     """
 
     psi: complex
@@ -87,6 +89,7 @@ class FieldSample:
 
     @property
     def phase(self) -> float:
+        """arg(psi) of a point sample."""
         if self.psi == 0:
             raise SingularPointError("phase undefined where psi = 0")
         return math.atan2(self.psi.imag, self.psi.real)
@@ -457,20 +460,6 @@ _FAMILIES = {
     cls.family: cls
     for cls in (PlaneWaveSpec, GaussianPairSpec, BesselSpec, EvanescentSpec, TirTwoWaveSpec)
 }
-
-
-def build_tir_field(spec: TirTwoWaveSpec) -> TirTwoWaveSpec:
-    """Validate a two-wave TIR spec and return it ready for evaluation.
-
-    Construction already computes and checks the derived wave data (the
-    regime check lives in the spec validator), so this is the identity on
-    valid specs; it exists as the explicit assembly point for the
-    piecewise field and raises on anything outside the TIR regime.
-    """
-    if not isinstance(spec, TirTwoWaveSpec):
-        raise ParameterError(f"expected a TirTwoWaveSpec, got {type(spec).__name__}")
-    spec.partial_waves()
-    return spec
 
 
 def evaluate(spec: FieldSpec, point) -> FieldSample:

@@ -9,9 +9,9 @@ complex polarizability chi splits as
 Normalizing by the energy density W = |psi|^2/2 turns these into the two
 parts of the local momentum: F_grad/W = -Re(chi) im_p and
 F_scat/W = Im(chi) re_p, which is what makes a probe particle a momentum
-meter.  Forces are in (1/2)|chi| psi-units^2/mm; only ratios and
-directions are physically meaningful since field normalization is
-dropped.
+meter; forces_from_momentum computes them in that form.  Forces are in
+(1/2)|chi| psi-units^2/mm; only ratios and directions are physically
+meaningful since field normalization is dropped.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ParameterError, SingularPointError
 from .fields import FieldSample, FieldSpec, evaluate
-from .observables import PolarizationState, embed3
+from .observables import ComplexMomentum, PolarizationState, embed3
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,15 @@ class Polarizability:
 
 
 def force_from_sample(sample: FieldSample, chi: Polarizability):
-    """(F_grad, F_scat) 3-vectors from an already evaluated sample."""
-    flux = embed3(sample.psi.conjugate() * sample.grad_psi, sample.grad_psi.shape[0])
+    """(F_grad, F_scat) 3-vectors from an already evaluated sample, element-wise."""
+    flux = embed3(sample.psi.conjugate() * sample.grad_psi, len(sample.grad_psi))
     return 0.5 * chi.chi.real * flux.real, 0.5 * chi.chi.imag * flux.imag
+
+
+def forces_from_momentum(mom: ComplexMomentum, chi: Polarizability):
+    """(F_grad/W, F_scat/W) = (-Re(chi) im_p, Im(chi) re_p) as 3-vectors, element-wise."""
+    ndim = len(mom.p)
+    return embed3(-chi.chi.real * mom.im_p, ndim), embed3(chi.chi.imag * mom.re_p, ndim)
 
 
 def optical_force(spec: FieldSpec, pol: PolarizationState, chi: Polarizability, point):

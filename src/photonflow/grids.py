@@ -6,6 +6,8 @@ sampled on a 2D slice).  Meshes are returned in the field's frame order
 with shape (counts2, counts1): the first grid axis varies along columns,
 the second along rows.  Orientation-sensitive consumers (vortex charge
 signs) therefore follow the right-handed (axis1, axis2) order as given.
+sample_grid evaluates a field on every node once; the map-making layers
+derive all of their observables from that one sample.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
+from .fields import FieldSample
 
 AXIS_NAMES = ("x", "y", "z")
 
@@ -133,3 +136,13 @@ class GridSpec:
             "counts": list(self.counts),
             "fixed": {name: value for name, value in self.fixed},
         }
+
+
+def sample_grid(spec, grid: GridSpec) -> FieldSample:
+    """psi and its exact gradient on every node of the grid.
+
+    psi has shape (counts2, counts1); grad_psi stacks the frame
+    components on a leading axis, shape (ndim, counts2, counts1).
+    """
+    psi, grads = spec.psi_grad(*grid.mesh(spec.ndim))
+    return FieldSample(psi=psi, grad_psi=np.stack(grads), k=spec.wave.k)

@@ -10,6 +10,10 @@ Im[psi* grad psi]/(2 omega), the spin current S3 grad|psi|^2 x z-hat /
 Vectors returned by the Poynting routines are always 3-vectors (x, y, z);
 planar fields embed with y = 0, which is also where their spin current
 lives since nothing depends on y.
+
+Every observable is element-wise in the sample: a point sample gives
+values at one point, a grid sample (grids.sample_grid) gives them on
+every node, with vector components on the leading axis.
 """
 
 from __future__ import annotations
@@ -23,16 +27,26 @@ from .errors import ParameterError, SingularPointError
 from .fields import FieldSample, FieldSpec, evaluate
 
 # A sample counts as singular when its amplitude is below this fraction of
-# the largest amplitude on the active domain.  Grid pipelines pass the
-# resulting absolute floor down to the pointwise operations.
+# the largest amplitude on the active domain.
 SINGULAR_REL_THRESHOLD = 1e-12
+
+
+def _is_singular(amplitude, amp_floor):
+    """Element-wise: amplitude at or below amp_floor, or exactly zero."""
+    return (amplitude <= amp_floor) | (amplitude == 0.0)
+
+
+def singular_cells(amplitude):
+    """(floor, mask): SINGULAR_REL_THRESHOLD x peak amplitude, and the cells at or below it."""
+    floor = SINGULAR_REL_THRESHOLD * float(np.max(amplitude))
+    return floor, _is_singular(amplitude, floor)
 
 
 def embed3(components, ndim: int) -> np.ndarray:
     """Lift per-coordinate values into an (x, y, z) 3-vector.
 
     Planar fields order their coordinates (x, z); the missing y slot is
-    filled with zeros of matching shape.
+    filled with zeros of matching shape, and the vector index leads.
     """
     comps = list(components)
     if ndim == 2:
@@ -40,7 +54,7 @@ def embed3(components, ndim: int) -> np.ndarray:
         comps = [comps[0], zero, comps[1]]
     elif ndim != 3:
         raise ParameterError(f"expected 2 or 3 components, got {ndim}")
-    return np.stack([np.asarray(c) for c in comps], axis=-1)
+    return np.array(comps)
 
 
 @dataclass(frozen=True)
@@ -100,7 +114,7 @@ class PolarizationState:
 
 @dataclass(frozen=True)
 class ComplexMomentum:
-    """p = -i grad ln psi at one point; p has one entry per coordinate."""
+    """p = -i grad ln psi; p has one entry per coordinate on its leading axis."""
 
     p: np.ndarray
     k: float
@@ -130,27 +144,47 @@ class PoyntingDecomposition:
 
 
 def local_momentum(sample: FieldSample, amp_floor: float = 0.0) -> ComplexMomentum:
-    """Complex local momentum of a sample.
+    """Complex local momentum p = -i grad(psi)/psi of a sample, element-wise.
 
     amp_floor is the absolute singularity threshold for this domain
-    (typically SINGULAR_REL_THRESHOLD times the domain's peak amplitude);
-    at or below it the momentum is undefined and SingularPointError is
-    raised rather than returning divergent numbers.
+    (typically the floor from singular_cells).  At or below it the
+    momentum is undefined: a point sample raises SingularPointError
+    rather than returning divergent numbers, and on an array sample those
+    cells are divided by psi = 1, so callers mask them (singular_cells).
     """
-    if sample.amplitude <= amp_floor or sample.amplitude == 0.0:
-        raise SingularPointError(
-            f"amplitude {sample.amplitude!r} at/below singularity floor {amp_floor!r}")
-    return ComplexMomentum(p=-1j * sample.grad_psi / sample.psi, k=sample.k)
+    amp = sample.amplitude
+    singular = _is_singular(amp, amp_floor)
+    if isinstance(amp, float):
+        if singular:
+            raise SingularPointError(
+                f"amplitude {amp!r} at/below singularity floor {amp_floor!r}")
+        psi = sample.psi
+    else:
+        psi = np.where(singular, 1.0, sample.psi)
+    p = -1j * sample.grad_psi
+    p /= psi  # in place: on a grid, p is the largest array a command holds
+    return ComplexMomentum(p=p, k=sample.k)
+
+
+def energy_density(sample: FieldSample):
+    """W = |psi|^2 / 2, element-wise."""
+    amp = sample.amplitude
+    return 0.5 * amp * amp
+
+
+def poynting_from_sample(sample: FieldSample, pol: PolarizationState) -> PoyntingDecomposition:
+    """Orbital/spin Poynting split and energy density of a sample, element-wise."""
+    omega = sample.k  # c = 1
+    flux = embed3(sample.psi.conjugate() * sample.grad_psi, len(sample.grad_psi))
+    p_o = flux.imag * (1.0 / (2.0 * omega))
+    grad_i = 2.0 * flux.real  # grad |psi|^2
+    scale = pol.s3 / (4.0 * omega)
+    p_s = np.array([grad_i[1] * scale, -grad_i[0] * scale, np.zeros_like(grad_i[0])])
+    return PoyntingDecomposition(P_O=p_o, P_S=p_s, W=energy_density(sample))
 
 
 def poynting_decomposition(spec: FieldSpec, pol: PolarizationState, point) -> PoyntingDecomposition:
-    sample = evaluate(spec, point)
-    omega = sample.k  # c = 1
-    flux = sample.psi.conjugate() * sample.grad_psi
-    p_o = embed3(flux.imag, spec.ndim) / (2.0 * omega)
-    grad_i = embed3(2.0 * flux.real, spec.ndim)  # grad |psi|^2
-    p_s = pol.s3 * np.array([grad_i[1], -grad_i[0], 0.0]) / (4.0 * omega)
-    return PoyntingDecomposition(P_O=p_o, P_S=p_s, W=0.5 * sample.amplitude ** 2)
+    return poynting_from_sample(evaluate(spec, point), pol)
 
 
 def momentum_ratio(dec: PoyntingDecomposition, w_floor: float = 0.0) -> np.ndarray:

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import ParameterError, SeedError
+from .errors import ParameterError, SeedError, SingularPointError
 from .fields import BesselSpec, FieldSpec, evaluate
-from .observables import SINGULAR_REL_THRESHOLD
+from .observables import SINGULAR_REL_THRESHOLD, local_momentum
 
 PARAXIAL = "paraxial-z"
 ARC_LENGTH = "arc-length"
@@ -98,10 +98,6 @@ class Trajectory:
     termination: str
 
 
-class _SingularStop(Exception):
-    pass
-
-
 class _GuardStop(Exception):
     pass
 
@@ -116,12 +112,10 @@ class _Probe:
         self.amp_max = 0.0
 
     def momentum(self, pos, guarded: bool = True):
+        """p at pos; raises SingularPointError below the running floor."""
         sample = evaluate(self.spec, pos)
-        amp = sample.amplitude
-        self.amp_max = max(self.amp_max, amp)
-        if amp <= SINGULAR_REL_THRESHOLD * self.amp_max or amp == 0.0:
-            raise _SingularStop
-        p = -1j * sample.grad_psi / sample.psi
+        self.amp_max = max(self.amp_max, sample.amplitude)
+        p = local_momentum(sample, SINGULAR_REL_THRESHOLD * self.amp_max).p
         if guarded and np.linalg.norm(p) > self.guard * self.k:
             raise _GuardStop
         return p
@@ -145,7 +139,7 @@ def _trace_one(spec, cfg: TraceConfig, which: str, seed) -> Trajectory:
 
     try:
         probe.momentum(seed, guarded=False)
-    except _SingularStop:
+    except SingularPointError:
         raise SeedError(f"seed {seed} sits on a field zero")
 
     if paraxial:
@@ -198,7 +192,7 @@ def _trace_one(spec, cfg: TraceConfig, which: str, seed) -> Trajectory:
     while True:
         try:
             emit(t, y)
-        except _SingularStop:
+        except SingularPointError:
             return finish("singular-amplitude")
         if paraxial and t >= z_hi:
             return finish("left-domain")
@@ -219,7 +213,7 @@ def _trace_one(spec, cfg: TraceConfig, which: str, seed) -> Trajectory:
                 h *= 0.5
                 halvings += 1
                 continue
-            except _SingularStop:
+            except SingularPointError:
                 return finish("singular-amplitude")
             y_new = y + (h_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t_new = z_hi if exact_landing else t + h_eff

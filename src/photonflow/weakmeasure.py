@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DegeneratePointerError, ParameterError, SingularPointError
 from .fields import FieldSpec, GaussianPairSpec, evaluate
-from .observables import ComplexMomentum, PolarizationState
+from .observables import ComplexMomentum, PolarizationState, singular_cells
 
 
 @dataclass(frozen=True)
@@ -70,61 +70,87 @@ class StokesVector:
         return (self.s1, self.s2, self.s3)
 
 
-def apply_calcite(spec: FieldSpec, cal: CalciteSpec, point):
-    """Perturbed field components (E'_x, E'_y) at a point.
+def calcite_fields(spec: FieldSpec, cal: CalciteSpec, coords, psi):
+    """Perturbed field components (E'_x, E'_y), element-wise.
 
-    The x-component is evaluated at the laterally shifted position; the
-    shift acts on the first coordinate for every family.  Warns when the
-    shift is no longer small against a Gaussian field's waist, since the
-    first-order readout degrades there.
+    coords are the frame coordinates where psi was sampled (numbers for
+    one point, meshes for a grid); the x-component is evaluated again at
+    the position shifted along the first coordinate, for every family.
+    Warns when the shift is no longer small against a Gaussian field's
+    waist, since the first-order readout degrades there.
     """
     if isinstance(spec, GaussianPairSpec) and abs(cal.delta_x) > spec.w0_mm / 100.0:
         warnings.warn(
             f"delta_x = {cal.delta_x} mm exceeds w0/100 = {spec.w0_mm / 100.0} mm; "
             "the first-order Stokes readout may be inaccurate", stacklevel=2)
+    psi_shift, _ = spec.psi_grad(coords[0] - cal.delta_x, *coords[1:])
+    return cal.pol.ex * psi_shift, cal.pol.ey * psi
+
+
+def apply_calcite(spec: FieldSpec, cal: CalciteSpec, point):
+    """Perturbed field components (E'_x, E'_y) at a point (see calcite_fields)."""
     coords = np.asarray(point, dtype=float)
-    if coords.shape != (spec.ndim,):
-        raise ParameterError(
-            f"{type(spec).__name__} expects a point with {spec.ndim} coordinates")
-    shifted = coords.copy()
-    shifted[0] -= cal.delta_x
-    ex = cal.pol.ex * evaluate(spec, shifted).psi
-    ey = cal.pol.ey * evaluate(spec, coords).psi
-    return ex, ey
+    return calcite_fields(spec, cal, coords, evaluate(spec, coords).psi)
+
+
+def _normalized_stokes(ex, ey, intensity):
+    cross = ex.conjugate() * ey
+    return (((ex.real ** 2 + ex.imag ** 2) - (ey.real ** 2 + ey.imag ** 2)) / intensity,
+            2.0 * cross.real / intensity,
+            2.0 * cross.imag / intensity)
+
+
+def stokes_parameters(ex, ey):
+    """Normalized Stokes maps (S1, S2, S3, singular) of two-component fields.
+
+    singular marks cells whose field magnitude sqrt(I) is at or below the
+    map's singular floor; they are divided by 1 instead of I and carry
+    no meaning.
+    """
+    intensity = (ex.real ** 2 + ex.imag ** 2) + (ey.real ** 2 + ey.imag ** 2)
+    _, singular = singular_cells(np.sqrt(intensity))
+    return _normalized_stokes(ex, ey, np.where(singular, 1.0, intensity)) + (singular,)
 
 
 def exact_stokes(ex: complex, ey: complex) -> StokesVector:
     """Normalized Stokes parameters of a two-component field point."""
-    intensity = abs(ex) ** 2 + abs(ey) ** 2
+    intensity = (ex.real ** 2 + ex.imag ** 2) + (ey.real ** 2 + ey.imag ** 2)
     if intensity == 0.0:
         raise SingularPointError("zero intensity; Stokes parameters undefined")
-    cross = ex.conjugate() * ey
-    return StokesVector(
-        s1=(abs(ex) ** 2 - abs(ey) ** 2) / intensity,
-        s2=2.0 * cross.real / intensity,
-        s3=2.0 * cross.imag / intensity,
-    )
+    return StokesVector(*_normalized_stokes(ex, ey, intensity))
+
+
+def predicted_parameters(mom: ComplexMomentum, cal: CalciteSpec):
+    """First-order weak-value prediction (S1, S2, S3) for the diagonal input.
+
+    (delta_x im_p_x, 1, delta_x re_p_x) renormalized to unit length, so
+    it stays a valid fully-polarized Stokes vector at finite delta_x;
+    element-wise in the momentum.
+    """
+    s1 = cal.delta_x * mom.im_p[0]
+    s3 = cal.delta_x * mom.re_p[0]
+    norm = np.sqrt(1.0 + s1 ** 2 + s3 ** 2)
+    return s1 / norm, 1.0 / norm, s3 / norm
 
 
 def predicted_stokes(mom: ComplexMomentum, cal: CalciteSpec) -> StokesVector:
-    """First-order weak-value prediction for the diagonal input.
-
-    (delta_x im_p_x, 1, delta_x re_p_x) renormalized to unit length, so
-    it stays a valid fully-polarized Stokes vector at finite delta_x.
-    """
-    s1 = cal.delta_x * float(mom.im_p[0])
-    s3 = cal.delta_x * float(mom.re_p[0])
-    norm = math.sqrt(s1 * s1 + 1.0 + s3 * s3)
-    return StokesVector(s1=s1 / norm, s2=1.0 / norm, s3=s3 / norm)
+    """predicted_parameters at one point, as a StokesVector."""
+    return StokesVector(*predicted_parameters(mom, cal))
 
 
-def momentum_from_stokes(s: StokesVector, cal: CalciteSpec):
+def readout_momentum(s1, s3, cal: CalciteSpec):
     """Invert the pointer readout: (re_p_x, im_p_x) = (S'_3, S'_1)/delta_x.
 
-    The reconstructed value is the momentum at the midpoint between the
-    shifted and unshifted components, x - delta_x/2; the readout is
-    second-order accurate there and only first-order accurate at x.
+    Element-wise in the Stokes parameters.  The reconstructed value is
+    the momentum at the midpoint between the shifted and unshifted
+    components, x - delta_x/2; the readout is second-order accurate
+    there and only first-order accurate at x.
     """
     if cal.delta_x == 0.0:
         raise DegeneratePointerError("delta_x = 0 cannot be inverted")
-    return (s.s3 / cal.delta_x, s.s1 / cal.delta_x)
+    return (s3 / cal.delta_x, s1 / cal.delta_x)
+
+
+def momentum_from_stokes(s: StokesVector, cal: CalciteSpec):
+    """readout_momentum of one StokesVector."""
+    return readout_momentum(s.s1, s.s3, cal)

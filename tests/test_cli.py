@@ -471,6 +471,46 @@ def test_force_bad_chi_exits_two(bessel_file, tmp_path, capsys):
                     "--out", out]) == 2
 
 
+# ------------------------------------------------- validation, grid sampling
+
+
+@pytest.mark.parametrize("argv", [
+    ["stokes", "--delta-x-mm", "nan"],
+    ["stokes", "--delta-x-mm", "inf"],
+    ["fieldmap", "--layers", "S1", "--delta-x-mm", "nan"],
+    ["force", "--chi", "nan,0"],
+    ["force", "--chi", "1e-3,inf"],
+])
+def test_non_finite_parameters_exit_two(tir_file, tmp_path, capsys, argv):
+    out = str(tmp_path / "o.json")
+    code = cli.run(argv[:1] + ["--field", tir_file, "--grid", "x:-2:0:9,z:0:1:9"]
+                   + argv[1:] + ["--out", out])
+    assert code == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, evals", [
+    (["anomaly", "--with-labels"], 1),
+    (["fieldmap", "--layers", "amp,re_px,P_O,label"], 1),
+    (["force"], 1),
+    (["stokes"], 2),  # the grid and its delta_x-shifted copy
+])
+def test_each_command_samples_its_grid_once(tir_file, tmp_path, monkeypatch, argv, evals):
+    calls = []
+    psi_grad = pf.TirTwoWaveSpec.psi_grad
+
+    def counting(self, *coords):
+        if any(np.ndim(c) for c in coords):
+            calls.append(coords)
+        return psi_grad(self, *coords)
+
+    monkeypatch.setattr(pf.TirTwoWaveSpec, "psi_grad", counting)
+    out = str(tmp_path / "o.json")
+    assert cli.run(argv[:1] + ["--field", tir_file, "--grid", "x:-2:0:81,z:0.1:0.6:21"]
+                   + argv[1:] + ["--out", out]) == 0
+    assert len(calls) == evals
+
+
 # -------------------------------------------------------------------- render
 
 

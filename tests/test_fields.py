@@ -244,12 +244,6 @@ def test_tir_air_side_decays_with_both_kappas(tir_field):
     assert abs(got - expected) <= 1e-13 * abs(expected)
 
 
-def test_build_tir_field_validates_type(tir_field):
-    assert pf.build_tir_field(tir_field) is tir_field
-    with pytest.raises(ParameterError):
-        pf.build_tir_field(pf.PlaneWaveSpec(wave=pf.WaveParameters(1.0), direction=(0, 1)))
-
-
 # ------------------------------------------------------------- serialization
 
 
