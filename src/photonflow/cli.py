@@ -31,7 +31,7 @@ from .errors import ParameterError
 from .fields import FieldSpec, GaussianPairSpec, field_from_dict
 from .forces import Polarizability, force_from_sample, forces_from_momentum
 from .grids import GridSpec, frame_names, sample_grid
-from .observables import (PolarizationState, energy_density, local_momentum,
+from .observables import (PolarizationState, embed3, energy_density, local_momentum,
                           poynting_from_sample, singular_cells)
 from .tracing import ARC_LENGTH, PARAXIAL, TraceConfig, trace_streamline
 from .weakmeasure import (CalciteSpec, calcite_fields, predicted_parameters, readout_momentum,
@@ -250,37 +250,34 @@ def _cmd_anomaly(args) -> int:
     return 0
 
 
-def _read_seeds_file(path: str) -> tuple:
+def _parse_seeds(rows, source: str) -> tuple:
+    """One seed per non-blank row of comma-separated coordinates."""
     seeds = []
+    for row in rows:
+        row = row.strip()
+        if not row:
+            continue
+        try:
+            seeds.append(tuple(float(tok) for tok in row.split(",")))
+        except ValueError:
+            raise ParameterError(f"malformed seed {row!r} in {source}")
+    return tuple(seeds)
+
+
+def _read_seeds_file(path: str) -> tuple:
     try:
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    seeds.append(tuple(float(tok) for tok in line.split(",")))
-                except ValueError:
-                    raise ParameterError(f"malformed seed row {line!r} in {path}")
+            rows = [line for line in fh if not line.lstrip().startswith("#")]
     except OSError as exc:
         raise ParameterError(f"cannot read seeds: {exc}")
-    return tuple(seeds)
+    return _parse_seeds(rows, path)
 
 
 def _resolve_seeds(args, spec) -> tuple:
     if args.seeds:
         return _read_seeds_file(args.seeds)
     if args.seeds_inline:
-        seeds = []
-        for clause in args.seeds_inline.split(";"):
-            clause = clause.strip()
-            if not clause:
-                continue
-            try:
-                seeds.append(tuple(float(tok) for tok in clause.split(",")))
-            except ValueError:
-                raise ParameterError(f"malformed inline seed {clause!r}")
-        return tuple(seeds)
+        return _parse_seeds(args.seeds_inline.split(";"), "--seeds-inline")
     if isinstance(spec, GaussianPairSpec):
         # presentation default: a uniform fan spanning both input lobes
         # on the waist plane.
@@ -322,24 +319,15 @@ def _resolve_domain(args, spec, seeds, paraxial: bool) -> tuple:
     return tuple(domain)
 
 
-def _row3(vec, ndim: int) -> tuple:
-    if ndim == 2:
-        return (float(vec[0]), 0.0, float(vec[1]))
-    return (float(vec[0]), float(vec[1]), float(vec[2]))
-
-
 def _write_trace_csv(path: str, trajectories) -> None:
     header = "traj_id,s_or_z,x,y,z,re_px,re_py,re_pz,im_px,im_py,im_pz"
     lines = [header]
     for tid, traj in enumerate(trajectories):
-        ndim = traj.points.shape[1] if traj.points.size else 0
-        for param, point, momentum in zip(traj.params, traj.points, traj.momenta):
-            x, y, z = _row3(point, ndim)
-            re3 = _row3(momentum.real, ndim)
-            im3 = _row3(momentum.imag, ndim)
-            cells = [str(tid), repr(float(param)), repr(x), repr(y), repr(z)]
-            cells += [repr(v) for v in re3] + [repr(v) for v in im3]
-            lines.append(",".join(cells))
+        ndim = traj.points.shape[1]
+        momenta = embed3(traj.momenta.T, ndim).T
+        rows = np.column_stack(
+            [traj.params, embed3(traj.points.T, ndim).T, momenta.real, momenta.imag])
+        lines += [",".join([str(tid)] + [repr(v) for v in row]) for row in rows.tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -569,7 +557,7 @@ def run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
+        print(f"runtime error in {args.command} ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 1
 
 

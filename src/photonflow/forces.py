@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ParameterError, SingularPointError
 from .fields import FieldSample, FieldSpec, evaluate
-from .observables import ComplexMomentum, PolarizationState, embed3
+from .observables import ComplexMomentum, embed3
 
 
 @dataclass(frozen=True)
@@ -53,13 +53,12 @@ def forces_from_momentum(mom: ComplexMomentum, chi: Polarizability):
     return embed3(-chi.chi.real * mom.im_p, ndim), embed3(chi.chi.imag * mom.re_p, ndim)
 
 
-def optical_force(spec: FieldSpec, pol: PolarizationState, chi: Polarizability, point):
+def optical_force(spec: FieldSpec, chi: Polarizability, point):
     """(F_grad, F_scat) at a point.
 
-    pol is part of the uniform-polarization precondition; with |e| = 1
-    the scalar reduction E*.(grad)E = psi* grad psi does not depend on it.
+    Under the uniform-polarization precondition, with |e| = 1, the scalar
+    reduction E*.(grad)E = psi* grad psi does not depend on the polarization.
     """
-    del pol
     return force_from_sample(evaluate(spec, point), chi)
 
 

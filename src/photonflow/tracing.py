@@ -14,9 +14,12 @@ gradient, so that they run toward and settle on intensity maxima (the
 stagnation points where Im p = 0); as undirected curves the streamlines
 are identical either way.
 
-Near a phase singularity |p| diverges; whenever any RK4 stage sees
-|p| > vortex_guard * k the step is halved, and eight consecutive
-halvings terminate the trajectory with the vortex-proximity cause.
+Each recorded point is evaluated once: its momentum is also stage k1
+of the RK4 step that leaves it.  Near a phase singularity |p| diverges;
+whenever a later stage sees |p| > vortex_guard * k the step is halved,
+and a step that still fails after eight halvings ends the trajectory
+with the vortex-proximity cause.  A recorded point whose own |p| is over
+the guard ends it at once, since k1 does not depend on the step size.
 """
 
 from __future__ import annotations
@@ -98,33 +101,36 @@ class Trajectory:
     termination: str
 
 
-class _GuardStop(Exception):
-    pass
+def _momentum(spec, pos, amp_max):
+    """(p at pos, running amplitude maximum with pos included).
+
+    p is None at or below SINGULAR_REL_THRESHOLD times the largest
+    amplitude the trajectory has seen, pos included.
+    """
+    sample = evaluate(spec, pos)
+    amp_max = max(amp_max, sample.amplitude)
+    try:
+        return local_momentum(sample, SINGULAR_REL_THRESHOLD * amp_max).p, amp_max
+    except SingularPointError:
+        return None, amp_max
 
 
-class _Probe:
-    """Guarded momentum evaluation with a running singularity floor."""
+def _rate(p, which: str, paraxial: bool, p_max: float):
+    """dy/dt of the streamline at momentum p, or None where the step must shrink.
 
-    def __init__(self, spec, guard):
-        self.spec = spec
-        self.guard = guard
-        self.k = spec.wave.k
-        self.amp_max = 0.0
-
-    def momentum(self, pos, guarded: bool = True):
-        """p at pos; raises SingularPointError below the running floor."""
-        sample = evaluate(self.spec, pos)
-        self.amp_max = max(self.amp_max, sample.amplitude)
-        p = local_momentum(sample, SINGULAR_REL_THRESHOLD * self.amp_max).p
-        if guarded and np.linalg.norm(p) > self.guard * self.k:
-            raise _GuardStop
-        return p
-
-
-def _velocity(p: np.ndarray, which: str) -> np.ndarray:
+    That is near a vortex (|p| > p_max), where the paraxial
+    parameterization breaks down (v_z <= 0) and at an arc-length
+    stagnation point (|v| = 0).
+    """
+    if np.linalg.norm(p) > p_max:
+        return None
     # Orientation: re runs with the current; im descends the osmotic
     # field toward amplitude maxima (see module docstring).
-    return p.real if which == "re" else -p.imag
+    v = p.real if which == "re" else -p.imag
+    if paraxial:
+        return None if v[-1] <= 0.0 else v[:-1] / v[-1]
+    speed = np.linalg.norm(v)
+    return None if speed == 0.0 else v / speed
 
 
 def _inside(pos, domain) -> bool:
@@ -134,107 +140,83 @@ def _inside(pos, domain) -> bool:
 def _trace_one(spec, cfg: TraceConfig, which: str, seed) -> Trajectory:
     if not _inside(seed, cfg.domain):
         raise SeedError(f"seed {seed} outside domain {cfg.domain}")
-    probe = _Probe(spec, cfg.vortex_guard)
     paraxial = cfg.parameterization == PARAXIAL
-
-    try:
-        probe.momentum(seed, guarded=False)
-    except SingularPointError:
-        raise SeedError(f"seed {seed} sits on a field zero")
-
+    z_hi = cfg.domain[-1][1]
+    p_max = cfg.vortex_guard * spec.wave.k
+    # The ODE integrates y over the parameter t: the transverse position
+    # over z in paraxial mode, the whole position over arc length otherwise.
     if paraxial:
-        z_hi = cfg.domain[-1][1]
-
-        def rhs(t, y):
-            p = probe.momentum(np.append(y, t))
-            v = _velocity(p, which)
-            vz = v[-1]
-            if vz <= 0.0:
-                raise _GuardStop  # paraxial parameterization broke down
-            return v[:-1] / vz
-
-        t = seed[-1]
-        y = np.asarray(seed[:-1], dtype=float)
+        t, y = seed[-1], np.asarray(seed[:-1], dtype=float)
     else:
-        def rhs(t, y):
-            p = probe.momentum(y)
-            v = _velocity(p, which)
-            speed = np.linalg.norm(v)
-            if speed == 0.0:
-                raise _GuardStop  # stagnation point
-            return v / speed
-
-        t = 0.0
-        y = np.asarray(seed, dtype=float)
-
-    params = []
-    points = []
-    momenta = []
-
-    def emit(t_val, y_val):
-        pos = np.append(y_val, t_val) if paraxial else y_val
-        params.append(t_val)
-        points.append(np.asarray(pos, dtype=float))
-        momenta.append(probe.momentum(pos, guarded=False))
-
-    def finish(cause):
-        return Trajectory(
-            which=which,
-            parameterization=cfg.parameterization,
-            params=np.array(params),
-            points=np.array(points),
-            momenta=np.array(momenta),
-            termination=cause,
-        )
-
+        t, y = 0.0, np.asarray(seed, dtype=float)
+    params, points, momenta = [], [], []
+    amp_max = 0.0
     h = cfg.step
-    steps_done = 0
+    cause = None
     while True:
-        try:
-            emit(t, y)
-        except SingularPointError:
-            return finish("singular-amplitude")
-        if paraxial and t >= z_hi:
-            return finish("left-domain")
-        if steps_done >= cfg.max_steps:
-            return finish("max-steps")
-
-        accepted = False
-        halvings = 0
-        while halvings <= _MAX_HALVINGS:
-            h_eff = min(h, z_hi - t) if paraxial else h
-            exact_landing = paraxial and h_eff < h
-            try:
-                k1 = rhs(t, y)
-                k2 = rhs(t + 0.5 * h_eff, y + 0.5 * h_eff * k1)
-                k3 = rhs(t + 0.5 * h_eff, y + 0.5 * h_eff * k2)
-                k4 = rhs(t + h_eff, y + h_eff * k3)
-            except _GuardStop:
-                h *= 0.5
-                halvings += 1
-                continue
-            except SingularPointError:
-                return finish("singular-amplitude")
-            y_new = y + (h_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t_new = z_hi if exact_landing else t + h_eff
-            disp = np.linalg.norm(y_new - y)
-            if paraxial:
-                disp = math.hypot(h_eff, disp)
-            if disp > 2.0 * h_eff:
-                h *= 0.5
-                halvings += 1
-                continue
-            accepted = True
+        pos = np.append(y, t) if paraxial else y
+        if not _inside(pos, cfg.domain):
+            cause = "left-domain"
             break
-        if not accepted:
-            return finish("vortex-proximity")
-
-        pos_new = np.append(y_new, t_new) if paraxial else y_new
-        if not _inside(pos_new, cfg.domain):
-            return finish("left-domain")
-        t, y = t_new, y_new
-        steps_done += 1
+        # The point's momentum is recorded and is also the next step's
+        # stage k1, so every point is evaluated once.
+        p, amp_max = _momentum(spec, pos, amp_max)
+        if p is None:
+            if not params:
+                raise SeedError(f"seed {seed} sits on a field zero")
+            cause = "singular-amplitude"
+            break
+        params.append(t)
+        points.append(pos)
+        momenta.append(p)
+        if paraxial and t >= z_hi:
+            cause = "left-domain"
+            break
+        if len(params) > cfg.max_steps:
+            cause = "max-steps"
+            break
+        k1 = _rate(p, which, paraxial, p_max)
+        if k1 is None:  # k1 does not depend on h: no halving can help
+            cause = "vortex-proximity"
+            break
+        for _ in range(_MAX_HALVINGS + 1):
+            h_eff = min(h, z_hi - t) if paraxial else h
+            ks = [k1]
+            for c in (0.5, 0.5, 1.0):
+                y_c = y + c * h_eff * ks[-1]
+                p, amp_max = _momentum(
+                    spec, np.append(y_c, t + c * h_eff) if paraxial else y_c, amp_max)
+                k = None if p is None else _rate(p, which, paraxial, p_max)
+                if k is None:
+                    break
+                ks.append(k)
+            if p is None:
+                cause = "singular-amplitude"
+                break
+            if len(ks) == 4:
+                _, k2, k3, k4 = ks
+                y_new = y + (h_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                disp = np.linalg.norm(y_new - y)
+                if paraxial:
+                    disp = math.hypot(h_eff, disp)
+                if not disp > 2.0 * h_eff:  # a NaN step is taken, then leaves the domain
+                    break
+            h *= 0.5
+        else:
+            cause = "vortex-proximity"
+        if cause is not None:
+            break
+        t = z_hi if paraxial and h_eff < h else t + h_eff  # land on z_hi exactly
+        y = y_new
         h = min(cfg.step, 2.0 * h)
+    return Trajectory(
+        which=which,
+        parameterization=cfg.parameterization,
+        params=np.array(params),
+        points=np.array(points),
+        momenta=np.array(momenta),
+        termination=cause,
+    )
 
 
 def trace_streamline(spec: FieldSpec, cfg: TraceConfig, which: str):

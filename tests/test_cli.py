@@ -92,7 +92,7 @@ def test_unwritable_output_exits_one(plane_file, capsys):
                     "--grid", "x:0:1:4,z:0:1:4",
                     "--out", "/no/such/directory/out.json"])
     assert code == 1
-    assert "runtime error" in capsys.readouterr().err
+    assert "runtime error in fieldmap (FileNotFoundError)" in capsys.readouterr().err
 
 
 def test_coarse_anomaly_grid_exits_two(tir_file, tmp_path, capsys):

@@ -10,21 +10,16 @@ import photonflow as pf
 from photonflow.errors import ParameterError, SingularPointError
 
 
-DIAG = pf.PolarizationState.linear_diag()
-
-
 def test_plane_wave_scattering_force_points_along_k():
     spec = pf.PlaneWaveSpec(wave=pf.WaveParameters(1.0), direction=(0.0, 1.0))
     k = spec.wave.k
-    f_grad, f_scat = pf.optical_force(spec, DIAG, pf.Polarizability(1j), (0.2, 0.9))
+    f_grad, f_scat = pf.optical_force(spec, pf.Polarizability(1j), (0.2, 0.9))
     assert f_scat == pytest.approx([0.0, 0.0, 0.5 * k], abs=1e-14)
     assert np.all(f_grad == 0.0)
 
 
 def test_real_polarizability_builds_no_scattering_force(gaussian_pair):
-    f_grad, f_scat = pf.optical_force(
-        gaussian_pair, DIAG, pf.Polarizability(2.5 + 0j), (1.1, 3.0)
-    )
+    f_grad, f_scat = pf.optical_force(gaussian_pair, pf.Polarizability(2.5 + 0j), (1.1, 3.0))
     assert np.all(f_scat == 0.0)
     assert np.abs(f_grad).max() > 0.0
 
@@ -89,7 +84,7 @@ def test_standing_wave_force_pattern():
 def test_gradient_force_vanishes_on_bessel_bright_ring(bessel_ell2):
     r_ring = jnp_zeros(2, 1)[0] / bessel_ell2.k_perp
     chi = pf.Polarizability(1.0 + 0.5j)
-    f_grad, f_scat = pf.optical_force(bessel_ell2, DIAG, chi, (r_ring, 0.0, 0.0))
+    f_grad, f_scat = pf.optical_force(bessel_ell2, chi, (r_ring, 0.0, 0.0))
     # the intensity maximum is a trap: gradient force dies, scattering stays
     assert np.linalg.norm(f_grad) < 1e-10 * np.linalg.norm(f_scat)
     assert np.linalg.norm(f_scat) > 0.0

@@ -186,7 +186,20 @@ def test_im_trace_descends_from_outside_the_ring(bessel_ell2):
 # ----------------------------------------------------------- stopping causes
 
 
-def test_max_steps_bounds_the_point_count(plane_wave):
+def count_point_evaluations(monkeypatch, family):
+    calls = []
+    psi_grad = family.psi_grad
+
+    def counting(self, *coords):
+        calls.append(coords)
+        return psi_grad(self, *coords)
+
+    monkeypatch.setattr(family, "psi_grad", counting)
+    return calls
+
+
+def test_max_steps_bounds_the_point_count(monkeypatch, plane_wave):
+    calls = count_point_evaluations(monkeypatch, pf.PlaneWaveSpec)
     cfg = pf.TraceConfig(
         seeds=((0.0, 0.0),),
         parameterization="paraxial-z",
@@ -197,11 +210,15 @@ def test_max_steps_bounds_the_point_count(plane_wave):
     traj = pf.trace_streamline(plane_wave, cfg, "re")[0]
     assert traj.termination == "max-steps"
     assert len(traj.params) == 4  # seed plus three steps
+    # no halvings on a plane wave: each point is evaluated once (its
+    # momentum is also its step's k1), plus three later stages per step
+    assert len(calls) == 4 * 3 + 1
 
 
-def test_near_axis_vortex_stops_paraxial_trace(bessel_ell2):
-    # azimuthal velocity ~ ell/(r k_z) blows past the displacement cap, so
-    # halving exhausts and the stop is attributed to the vortex
+def test_near_axis_vortex_stops_paraxial_trace(monkeypatch, bessel_ell2):
+    # azimuthal velocity ~ ell/(r k_z) is over the guard at the seed itself;
+    # k1 does not depend on the step, so the trace stops without halving
+    calls = count_point_evaluations(monkeypatch, pf.BesselSpec)
     cfg = pf.TraceConfig(
         seeds=((1e-4, 0.0, 0.0),),
         parameterization="paraxial-z",
@@ -211,10 +228,12 @@ def test_near_axis_vortex_stops_paraxial_trace(bessel_ell2):
     )
     traj = pf.trace_streamline(bessel_ell2, cfg, "re")[0]
     assert traj.termination == "vortex-proximity"
-    assert len(traj.params) == 1
+    assert np.array_equal(traj.points, [[1e-4, 0.0, 0.0]])
+    assert len(calls) == 1
 
 
-def test_tir_trace_funnels_into_glass_vortex(tir_field):
+def test_tir_trace_funnels_into_glass_vortex(monkeypatch, tir_field):
+    calls = count_point_evaluations(monkeypatch, pf.TirTwoWaveSpec)
     cfg = pf.TraceConfig(
         seeds=((-1.7, 0.0),),
         parameterization="paraxial-z",
@@ -224,8 +243,10 @@ def test_tir_trace_funnels_into_glass_vortex(tir_field):
     )
     traj = pf.trace_streamline(tir_field, cfg, "re")[0]
     assert traj.termination == "vortex-proximity"
-    assert 100 < len(traj.params) < 2000  # travels, then stalls at the core
+    assert len(traj.params) == 600  # travels, then stalls at the core
+    assert np.abs(traj.points[-1] - (-1.8351674014904238, 1.197)).max() < 1e-12
     assert traj.points[-1, 0] < 0.0  # still in the glass
+    assert len(calls) < 4.1 * len(traj.params)  # a few halvings on top of 4 per step
 
 
 def test_consecutive_points_stay_within_twice_the_step(tir_field):
@@ -240,6 +261,33 @@ def test_consecutive_points_stay_within_twice_the_step(tir_field):
     assert traj.termination == "left-domain"
     gaps = np.linalg.norm(np.diff(traj.points, axis=0), axis=1)
     assert gaps.max() <= 2.0 * cfg.step + 1e-12
+
+
+def test_zero_amplitude_mid_trace_stops_with_equal_length_arrays():
+    spec = pf.GaussianPairSpec(wave=pf.WaveParameters(1e-3), w0_mm=0.5, a_mm=1.0)
+    cfg = pf.TraceConfig(
+        seeds=((0.7, 0.0),),
+        parameterization="paraxial-z",
+        step=20.0,
+        max_steps=1000,
+        domain=((-10.0, 10.0), (0.0, 1000.0)),
+    )
+    reference = pf.trace_streamline(spec, cfg, "re")[0]
+    zero_at = tuple(reference.points[3])
+
+    class ZeroAtFourthPoint:
+        """The Gaussian pair, with psi = 0 exactly at the reference's 4th point."""
+
+        wave, ndim = spec.wave, spec.ndim
+
+        def psi_grad(self, *coords):
+            psi, grads = spec.psi_grad(*coords)
+            return (0.0 * psi if coords == zero_at else psi), grads
+
+    traj = pf.trace_streamline(ZeroAtFourthPoint(), cfg, "re")[0]
+    assert traj.termination == "singular-amplitude"
+    assert len(traj.params) == len(traj.points) == len(traj.momenta) == 3
+    assert np.array_equal(traj.points, reference.points[:3])
 
 
 # ------------------------------------------------------------- non-crossing
