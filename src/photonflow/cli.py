@@ -22,6 +22,8 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -74,45 +76,60 @@ class GridResult:
         }
 
 
-def _scalar_rows(values, mask=None):
-    rows = np.asarray(values, dtype=float).tolist()
+def _check_finite(name, finite, mask):
+    """JSON has no inf or nan: a layer that over- or underflows outside its
+    singular cells cannot be written."""
     if mask is not None:
-        for j, i in np.argwhere(mask):
-            rows[j][i] = "singular"
-    return rows
+        finite = finite | mask
+    if not finite.all():
+        raise ParameterError(f"layer {name!r} cannot be represented: it holds non-finite "
+                             "values outside singular cells")
 
 
-def _vector_rows(vx, vy, vz, mask=None):
-    rows = np.stack([np.asarray(vx, dtype=float),
-                     np.asarray(vy, dtype=float),
-                     np.asarray(vz, dtype=float)], axis=-1).tolist()
-    if mask is not None:
-        for j, i in np.argwhere(mask):
-            rows[j][i] = "singular"
-    return rows
+def _scalar_rows(name, values, mask=None):
+    values = np.asarray(values, dtype=float)
+    _check_finite(name, np.isfinite(values), mask)
+    if mask is None or not mask.any():
+        return values.tolist()
+    cells = values.astype(object)
+    cells[mask] = "singular"
+    return cells.tolist()
 
 
-# grid layers: name -> (library result the layer reads, rows built from that
-# result and the sample's singular mask)
+def _vector_rows(name, vx, vy, vz, mask=None):
+    triples = np.stack([np.asarray(vx, dtype=float),
+                        np.asarray(vy, dtype=float),
+                        np.asarray(vz, dtype=float)], axis=-1)
+    _check_finite(name, np.isfinite(triples).all(axis=-1), mask)
+    if mask is None or not mask.any():
+        return triples.tolist()
+    # one object cell per [x, y, z] list, so a whole cell can become "singular"
+    cells = np.fromiter(triples.reshape(-1, 3).tolist(), dtype=object, count=mask.size)
+    cells[mask.ravel()] = "singular"
+    return cells.reshape(mask.shape).tolist()
+
+
+# grid layers: name -> (library result the layer reads, rows built from the
+# layer name, that result and the sample's singular mask)
 _LAYERS = {
-    "amp": ("sample", lambda s, sing: _scalar_rows(s.amplitude)),
-    "phase": ("sample", lambda s, sing: _scalar_rows(np.angle(s.psi), sing)),
-    "re_px": ("momentum", lambda m, sing: _scalar_rows(m.re_p[0], sing)),
-    "re_pz": ("momentum", lambda m, sing: _scalar_rows(m.re_p[-1], sing)),
-    "im_px": ("momentum", lambda m, sing: _scalar_rows(m.im_p[0], sing)),
-    "im_pz": ("momentum", lambda m, sing: _scalar_rows(m.im_p[-1], sing)),
-    "S1": ("stokes", lambda st, sing: _scalar_rows(st[0], st[3])),
-    "S2": ("stokes", lambda st, sing: _scalar_rows(st[1], st[3])),
-    "S3": ("stokes", lambda st, sing: _scalar_rows(st[2], st[3])),
-    "W": ("poynting", lambda dec, sing: _scalar_rows(dec.W)),
-    "P_O": ("poynting", lambda dec, sing: _vector_rows(*dec.P_O)),
-    "P_S": ("poynting", lambda dec, sing: _vector_rows(*dec.P_S)),
-    "label": ("anomalies", lambda amap, sing: amap.label_names().tolist()),
-    "S1_pred": ("prediction", lambda pr, sing: _scalar_rows(pr[0], sing)),
-    "S2_pred": ("prediction", lambda pr, sing: _scalar_rows(pr[1], sing)),
-    "S3_pred": ("prediction", lambda pr, sing: _scalar_rows(pr[2], sing)),
-    "re_px_readout": ("readout", lambda ro, sing: _scalar_rows(ro[0], ro[2])),
-    "im_px_readout": ("readout", lambda ro, sing: _scalar_rows(ro[1], ro[2])),
+    "amp": ("sample", lambda n, s, sing: _scalar_rows(n, s.amplitude)),
+    "phase": ("sample", lambda n, s, sing: _scalar_rows(n, np.angle(s.psi), sing)),
+    "re_px": ("momentum", lambda n, m, sing: _scalar_rows(n, m.re_p[0], sing)),
+    "re_pz": ("momentum", lambda n, m, sing: _scalar_rows(n, m.re_p[-1], sing)),
+    "im_px": ("momentum", lambda n, m, sing: _scalar_rows(n, m.im_p[0], sing)),
+    "im_pz": ("momentum", lambda n, m, sing: _scalar_rows(n, m.im_p[-1], sing)),
+    "S1": ("stokes", lambda n, st, sing: _scalar_rows(n, st[0], st[3])),
+    "S2": ("stokes", lambda n, st, sing: _scalar_rows(n, st[1], st[3])),
+    "S3": ("stokes", lambda n, st, sing: _scalar_rows(n, st[2], st[3])),
+    "W": ("poynting", lambda n, dec, sing: _scalar_rows(n, dec.W)),
+    "P_O": ("poynting", lambda n, dec, sing: _vector_rows(n, *dec.P_O)),
+    "P_S": ("poynting", lambda n, dec, sing: _vector_rows(n, *dec.P_S)),
+    "label": ("anomalies", lambda n, amap, sing: amap.label_names().tolist()),
+    "S1_pred": ("prediction", lambda n, pr, sing: _scalar_rows(n, pr[0], sing)),
+    "S2_pred": ("prediction", lambda n, pr, sing: _scalar_rows(n, pr[1], sing)),
+    "S3_pred": ("prediction", lambda n, pr, sing: _scalar_rows(n, pr[2], sing)),
+    "re_px_readout": ("readout", lambda n, ro, sing: _scalar_rows(n, ro[0], ro[2])),
+    "im_px_readout": ("readout", lambda n, ro, sing: _scalar_rows(n, ro[1], ro[2])),
 }
 ALL_LAYERS = ("amp", "phase", "re_px", "re_pz", "im_px", "im_pz", "S1", "S2", "S3", "W",
               "P_O", "P_S", "label")
@@ -144,18 +161,24 @@ def _grid_layers(spec, grid, names, cal, args) -> dict:
             results[source] = calls[source]()
         return results[source]
 
-    return {name: _LAYERS[name][1](get(_LAYERS[name][0]), sing) for name in names}
+    return {name: _LAYERS[name][1](name, get(_LAYERS[name][0]), sing) for name in names}
+
+
+def _read_text(path: str, what: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParameterError(f"cannot read {what}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"cannot read {what}: {path!r} is not UTF-8 text ({exc})")
 
 
 def _load_field(args) -> FieldSpec:
     if getattr(args, "field_json", None):
         text = args.field_json
     else:
-        try:
-            with open(args.field, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ParameterError(f"cannot read field spec: {exc}")
+        text = _read_text(args.field, "field spec")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -187,8 +210,12 @@ def _provenance(spec, args) -> dict:
 
 
 def _write_json(path: str, obj) -> None:
+    # json.dumps runs the C encoder; json.dump streams through the pure-Python
+    # one.  Both give the same text.  Two writes, since text + "\n" would copy
+    # the whole artifact once more.
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        fh.write(text)
         fh.write("\n")
 
 
@@ -265,12 +292,8 @@ def _parse_seeds(rows, source: str) -> tuple:
 
 
 def _read_seeds_file(path: str) -> tuple:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            rows = [line for line in fh if not line.lstrip().startswith("#")]
-    except OSError as exc:
-        raise ParameterError(f"cannot read seeds: {exc}")
-    return _parse_seeds(rows, path)
+    lines = _read_text(path, "seeds").split("\n")
+    return _parse_seeds([line for line in lines if not line.lstrip().startswith("#")], path)
 
 
 def _resolve_seeds(args, spec) -> tuple:
@@ -379,9 +402,9 @@ def _cmd_force(args) -> int:
         mask = None
         f_grad, f_scat = force_from_sample(sample, chi)
     layers = {
-        "F_grad": _vector_rows(*f_grad, mask),
-        "F_scat": _vector_rows(*f_scat, mask),
-        "W": _scalar_rows(energy_density(sample)),
+        "F_grad": _vector_rows("F_grad", *f_grad, mask),
+        "F_scat": _vector_rows("F_scat", *f_scat, mask),
+        "W": _scalar_rows("W", energy_density(sample)),
     }
     result = GridResult(grid=grid, layers=layers, provenance=_provenance(spec, args))
     out = result.to_dict()
@@ -394,12 +417,48 @@ def _cmd_force(args) -> int:
 _COMPONENTS = {"x": 0, "y": 1, "z": 2}
 
 
+def _render_cells(layer: str, cells, component):
+    """Float values and singular mask of a layer's cells (a flat object array
+    in row-major order).  The first cell that cannot be rendered raises; the
+    cells before it are converted first, so their own failures come first."""
+    types = np.fromiter(map(type, cells), dtype=object, count=cells.size)
+    mask = np.zeros(cells.size, dtype=bool)
+    vectors = np.zeros(cells.size, dtype=bool)
+    offending = np.zeros(cells.size, dtype=bool)
+    for kind in set(types.tolist()) - {int, float}:
+        of_kind = types == kind
+        if kind is str:
+            mask[of_kind] = cells[of_kind] == "singular"
+            offending |= of_kind & ~mask
+        elif kind is list and component is not None:
+            vectors = of_kind
+        else:
+            offending |= of_kind
+    end = int(offending.argmax()) if offending.any() else cells.size
+
+    numbers = cells[:end].copy()
+    numbers[(mask | vectors)[:end]] = 0.0
+    values = np.zeros(cells.size)
+    values[:end] = numbers.astype(float)
+    picks = np.flatnonzero(vectors[:end])
+    if picks.size:
+        components = map(itemgetter(_COMPONENTS[component]), cells[picks])
+        values[picks] = np.fromiter(map(float, components), dtype=float, count=picks.size)
+
+    if end < cells.size:
+        cell = cells[end]
+        if isinstance(cell, list):
+            raise ParameterError(
+                f"layer {layer!r} is a vector layer; pass --component x|y|z")
+        raise ParameterError(
+            f"layer {layer!r} is not numeric (cell {cell!r}); "
+            "categorical layers cannot be rendered")
+    return values, mask
+
+
 def _cmd_render(args) -> int:
     try:
-        with open(args.input, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ParameterError(f"cannot read grid result: {exc}")
+        obj = json.loads(_read_text(args.input, "grid result"))
     except json.JSONDecodeError as exc:
         raise ParameterError(f"grid result is not valid JSON: {exc}")
     layers = obj.get("layers")
@@ -411,25 +470,17 @@ def _cmd_render(args) -> int:
     width = len(rows[0]) if height else 0
     if height < 1 or width < 1:
         raise ParameterError(f"layer {args.layer!r} is empty")
-    values = np.zeros((height, width))
-    mask = np.zeros((height, width), dtype=bool)
-    for j, row in enumerate(rows):
-        if len(row) != width:
-            raise ParameterError(f"layer {args.layer!r} rows have inconsistent lengths")
-        for i, cell in enumerate(row):
-            if cell == "singular":
-                mask[j, i] = True
-            elif isinstance(cell, list):
-                if args.component is None:
-                    raise ParameterError(
-                        f"layer {args.layer!r} is a vector layer; pass --component x|y|z")
-                values[j, i] = float(cell[_COMPONENTS[args.component]])
-            elif isinstance(cell, (int, float)) and not isinstance(cell, bool):
-                values[j, i] = float(cell)
-            else:
-                raise ParameterError(
-                    f"layer {args.layer!r} is not numeric (cell {cell!r}); "
-                    "categorical layers cannot be rendered")
+    # rows are checked in order: a row of the wrong length is reported only
+    # after the cells of the rows above it pass (len of a row that is not a
+    # list raises TypeError, as it always has)
+    full = next((j for j, row in enumerate(rows)
+                 if not isinstance(row, (list, str, dict)) or len(row) != width), height)
+    cells = np.fromiter(chain.from_iterable(rows[:full]), dtype=object, count=full * width)
+    values, mask = _render_cells(args.layer, cells, args.component)
+    if full < height and len(rows[full]) != width:
+        raise ParameterError(f"layer {args.layer!r} rows have inconsistent lengths")
+    values = values.reshape(height, width)
+    mask = mask.reshape(height, width)
 
     live = values[~mask]
     pixels = np.zeros((height, width), dtype=np.uint8)

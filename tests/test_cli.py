@@ -1,8 +1,11 @@
 """End-to-end CLI behavior: JSON/CSV/PGM outputs, exit codes, determinism."""
 
+import io
 import json
 import math
+import os
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -101,6 +104,46 @@ def test_coarse_anomaly_grid_exits_two(tir_file, tmp_path, capsys):
                     "--grid", "x:-2:0:5,z:0:2:5", "--out", out])
     assert code == 2
     assert "resolve" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reader", ["field", "seeds", "render"])
+def test_non_utf8_input_exits_two(pair_file, tmp_path, capsys, reader):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe0.0,0.0\n")
+    out = str(tmp_path / "o")
+    argv = {
+        "field": ["fieldmap", "--field", str(bad), "--grid", "x:0:1:4,z:0:1:4"],
+        "seeds": ["trace", "--field", pair_file, "--seeds", str(bad)],
+        "render": ["render", "--in", str(bad), "--layer", "amp"],
+    }[reader]
+    assert cli.run(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read")
+    assert repr(str(bad)) in err and "not UTF-8" in err
+
+
+def test_unrepresentable_layer_exits_two_and_names_it(tmp_path, capsys):
+    # the amplitude overflows to inf on most of the grid; JSON cannot hold it
+    out = tmp_path / "o.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.run(["fieldmap", "--field-json",
+                        '{"family":"evanescent","lambda_mm":1,"kappa_per_mm":50}',
+                        "--grid", "x:-20:1:32,z:0:1:8", "--layers", "amp,re_px",
+                        "--out", str(out)])
+    assert code == 2
+    assert "layer 'amp' cannot be represented" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_row_builders_reject_non_finite_cells_outside_the_mask():
+    mask = np.array([[True, False]])
+    assert cli._scalar_rows("S1", [[np.inf, 1.0]], mask) == [["singular", 1.0]]
+    with pytest.raises(pf.ParameterError, match="layer 'S1'"):
+        cli._scalar_rows("S1", [[1.0, np.nan]], mask)
+    assert cli._vector_rows("F_grad", [[np.nan, 1.0]], [[0.0, 2.0]], [[0.0, 3.0]], mask) == [
+        ["singular", [1.0, 2.0, 3.0]]]
+    with pytest.raises(pf.ParameterError, match="layer 'F_grad'"):
+        cli._vector_rows("F_grad", [[0.0, 1.0]], [[0.0, -np.inf]], [[0.0, 3.0]], mask)
 
 
 # ------------------------------------------------------------------ fieldmap
@@ -596,6 +639,48 @@ def test_render_missing_layer_exits_two(pair_file, tmp_path, capsys):
                     "--out", str(tmp_path / "p.pgm")]) == 2
 
 
+def write_layer(tmp_path, rows):
+    path = tmp_path / "layer.json"
+    path.write_text(json.dumps({"layers": {"L": rows}}))
+    return str(path)
+
+
+def test_render_vector_component_with_singular_cells(tmp_path):
+    rows = [[[0.0, -1.0, 5.0], "singular", [1.0, 2.0, 0.0]],
+            ["singular", [3.0, 0.5, 1.0], [2.0, 3, 7.0]]]
+    pgm_out = str(tmp_path / "v.pgm")
+    assert cli.run(["render", "--in", write_layer(tmp_path, rows), "--layer", "L",
+                    "--component", "y", "--out", pgm_out]) == 0
+    _, _, pixels = read_pgm(pgm_out)
+    # y components -1, 2, 0.5, 3 span [-1, 3]; singular cells are black
+    expected = np.array([[0, 0, 191], [0, 96, 255]], dtype=np.uint8)
+    assert np.array_equal(pixels, expected)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[1.0, True]], "error: layer 'L' is not numeric (cell True); "
+                    "categorical layers cannot be rendered"),
+    ([[1.0, "abc"]], "error: layer 'L' is not numeric (cell 'abc'); "
+                     "categorical layers cannot be rendered"),
+    ([[1.0, None]], "error: layer 'L' is not numeric (cell None); "
+                    "categorical layers cannot be rendered"),
+    ([[1.0, 2.0], [3.0]], "error: layer 'L' rows have inconsistent lengths"),
+    ([[1.0, 2.0], [3.0, 4.0, 5.0]], "error: layer 'L' rows have inconsistent lengths"),
+    # the first offending cell in row-major order is the one reported
+    ([[1.0, "x"], [3.0]], "error: layer 'L' is not numeric (cell 'x'); "
+                          "categorical layers cannot be rendered"),
+    ([[1.0, 2.0], [3.0], [False]], "error: layer 'L' rows have inconsistent lengths"),
+    ([[1.0, [1, 2, 3]], [None, 2.0]],
+     "error: layer 'L' is a vector layer; pass --component x|y|z"),
+    ([[1.0, None], [[1, 2, 3], 2.0]], "error: layer 'L' is not numeric (cell None); "
+                                      "categorical layers cannot be rendered"),
+])
+def test_render_rejects_cells_it_cannot_draw(tmp_path, capsys, rows, message):
+    assert cli.run(["render", "--in", write_layer(tmp_path, rows), "--layer", "L",
+                    "--out", str(tmp_path / "x.pgm")]) == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
 # -------------------------------------------------------------- determinism
 
 
@@ -619,6 +704,39 @@ def test_round_trip_of_grid_result(pair_file, tmp_path):
     data = json.loads(text)
     again = json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
     assert again == text
+
+
+def test_write_json_matches_the_streaming_encoder(tmp_path):
+    mask = np.array([[False, True], [False, False]])
+    obj = {
+        "scalar": cli._scalar_rows("s", [[-0.0, 1.0], [1e-05, 5e-324]], mask),
+        "vector": cli._vector_rows("v", [[1.7976931348623157e+308, 0.0], [2.0, -0.0]],
+                                   [[1e-05, 2.0], [3.0, 4.0]], [[5e-324, 1.0], [1.0, 1.0]], mask),
+        "ints": [0, -3, 2**53 + 1],
+        "nested": {"b": {"z": 1, "a": [-0.0, 1e-05]}, "a": "text"},
+    }
+    assert obj["scalar"] == [[-0.0, "singular"], [1e-05, 5e-324]]
+    assert obj["vector"][0][1] == "singular"
+    assert obj["vector"][1] == [[2.0, 3.0, 1.0], [-0.0, 4.0, 1.0]]
+    path = tmp_path / "o.json"
+    cli._write_json(str(path), obj)
+    sink = io.StringIO()
+    json.dump(obj, sink, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    blob = path.read_bytes()
+    assert blob == (sink.getvalue() + "\n").encode("utf-8")
+    for text in (b'"singular"', b"-0.0", b"1e-05", b"5e-324", b"1.7976931348623157e+308",
+                 b"9007199254740993"):
+        assert text in blob
+
+
+def test_python_m_photonflow_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(pf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "photonflow", "--help"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert "trace" in proc.stdout
 
 
 def test_console_script_is_wired():
