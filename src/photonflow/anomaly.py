@@ -12,11 +12,14 @@ Winding conventions: phase differences per edge are mapped to (-pi, pi];
 plaquette loops run counterclockwise in the right-handed (axis1, axis2)
 plane of the grid, so charge signs follow the axis order the grid was
 given in.  Edges whose wrapped difference exceeds pi/2 are refined by
-recursive bisection with pointwise field evaluations, which keeps the
-circulation exact for |charge| >= 2 and for plaquettes that straddle a
-singularity asymmetrically.  Plaquettes with a singular corner sample
-cannot be classified and are skipped; lay grids out so zeros fall in
-plaquette interiors, not on nodes.
+recursive bisection with pointwise field evaluations, which resolves
+plaquettes that straddle a singularity asymmetrically.  Plaquettes with a
+singular corner sample cannot be classified and are skipped; lay grids
+out so zeros fall in plaquette interiors, not on nodes.
+
+Known limitation (anomaly-charge-split): an edge whose phase step is near
+2 pi wraps small and is not refined, so a charge-2 vortex close to a
+plaquette edge comes out as two charge-1 records.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from .errors import ParameterError, ResolutionError
 from .fields import FieldSample, FieldSpec, TirTwoWaveSpec
 from .grids import GridSpec, frame_names, sample_grid
-from .observables import local_momentum, singular_cells
+from .observables import ComplexMomentum, local_momentum, singular_cells
 
 LABELS = ("normal", "backflow", "superluminal", "singular")
 LABEL_CODES = {name: code for code, name in enumerate(LABELS)}
@@ -160,12 +163,15 @@ def detect_vortices(spec: FieldSpec, grid: GridSpec) -> list:
 
     Samples the grid and runs vortices_in_sample on it.
     """
-    return vortices_in_sample(spec, grid, sample_grid(spec, grid))
+    sample = sample_grid(spec, grid)
+    return vortices_in_sample(spec, grid, sample, *singular_cells(sample.amplitude))
 
 
-def vortices_in_sample(spec: FieldSpec, grid: GridSpec, sample: FieldSample) -> list:
+def vortices_in_sample(spec: FieldSpec, grid: GridSpec, sample: FieldSample, floor: float,
+                       singular: np.ndarray) -> list:
     """Vortices of a grid sample (sample_grid(spec, grid)) by plaquette winding.
 
+    floor and singular are singular_cells of the sample's amplitude.
     Requires the grid to resolve the fastest local phase advance
     (spacing under an eighth of the shortest local wavelength).  Returns
     one VortexRecord per nonzero-winding plaquette, in row-major grid
@@ -174,7 +180,6 @@ def vortices_in_sample(spec: FieldSpec, grid: GridSpec, sample: FieldSample) -> 
     a fabricated charge.
     """
     _check_resolution(spec, grid)
-    floor, singular = singular_cells(sample.amplitude)
     ph = np.angle(sample.psi)
 
     d_col, d_row, w_raw = _plaquette_edges(ph)
@@ -234,31 +239,32 @@ def classify_anomalies(spec: FieldSpec, grid: GridSpec, bound_model: str = "unif
 
     Samples the grid and runs anomalies_in_sample on it.
     """
-    return anomalies_in_sample(spec, grid, sample_grid(spec, grid), bound_model,
+    sample = sample_grid(spec, grid)
+    floor, singular = singular_cells(sample.amplitude)
+    return anomalies_in_sample(spec, grid, singular, local_momentum(sample, floor), bound_model,
                                superluminal_guard)
 
 
-def anomalies_in_sample(spec: FieldSpec, grid: GridSpec, sample: FieldSample,
-                        bound_model: str = "uniform",
+def anomalies_in_sample(spec: FieldSpec, grid: GridSpec, singular: np.ndarray,
+                        momentum: ComplexMomentum, bound_model: str = "uniform",
                         superluminal_guard: float = 0.0) -> AnomalyMap:
-    """Labels of a grid sample (sample_grid(spec, grid)).
+    """Labels of a grid sample from its singular mask and local momentum.
 
     backflow: re_p_z < 0.  superluminal: re_p_z > b*(1 + guard), with b
     the local spectrum bound from bound_model.  The guard (default 0,
     strict) absorbs a known paraxial excess of order 1e-5 when mapping
     fields whose p_z hugs the bound from above; pass it explicitly
-    rather than loosening the bound globally.  Samples whose amplitude
-    falls at or below 1e-12 of the grid maximum are labeled singular.
+    rather than loosening the bound globally.  Samples in the singular
+    mask are labeled singular.
     """
     if not superluminal_guard >= 0.0:
         raise ParameterError(f"superluminal_guard must be >= 0, got {superluminal_guard!r}")
     bound = _bound_array(spec, bound_model, grid)
-    floor, singular = singular_cells(sample.amplitude)
-    re_p = local_momentum(sample, floor).re_p
+    re_p = momentum.re_p
     re_pz = re_p[-1]
     re_p_mag = np.sqrt(np.sum(re_p * re_p, axis=0))
 
-    labels = np.zeros(sample.psi.shape, dtype=np.int8)
+    labels = np.zeros(singular.shape, dtype=np.int8)
     labels[re_pz < 0.0] = LABEL_CODES["backflow"]
     labels[re_pz > bound * (1.0 + superluminal_guard)] = LABEL_CODES["superluminal"]
     labels[singular] = LABEL_CODES["singular"]

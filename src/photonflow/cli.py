@@ -5,8 +5,8 @@ Six subcommands: fieldmap (named observable layers on a grid), stokes
 anomaly (vortices plus backflow/superluminal labeling), force (dipole
 force maps), render (PGM raster of one scalar layer).
 
-The CLI holds no physics: each grid command samples its grid once and
-hands the sample to the library's element-wise observables.
+The CLI holds no physics: each grid command samples its grid once, and
+every library result it writes is derived from that sample at most once.
 
 Output discipline: JSON is compact with sorted keys, floats use Python's
 shortest round-trip repr, CSV floats likewise, PGM is binary P5; no
@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
@@ -46,34 +46,6 @@ _POLS = {
     "rcp": lambda: PolarizationState.circular(+1),
     "lcp": lambda: PolarizationState.circular(-1),
 }
-
-
-@dataclass(frozen=True)
-class GridResult:
-    """A sampled grid with named layers and a provenance block.
-
-    Layers are stored JSON-ready: scalar layers as rows of numbers,
-    vector layers as rows of [x, y, z] triples, categorical layers as
-    rows of strings; undefined samples carry the string "singular".
-    """
-
-    grid: GridSpec
-    layers: dict
-    provenance: dict
-
-    def __post_init__(self):
-        n1, n2 = self.grid.counts
-        for name, rows in self.layers.items():
-            if len(rows) != n2 or any(len(row) != n1 for row in rows):
-                raise ParameterError(
-                    f"layer {name!r} must have {n2} rows of {n1} entries")
-
-    def to_dict(self) -> dict:
-        return {
-            "grid": self.grid.to_dict(),
-            "layers": self.layers,
-            "provenance": self.provenance,
-        }
 
 
 def _check_finite(name, finite, mask):
@@ -109,27 +81,29 @@ def _vector_rows(name, vx, vy, vz, mask=None):
     return cells.reshape(mask.shape).tolist()
 
 
-# grid layers: name -> (library result the layer reads, rows built from the
-# layer name, that result and the sample's singular mask)
+# grid layers: name -> rows built from the layer name and the command's
+# library results (_derivations)
 _LAYERS = {
-    "amp": ("sample", lambda n, s, sing: _scalar_rows(n, s.amplitude)),
-    "phase": ("sample", lambda n, s, sing: _scalar_rows(n, np.angle(s.psi), sing)),
-    "re_px": ("momentum", lambda n, m, sing: _scalar_rows(n, m.re_p[0], sing)),
-    "re_pz": ("momentum", lambda n, m, sing: _scalar_rows(n, m.re_p[-1], sing)),
-    "im_px": ("momentum", lambda n, m, sing: _scalar_rows(n, m.im_p[0], sing)),
-    "im_pz": ("momentum", lambda n, m, sing: _scalar_rows(n, m.im_p[-1], sing)),
-    "S1": ("stokes", lambda n, st, sing: _scalar_rows(n, st[0], st[3])),
-    "S2": ("stokes", lambda n, st, sing: _scalar_rows(n, st[1], st[3])),
-    "S3": ("stokes", lambda n, st, sing: _scalar_rows(n, st[2], st[3])),
-    "W": ("poynting", lambda n, dec, sing: _scalar_rows(n, dec.W)),
-    "P_O": ("poynting", lambda n, dec, sing: _vector_rows(n, *dec.P_O)),
-    "P_S": ("poynting", lambda n, dec, sing: _vector_rows(n, *dec.P_S)),
-    "label": ("anomalies", lambda n, amap, sing: amap.label_names().tolist()),
-    "S1_pred": ("prediction", lambda n, pr, sing: _scalar_rows(n, pr[0], sing)),
-    "S2_pred": ("prediction", lambda n, pr, sing: _scalar_rows(n, pr[1], sing)),
-    "S3_pred": ("prediction", lambda n, pr, sing: _scalar_rows(n, pr[2], sing)),
-    "re_px_readout": ("readout", lambda n, ro, sing: _scalar_rows(n, ro[0], ro[2])),
-    "im_px_readout": ("readout", lambda n, ro, sing: _scalar_rows(n, ro[1], ro[2])),
+    "amp": lambda n, d: _scalar_rows(n, d["sample"].amplitude),
+    "phase": lambda n, d: _scalar_rows(n, np.angle(d["sample"].psi), d["mask"]),
+    "re_px": lambda n, d: _scalar_rows(n, d["momentum"].re_p[0], d["mask"]),
+    "re_pz": lambda n, d: _scalar_rows(n, d["momentum"].re_p[-1], d["mask"]),
+    "im_px": lambda n, d: _scalar_rows(n, d["momentum"].im_p[0], d["mask"]),
+    "im_pz": lambda n, d: _scalar_rows(n, d["momentum"].im_p[-1], d["mask"]),
+    "S1": lambda n, d: _scalar_rows(n, d["stokes"][0], d["stokes"][3]),
+    "S2": lambda n, d: _scalar_rows(n, d["stokes"][1], d["stokes"][3]),
+    "S3": lambda n, d: _scalar_rows(n, d["stokes"][2], d["stokes"][3]),
+    "W": lambda n, d: _scalar_rows(n, energy_density(d["sample"])),
+    "P_O": lambda n, d: _vector_rows(n, *d["poynting"].P_O),
+    "P_S": lambda n, d: _vector_rows(n, *d["poynting"].P_S),
+    "label": lambda n, d: d["anomalies"].label_names().tolist(),
+    "S1_pred": lambda n, d: _scalar_rows(n, d["prediction"][0], d["mask"]),
+    "S2_pred": lambda n, d: _scalar_rows(n, d["prediction"][1], d["mask"]),
+    "S3_pred": lambda n, d: _scalar_rows(n, d["prediction"][2], d["mask"]),
+    "re_px_readout": lambda n, d: _scalar_rows(n, d["readout"][0], d["stokes"][3]),
+    "im_px_readout": lambda n, d: _scalar_rows(n, d["readout"][1], d["stokes"][3]),
+    "F_grad": lambda n, d: _vector_rows(n, *d["force"][0], d["force"][2]),
+    "F_scat": lambda n, d: _vector_rows(n, *d["force"][1], d["force"][2]),
 }
 ALL_LAYERS = ("amp", "phase", "re_px", "re_pz", "im_px", "im_pz", "S1", "S2", "S3", "W",
               "P_O", "P_S", "label")
@@ -137,31 +111,49 @@ _STOKES_LAYERS = ("S1", "S2", "S3", "S1_pred", "S2_pred", "S3_pred", "re_px_read
                   "im_px_readout", "re_px", "im_px")
 
 
-def _grid_layers(spec, grid, names, cal, args) -> dict:
-    """Rows of each named layer from one grid sample; each library result is
-    computed once, and only when a named layer reads it."""
+class _Derived(dict):
+    """Library results of one grid sample, each computed on its first lookup.
+    The calls take this mapping as an argument rather than closing over it:
+    no reference cycle keeps the results alive after the command."""
+
+    def __init__(self, calls):
+        super().__init__()
+        self.calls = calls
+
+    def __missing__(self, name):
+        value = self[name] = self.calls[name](self)
+        return value
+
+
+def _derivations(spec, grid, args, cal=None, chi=None) -> _Derived:
+    """Sample the grid once; every other result is derived from that sample."""
     sample = sample_grid(spec, grid)
-    floor, sing = singular_cells(sample.amplitude)
-    calls = {
-        "sample": lambda: sample,
-        "momentum": lambda: local_momentum(sample, floor),
-        "poynting": lambda: poynting_from_sample(sample, cal.pol),
-        "stokes": lambda: stokes_parameters(
+    return _Derived({
+        "sample": lambda d: sample,
+        "singular": lambda d: singular_cells(sample.amplitude),  # (floor, mask)
+        "mask": lambda d: d["singular"][1],
+        "momentum": lambda d: local_momentum(sample, d["singular"][0]),
+        "poynting": lambda d: poynting_from_sample(sample, cal.pol),
+        "stokes": lambda d: stokes_parameters(
             *calcite_fields(spec, cal, grid.mesh(spec.ndim), sample.psi)),
-        "prediction": lambda: predicted_parameters(get("momentum"), cal),
-        "readout": lambda: (*readout_momentum(get("stokes")[0], get("stokes")[2], cal),
-                            get("stokes")[3]),
-        "anomalies": lambda: anomalies_in_sample(spec, grid, sample, args.bound,
-                                                 args.superluminal_guard),
-    }
-    results = {}
+        "prediction": lambda d: predicted_parameters(d["momentum"], cal),
+        "readout": lambda d: readout_momentum(d["stokes"][0], d["stokes"][2], cal),
+        # (F_grad, F_scat, mask): F/W is undefined on singular cells, F is not
+        "force": lambda d: ((*forces_from_momentum(d["momentum"], chi), d["mask"])
+                            if args.normalized else (*force_from_sample(sample, chi), None)),
+        "vortices": lambda d: vortices_in_sample(spec, grid, sample, *d["singular"]),
+        "anomalies": lambda d: anomalies_in_sample(spec, grid, d["mask"], d["momentum"],
+                                                   args.bound, args.superluminal_guard),
+    })
 
-    def get(source):
-        if source not in results:
-            results[source] = calls[source]()
-        return results[source]
 
-    return {name: _LAYERS[name][1](name, get(_LAYERS[name][0]), sing) for name in names}
+def _write_layers(args, spec, grid, names, extra, cal=None, chi=None) -> int:
+    """Write the named layers of one grid sample and the command's extra keys."""
+    derived = _derivations(spec, grid, args, cal, chi)
+    layers = {name: _LAYERS[name](name, derived) for name in names}
+    _write_json(args.out, {"grid": grid.to_dict(), "layers": layers,
+                           "provenance": _provenance(spec, args), **extra})
+    return 0
 
 
 def _read_text(path: str, what: str) -> str:
@@ -233,10 +225,7 @@ def _cmd_fieldmap(args) -> int:
         if name not in ALL_LAYERS:
             raise ParameterError(f"unknown layer {name!r}; expected one of {ALL_LAYERS}")
     cal = CalciteSpec(delta_x=args.delta_x_mm, pol=_POLS[args.pol]())
-    layers = _grid_layers(spec, grid, names, cal, args)
-    result = GridResult(grid=grid, layers=layers, provenance=_provenance(spec, args))
-    _write_json(args.out, result.to_dict())
-    return 0
+    return _write_layers(args, spec, grid, names, {}, cal=cal)
 
 
 def _cmd_stokes(args) -> int:
@@ -244,21 +233,16 @@ def _cmd_stokes(args) -> int:
     spec = _load_field(args)
     grid = _grid_of(args)
     cal = CalciteSpec(delta_x=args.delta_x_mm, pol=_POLS[args.pol]())
-    layers = _grid_layers(spec, grid, _STOKES_LAYERS, cal, args)
-    result = GridResult(grid=grid, layers=layers, provenance=_provenance(spec, args))
-    out = result.to_dict()
-    out["delta_x_mm"] = cal.delta_x
-    _write_json(args.out, out)
-    return 0
+    return _write_layers(args, spec, grid, _STOKES_LAYERS, {"delta_x_mm": cal.delta_x},
+                         cal=cal)
 
 
 def _cmd_anomaly(args) -> int:
     spec = _load_field(args)
     grid = _grid_of(args)
-    sample = sample_grid(spec, grid)
-    vortices = vortices_in_sample(spec, grid, sample)
-    amap = anomalies_in_sample(spec, grid, sample, args.bound,
-                               superluminal_guard=args.superluminal_guard)
+    derived = _derivations(spec, grid, args)
+    vortices = derived["vortices"]
+    amap = derived["anomalies"]
     out = {
         "grid": grid.to_dict(),
         "bound_model": args.bound,
@@ -394,27 +378,18 @@ def _cmd_force(args) -> int:
     except ValueError:
         raise ParameterError(f"--chi must be 're,im', got {args.chi!r}")
     chi = Polarizability(complex(re_chi, im_chi))
-    sample = sample_grid(spec, grid)
-    if args.normalized:
-        floor, mask = singular_cells(sample.amplitude)
-        f_grad, f_scat = forces_from_momentum(local_momentum(sample, floor), chi)
-    else:
-        mask = None
-        f_grad, f_scat = force_from_sample(sample, chi)
-    layers = {
-        "F_grad": _vector_rows("F_grad", *f_grad, mask),
-        "F_scat": _vector_rows("F_scat", *f_scat, mask),
-        "W": _scalar_rows("W", energy_density(sample)),
-    }
-    result = GridResult(grid=grid, layers=layers, provenance=_provenance(spec, args))
-    out = result.to_dict()
-    out["chi"] = [chi.chi.real, chi.chi.imag]
-    out["normalized"] = bool(args.normalized)
-    _write_json(args.out, out)
-    return 0
+    return _write_layers(args, spec, grid, ("F_grad", "F_scat", "W"),
+                         {"chi": [chi.chi.real, chi.chi.imag], "normalized": bool(args.normalized)},
+                         chi=chi)
 
 
 _COMPONENTS = {"x": 0, "y": 1, "z": 2}
+_ROWS = (list, str, dict)  # len() works; the cells of str and dict rows are rejected
+
+
+def _non_finite(layer: str) -> ParameterError:
+    return ParameterError(f"layer {layer!r} holds non-finite values (NaN, Infinity or a "
+                          "numeral beyond the float range)")
 
 
 def _render_cells(layer: str, cells, component):
@@ -439,11 +414,17 @@ def _render_cells(layer: str, cells, component):
     numbers = cells[:end].copy()
     numbers[(mask | vectors)[:end]] = 0.0
     values = np.zeros(cells.size)
-    values[:end] = numbers.astype(float)
     picks = np.flatnonzero(vectors[:end])
-    if picks.size:
-        components = map(itemgetter(_COMPONENTS[component]), cells[picks])
-        values[picks] = np.fromiter(map(float, components), dtype=float, count=picks.size)
+    try:
+        values[:end] = numbers.astype(float)
+        if picks.size:
+            components = map(itemgetter(_COMPONENTS[component]), cells[picks])
+            values[picks] = np.fromiter(map(float, components), dtype=float, count=picks.size)
+    except OverflowError:  # an integer numeral too large for a float
+        raise _non_finite(layer)
+    except (IndexError, TypeError, ValueError):
+        raise ParameterError(
+            f"layer {layer!r} has a vector cell without a numeric {component} component")
 
     if end < cells.size:
         cell = cells[end]
@@ -461,24 +442,26 @@ def _cmd_render(args) -> int:
         obj = json.loads(_read_text(args.input, "grid result"))
     except json.JSONDecodeError as exc:
         raise ParameterError(f"grid result is not valid JSON: {exc}")
-    layers = obj.get("layers")
+    layers = obj.get("layers") if isinstance(obj, dict) else None
     if not isinstance(layers, dict) or args.layer not in layers:
         raise ParameterError(f"no layer {args.layer!r} in {args.input}")
     rows = layers[args.layer]
+    if not isinstance(rows, list) or not all(isinstance(row, _ROWS) for row in rows):
+        raise ParameterError(f"layer {args.layer!r} is not a list of rows")
 
     height = len(rows)
     width = len(rows[0]) if height else 0
     if height < 1 or width < 1:
         raise ParameterError(f"layer {args.layer!r} is empty")
     # rows are checked in order: a row of the wrong length is reported only
-    # after the cells of the rows above it pass (len of a row that is not a
-    # list raises TypeError, as it always has)
-    full = next((j for j, row in enumerate(rows)
-                 if not isinstance(row, (list, str, dict)) or len(row) != width), height)
+    # after the cells of the rows above it pass
+    full = next((j for j, row in enumerate(rows) if len(row) != width), height)
     cells = np.fromiter(chain.from_iterable(rows[:full]), dtype=object, count=full * width)
     values, mask = _render_cells(args.layer, cells, args.component)
-    if full < height and len(rows[full]) != width:
+    if full < height:
         raise ParameterError(f"layer {args.layer!r} rows have inconsistent lengths")
+    if not np.isfinite(values).all():
+        raise _non_finite(args.layer)
     values = values.reshape(height, width)
     mask = mask.reshape(height, width)
 
@@ -487,6 +470,8 @@ def _cmd_render(args) -> int:
     if live.size:
         vmin = float(live.min())
         vmax = float(live.max())
+        if not math.isfinite(vmax - vmin):  # the values span more than a double holds
+            values, vmin, vmax = 0.5 * values, 0.5 * vmin, 0.5 * vmax
         if vmax == vmin:
             pixels[~mask] = 128
         else:

@@ -23,7 +23,7 @@ evaluated vectorized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -82,10 +82,10 @@ class FieldSample:
     psi: complex
     grad_psi: np.ndarray
     k: float
+    amplitude: float = field(init=False, repr=False, compare=False)  # |psi|
 
-    @property
-    def amplitude(self) -> float:
-        return abs(self.psi)
+    def __post_init__(self):  # once: the mask, momentum and energy density all read it
+        object.__setattr__(self, "amplitude", abs(self.psi))
 
     @property
     def phase(self) -> float:
@@ -504,8 +504,7 @@ def field_from_dict(obj: dict) -> FieldSpec:
         return data.pop(key, default)
 
     if family == "plane_wave":
-        direction = take("direction", required=True)
-        spec = PlaneWaveSpec(wave=wave, direction=tuple(direction))
+        spec = PlaneWaveSpec(wave=wave, direction=take("direction", required=True))
     elif family == "gaussian_pair":
         spec = GaussianPairSpec(
             wave=wave,

@@ -252,6 +252,13 @@ def test_fieldmap_unknown_layer_exits_two(plane_file, tmp_path, capsys):
                     "--layers", "amp,curl", "--out", out]) == 2
 
 
+def test_non_sequence_direction_exits_two(tmp_path, capsys):
+    field = json.dumps({"family": "plane_wave", "lambda_mm": 1, "direction": 5})
+    assert cli.run(["fieldmap", "--field-json", field, "--grid", "x:0:1:4,z:0:1:4",
+                    "--out", str(tmp_path / "o.json")]) == 2
+    assert capsys.readouterr().err == "error: direction must be a sequence of 2 or 3 numbers\n"
+
+
 def test_field_json_inline_equals_file(plane_file, plane_wave, tmp_path):
     out1 = str(tmp_path / "a.json")
     out2 = str(tmp_path / "b.json")
@@ -532,11 +539,18 @@ def test_non_finite_parameters_exit_two(tir_file, tmp_path, capsys, argv):
     assert "must be finite" in capsys.readouterr().err
 
 
+# local_momentum and singular_cells calls on the grid sample of each command
+# below: a raw force map needs neither, the others derive each at most once
+DERIVED = {"anomaly --with-labels": (1, 1), "fieldmap --layers amp,re_px,P_O,label": (1, 1),
+           "force": (0, 0), "stokes": (1, 1), "force --normalized": (1, 1)}
+
+
 @pytest.mark.parametrize("argv, evals", [
     (["anomaly", "--with-labels"], 1),
     (["fieldmap", "--layers", "amp,re_px,P_O,label"], 1),
     (["force"], 1),
     (["stokes"], 2),  # the grid and its delta_x-shifted copy
+    (["force", "--normalized"], 1),
 ])
 def test_each_command_samples_its_grid_once(tir_file, tmp_path, monkeypatch, argv, evals):
     calls = []
@@ -548,10 +562,24 @@ def test_each_command_samples_its_grid_once(tir_file, tmp_path, monkeypatch, arg
         return psi_grad(self, *coords)
 
     monkeypatch.setattr(pf.TirTwoWaveSpec, "psi_grad", counting)
+    derived = {"local_momentum": 0, "singular_cells": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            derived[name] += 1
+            return fn(*args)
+        return wrapper
+
+    # where the grid sample's own derivations are made; weakmeasure's
+    # singular_cells of the Stokes intensity is not one of them
+    for module in (cli, pf.anomaly):
+        for name in derived:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     out = str(tmp_path / "o.json")
     assert cli.run(argv[:1] + ["--field", tir_file, "--grid", "x:-2:0:81,z:0.1:0.6:21"]
                    + argv[1:] + ["--out", out]) == 0
     assert len(calls) == evals
+    assert (derived["local_momentum"], derived["singular_cells"]) == DERIVED[" ".join(argv)]
 
 
 # -------------------------------------------------------------------- render
@@ -674,11 +702,62 @@ def test_render_vector_component_with_singular_cells(tmp_path):
      "error: layer 'L' is a vector layer; pass --component x|y|z"),
     ([[1.0, None], [[1, 2, 3], 2.0]], "error: layer 'L' is not numeric (cell None); "
                                       "categorical layers cannot be rendered"),
+    (5, "error: layer 'L' is not a list of rows"),
+    ([5], "error: layer 'L' is not a list of rows"),
+    ([[1, 2], 3], "error: layer 'L' is not a list of rows"),
 ])
 def test_render_rejects_cells_it_cannot_draw(tmp_path, capsys, rows, message):
     assert cli.run(["render", "--in", write_layer(tmp_path, rows), "--layer", "L",
                     "--out", str(tmp_path / "x.pgm")]) == 2
     assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.parametrize("rows", [
+    [[[1.0, None, 0.0], 2.0]],
+    [[[1.0, "x", 0.0]]],
+    [[[1.0]]],
+])
+def test_render_rejects_vector_cells_without_the_component(tmp_path, capsys, rows):
+    assert cli.run(["render", "--in", write_layer(tmp_path, rows), "--layer", "L",
+                    "--component", "y", "--out", str(tmp_path / "x.pgm")]) == 2
+    assert capsys.readouterr().err == (
+        "error: layer 'L' has a vector cell without a numeric y component\n")
+
+
+def test_render_scales_values_that_span_more_than_a_double(tmp_path, capsys):
+    pgm_out = str(tmp_path / "x.pgm")
+    assert cli.run(["render", "--in", write_layer(tmp_path, [[1e308, -1e308, 0.0]]),
+                    "--layer", "L", "--out", pgm_out]) == 0
+    assert capsys.readouterr().err == ""
+    _, _, pixels = read_pgm(pgm_out)
+    assert pixels.tolist() == [[255, 0, 128]]
+
+
+def test_render_rejects_an_artifact_that_is_not_an_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1,2]")
+    assert cli.run(["render", "--in", str(path), "--layer", "L",
+                    "--out", str(tmp_path / "x.pgm")]) == 2
+    assert capsys.readouterr().err == f"error: no layer 'L' in {path}\n"
+
+
+@pytest.mark.parametrize("text, component", [
+    ("[[1.0,NaN],[Infinity,2.0]]", None),
+    ("[[1e999,1.0]]", None),
+    ('[[[1.0,-Infinity,0.0],"singular"]]', "y"),
+    ("[[1.0,1" + "0" * 400 + "]]", None),
+    ("[[[1.0,1" + "0" * 400 + ",0.0]]]", "y"),
+])
+def test_render_rejects_non_finite_values(tmp_path, capsys, text, component):
+    path = tmp_path / "layer.json"
+    path.write_text('{"layers":{"L":' + text + '}}')
+    pgm_out = tmp_path / "x.pgm"
+    argv = ["render", "--in", str(path), "--layer", "L", "--out", str(pgm_out)]
+    assert cli.run(argv + (["--component", component] if component else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: layer 'L' holds non-finite values")
+    assert "Warning" not in err
+    assert not pgm_out.exists()
 
 
 # -------------------------------------------------------------- determinism
@@ -744,12 +823,3 @@ def test_console_script_is_wired():
     assert proc.returncode == 0
     assert "trace" in proc.stdout
 
-
-def test_grid_result_shape_validation(plane_wave):
-    grid = pf.GridSpec(axes=("x", "z"), ranges=((0, 1), (0, 1)), counts=(3, 2))
-    with pytest.raises(pf.ParameterError):
-        cli.GridResult(grid=grid, layers={"amp": [[1.0, 2.0, 3.0]]}, provenance={})
-    ok = cli.GridResult(
-        grid=grid, layers={"amp": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]}, provenance={}
-    )
-    assert ok.to_dict()["layers"]["amp"][1][2] == 6.0

@@ -348,3 +348,13 @@ def test_field_sample_phase_raises_at_zero():
     assert sample.amplitude == 0.0
     with pytest.raises(pf.SingularPointError):
         sample.phase
+
+
+def test_grid_sample_amplitude_is_computed_once(bessel_ell2):
+    grid = pf.GridSpec(axes=("x", "y"), ranges=((-1, 1), (-1, 1)), counts=(5, 4),
+                       fixed=(("z", 0.0),))
+    sample = pf.grids.sample_grid(bessel_ell2, grid)
+    amp = sample.amplitude
+    assert sample.amplitude is amp
+    assert np.array_equal(amp, np.abs(sample.psi))
+
