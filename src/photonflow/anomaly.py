@@ -220,17 +220,28 @@ def vortices_in_sample(spec: FieldSpec, grid: GridSpec, sample: FieldSample, flo
     return records
 
 
+def check_label_options(spec: FieldSpec, bound_model: str = "uniform",
+                        superluminal_guard: float = 0.0) -> None:
+    """Raise ParameterError unless anomalies_in_sample accepts these options.
+
+    It evaluates nothing, so a caller can check before a grid's vortex search.
+    """
+    if not superluminal_guard >= 0.0:
+        raise ParameterError(f"superluminal_guard must be >= 0, got {superluminal_guard!r}")
+    if bound_model not in ("uniform", "piecewise"):
+        raise ParameterError(
+            f"bound_model must be 'uniform' or 'piecewise', got {bound_model!r}")
+    if bound_model == "piecewise" and not isinstance(spec, TirTwoWaveSpec):
+        raise ParameterError(
+            "piecewise bound (n k in glass, k in air) requires a two-wave TIR field")
+
+
 def _bound_array(spec, bound_model, grid):
     k = spec.wave.k
     if bound_model == "uniform":
         return np.full(tuple(reversed(grid.counts)), k)
-    if bound_model == "piecewise":
-        if not isinstance(spec, TirTwoWaveSpec):
-            raise ParameterError(
-                "piecewise bound (n k in glass, k in air) requires a two-wave TIR field")
-        x = grid.mesh(spec.ndim)[0]
-        return np.where(x < 0.0, spec.n * k, k)
-    raise ParameterError(f"bound_model must be 'uniform' or 'piecewise', got {bound_model!r}")
+    x = grid.mesh(spec.ndim)[0]
+    return np.where(x < 0.0, spec.n * k, k)
 
 
 def classify_anomalies(spec: FieldSpec, grid: GridSpec, bound_model: str = "uniform",
@@ -257,8 +268,7 @@ def anomalies_in_sample(spec: FieldSpec, grid: GridSpec, singular: np.ndarray,
     rather than loosening the bound globally.  Samples in the singular
     mask are labeled singular.
     """
-    if not superluminal_guard >= 0.0:
-        raise ParameterError(f"superluminal_guard must be >= 0, got {superluminal_guard!r}")
+    check_label_options(spec, bound_model, superluminal_guard)
     bound = _bound_array(spec, bound_model, grid)
     re_p = momentum.re_p
     re_pz = re_p[-1]

@@ -28,7 +28,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import __version__
-from .anomaly import anomalies_in_sample, vortices_in_sample
+from .anomaly import anomalies_in_sample, check_label_options, vortices_in_sample
 from .errors import ParameterError
 from .fields import FieldSpec, GaussianPairSpec, field_from_dict
 from .forces import Polarizability, force_from_sample, forces_from_momentum
@@ -240,6 +240,7 @@ def _cmd_stokes(args) -> int:
 def _cmd_anomaly(args) -> int:
     spec = _load_field(args)
     grid = _grid_of(args)
+    check_label_options(spec, args.bound, args.superluminal_guard)
     derived = _derivations(spec, grid, args)
     vortices = derived["vortices"]
     amap = derived["anomalies"]

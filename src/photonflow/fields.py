@@ -23,8 +23,8 @@ evaluated vectorized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Union, get_args
 
 import numpy as np
 from scipy import special
@@ -95,14 +95,32 @@ class FieldSample:
         return math.atan2(self.psi.imag, self.psi.real)
 
 
+class _FieldFamily:
+    """The JSON object form shared by the field families.
+
+    Each family declares its ``family`` name and ``json_keys``, the
+    (JSON key, attribute) pairs in the order field_from_dict reads them.
+    The object holds ``family``, ``lambda_mm`` and then each key; a key
+    whose attribute has a dataclass default may be left out.
+    """
+
+    def to_dict(self) -> dict:
+        out = {"family": self.family, "lambda_mm": self.wave.lambda_mm}
+        for key, attr in self.json_keys:
+            value = getattr(self, attr)
+            out[key] = list(value) if isinstance(value, tuple) else value
+        return out
+
+
 @dataclass(frozen=True)
-class PlaneWaveSpec:
+class PlaneWaveSpec(_FieldFamily):
     """Uniform plane wave exp(i k dir.r); dir is normalized on construction."""
 
     wave: WaveParameters
     direction: tuple
 
     family = "plane_wave"
+    json_keys = (("direction", "direction"),)
 
     def __post_init__(self):
         try:
@@ -129,16 +147,9 @@ class PlaneWaveSpec:
         psi = np.exp(1j * np.asarray(phase, dtype=float))
         return psi, tuple(1j * k * d * psi for d in self.direction)
 
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "lambda_mm": self.wave.lambda_mm,
-            "direction": list(self.direction),
-        }
-
 
 @dataclass(frozen=True)
-class GaussianPairSpec:
+class GaussianPairSpec(_FieldFamily):
     """Two coherent Gaussian beams with waists offset to x = +a and x = -a.
 
     Each beam is (w0/w) exp[-(1/w^2 - ik/2R)(x -+ a)^2] e^{ikz} with
@@ -154,6 +165,7 @@ class GaussianPairSpec:
     a_mm: float
 
     family = "gaussian_pair"
+    json_keys = (("w0_mm", "w0_mm"), ("a_mm", "a_mm"))
 
     def __post_init__(self):
         w0 = _require_finite("w0_mm", self.w0_mm)
@@ -207,17 +219,9 @@ class GaussianPairSpec:
             + 1j * k * psi
         return psi, (gx, gz)
 
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "lambda_mm": self.wave.lambda_mm,
-            "w0_mm": self.w0_mm,
-            "a_mm": self.a_mm,
-        }
-
 
 @dataclass(frozen=True)
-class BesselSpec:
+class BesselSpec(_FieldFamily):
     """Bessel vortex beam J_|ell|(k_perp r) exp(i ell phi + i k_z z)."""
 
     wave: WaveParameters
@@ -225,11 +229,15 @@ class BesselSpec:
     k_perp: float
 
     family = "bessel"
+    json_keys = (("ell", "ell"), ("k_perp_per_mm", "k_perp"))
 
     def __post_init__(self):
-        if not isinstance(self.ell, (int, np.integer)) or isinstance(self.ell, bool):
+        ell = self.ell
+        if isinstance(ell, float) and ell.is_integer():  # JSON may write 2 as 2.0
+            ell = int(ell)
+        if not isinstance(ell, (int, np.integer)) or isinstance(ell, bool):
             raise ParameterError(f"ell must be an integer, got {self.ell!r}")
-        object.__setattr__(self, "ell", int(self.ell))
+        object.__setattr__(self, "ell", int(ell))
         kp = _require_finite("k_perp", self.k_perp)
         if not 0.0 < kp < self.wave.k:
             raise ParameterError(
@@ -285,23 +293,16 @@ class BesselSpec:
             gy = np.where(on_axis, g0y, gy)
         return psi, (gx, gy, gz)
 
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "lambda_mm": self.wave.lambda_mm,
-            "ell": self.ell,
-            "k_perp_per_mm": self.k_perp,
-        }
-
 
 @dataclass(frozen=True)
-class EvanescentSpec:
+class EvanescentSpec(_FieldFamily):
     """Evanescent wave exp(i k_z z - kappa x) with k_z = sqrt(k^2 + kappa^2)."""
 
     wave: WaveParameters
     kappa: float
 
     family = "evanescent"
+    json_keys = (("kappa_per_mm", "kappa"),)
 
     def __post_init__(self):
         kap = _require_finite("kappa", self.kappa)
@@ -326,16 +327,9 @@ class EvanescentSpec:
         psi = np.exp(1j * self.k_z * z - self.kappa * x)
         return psi, (-self.kappa * psi, 1j * self.k_z * psi)
 
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "lambda_mm": self.wave.lambda_mm,
-            "kappa_per_mm": self.kappa,
-        }
-
 
 @dataclass(frozen=True)
-class TirTwoWaveSpec:
+class TirTwoWaveSpec(_FieldFamily):
     """Two plane waves totally internally reflected at a glass/air interface.
 
     Glass fills x < 0 (index n), air fills x >= 0.  Each incident wave i
@@ -359,6 +353,8 @@ class TirTwoWaveSpec:
     amp2: float = 1.0
 
     family = "tir_two_wave"
+    json_keys = (("n", "n"), ("theta1_rad", "theta1"), ("theta2_rad", "theta2"),
+                 ("amp1", "amp1"), ("amp2", "amp2"))
 
     def __post_init__(self):
         n = _require_finite("n", self.n)
@@ -442,24 +438,10 @@ class TirTwoWaveSpec:
             psi, gx, gz = psi[()], gx[()], gz[()]
         return psi, (gx, gz)
 
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "lambda_mm": self.wave.lambda_mm,
-            "n": self.n,
-            "theta1_rad": self.theta1,
-            "theta2_rad": self.theta2,
-            "amp1": self.amp1,
-            "amp2": self.amp2,
-        }
-
 
 FieldSpec = Union[PlaneWaveSpec, GaussianPairSpec, BesselSpec, EvanescentSpec, TirTwoWaveSpec]
 
-_FAMILIES = {
-    cls.family: cls
-    for cls in (PlaneWaveSpec, GaussianPairSpec, BesselSpec, EvanescentSpec, TirTwoWaveSpec)
-}
+_FAMILIES = {cls.family: cls for cls in get_args(FieldSpec)}
 
 
 def evaluate(spec: FieldSpec, point) -> FieldSample:
@@ -486,7 +468,7 @@ def field_to_dict(spec: FieldSpec) -> dict:
 
 
 def field_from_dict(obj: dict) -> FieldSpec:
-    """Build a field spec from its JSON object form (see each to_dict)."""
+    """Build a field spec from its JSON object form (see _FieldFamily)."""
     if not isinstance(obj, dict):
         raise ParameterError(f"field spec must be a JSON object, got {type(obj).__name__}")
     data = dict(obj)
@@ -497,38 +479,15 @@ def field_from_dict(obj: dict) -> FieldSpec:
     if "lambda_mm" not in data:
         raise ParameterError("field spec is missing 'lambda_mm'")
     wave = WaveParameters(lambda_mm=data.pop("lambda_mm"))
-
-    def take(key, default=None, required=False):
-        if required and key not in data:
+    cls = _FAMILIES[family]
+    optional = {f.name for f in fields(cls) if f.default is not MISSING}
+    values = {}
+    for key, attr in cls.json_keys:
+        if key in data:
+            values[attr] = data.pop(key)
+        elif attr not in optional:
             raise ParameterError(f"{family} spec is missing '{key}'")
-        return data.pop(key, default)
-
-    if family == "plane_wave":
-        spec = PlaneWaveSpec(wave=wave, direction=take("direction", required=True))
-    elif family == "gaussian_pair":
-        spec = GaussianPairSpec(
-            wave=wave,
-            w0_mm=take("w0_mm", required=True),
-            a_mm=take("a_mm", required=True),
-        )
-    elif family == "bessel":
-        ell = take("ell", required=True)
-        if isinstance(ell, float):
-            if ell != int(ell):
-                raise ParameterError(f"ell must be an integer, got {ell}")
-            ell = int(ell)
-        spec = BesselSpec(wave=wave, ell=ell, k_perp=take("k_perp_per_mm", required=True))
-    elif family == "evanescent":
-        spec = EvanescentSpec(wave=wave, kappa=take("kappa_per_mm", required=True))
-    else:
-        spec = TirTwoWaveSpec(
-            wave=wave,
-            n=take("n", required=True),
-            theta1=take("theta1_rad", required=True),
-            theta2=take("theta2_rad", required=True),
-            amp1=take("amp1", 1.0),
-            amp2=take("amp2", 1.0),
-        )
+    spec = cls(wave=wave, **values)
     if data:
         raise ParameterError(f"unknown keys in {family} spec: {sorted(data)}")
     return spec

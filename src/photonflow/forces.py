@@ -36,8 +36,9 @@ class Polarizability:
         if not (math.isfinite(chi.real) and math.isfinite(chi.imag)):
             raise ParameterError(f"chi must be finite, got {chi!r}")
         if chi.imag < 0.0:
+            # 3 skips the dataclass __init__ to name the constructor's caller
             warnings.warn("Im(chi) < 0 describes gain, not a passive particle",
-                          stacklevel=2)
+                          stacklevel=3)
         object.__setattr__(self, "chi", chi)
 
 

@@ -106,6 +106,30 @@ def test_coarse_anomaly_grid_exits_two(tir_file, tmp_path, capsys):
     assert "resolve" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--superluminal-guard", "-1"], "superluminal_guard must be >= 0, got -1.0"),
+    (["--bound", "piecewise"],
+     "piecewise bound (n k in glass, k in air) requires a two-wave TIR field"),
+])
+def test_anomaly_checks_its_options_before_the_vortex_search(bessel_file, tmp_path, capsys,
+                                                              flags, message):
+    # the 0.5 mm grid cannot resolve the winding: the options are checked first
+    code = cli.run(["anomaly", "--field", bessel_file, "--grid", "x:-1:1:5,y:-1:1:5",
+                    "--fixed", "z=0", *flags, "--out", str(tmp_path / "a.json")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_anomaly_edge_through_a_field_zero_exits_two(tmp_path, capsys):
+    # the l = 1 axis sits at the midpoint of the edge from x = -0.05 to x = 0.05
+    field = json.dumps({"family": "bessel", "lambda_mm": 1, "ell": 1, "k_perp_per_mm": 0.3})
+    code = cli.run(["anomaly", "--field-json", field, "--grid", "x:-0.05:0.05:2,y:-0.1:0.1:3",
+                    "--fixed", "z=0", "--out", str(tmp_path / "a.json")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: plaquette edge passes through a field zero near (0.0, 0.0, 0.0)\n")
+
+
 @pytest.mark.parametrize("reader", ["field", "seeds", "render"])
 def test_non_utf8_input_exits_two(pair_file, tmp_path, capsys, reader):
     bad = tmp_path / "bad.txt"
@@ -257,6 +281,14 @@ def test_non_sequence_direction_exits_two(tmp_path, capsys):
     assert cli.run(["fieldmap", "--field-json", field, "--grid", "x:0:1:4,z:0:1:4",
                     "--out", str(tmp_path / "o.json")]) == 2
     assert capsys.readouterr().err == "error: direction must be a sequence of 2 or 3 numbers\n"
+
+
+@pytest.mark.parametrize("ell, shown", [("1e999", "inf"), ("NaN", "nan"), ("-Infinity", "-inf")])
+def test_non_finite_ell_exits_two(tmp_path, capsys, ell, shown):
+    field = f'{{"family":"bessel","lambda_mm":1,"ell":{ell},"k_perp_per_mm":0.3}}'
+    assert cli.run(["fieldmap", "--field-json", field, "--grid", "x:-1:1:4,y:-1:1:4",
+                    "--fixed", "z=0", "--out", str(tmp_path / "o.json")]) == 2
+    assert capsys.readouterr().err == f"error: ell must be an integer, got {shown}\n"
 
 
 def test_field_json_inline_equals_file(plane_file, plane_wave, tmp_path):

@@ -283,12 +283,37 @@ def test_field_from_dict_rejects_missing_and_unknown_family():
         pf.field_from_dict({"family": "bessel", "ell": 1, "k_perp_per_mm": 0.2})
 
 
+@pytest.mark.parametrize("family, key", [
+    ("plane_wave", "direction"),
+    ("gaussian_pair", "w0_mm"), ("gaussian_pair", "a_mm"),
+    ("bessel", "ell"), ("bessel", "k_perp_per_mm"),
+    ("evanescent", "kappa_per_mm"),
+    ("tir_two_wave", "n"), ("tir_two_wave", "theta1_rad"), ("tir_two_wave", "theta2_rad"),
+])
+def test_field_from_dict_names_the_missing_key(family, key):
+    data = next(s for s in ALL_SPECS if s.family == family).to_dict()
+    del data[key]
+    with pytest.raises(ParameterError) as exc:
+        pf.field_from_dict(data)
+    assert str(exc.value) == f"{family} spec is missing '{key}'"
+
+
+def test_tir_amplitudes_default_to_one():
+    data = make_tir().to_dict()
+    del data["amp1"], data["amp2"]
+    spec = pf.field_from_dict(data)
+    assert (spec.amp1, spec.amp2) == (1.0, 1.0)
+
+
 def test_field_from_dict_accepts_integral_float_ell():
     data = {"family": "bessel", "lambda_mm": 1.0, "ell": 2.0, "k_perp_per_mm": 0.3}
     spec = pf.field_from_dict(data)
     assert spec.ell == 2 and isinstance(spec.ell, int)
-    with pytest.raises(ParameterError):
-        pf.field_from_dict({**data, "ell": 2.5})
+    direct = pf.BesselSpec(wave=pf.WaveParameters(1.0), ell=-2.0, k_perp=0.3)
+    assert direct.ell == -2 and isinstance(direct.ell, int)
+    for ell in (2.5, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="ell must be an integer"):
+            pf.field_from_dict({**data, "ell": ell})
 
 
 # --------------------------------------------------------------- validation

@@ -93,8 +93,9 @@ def test_gradient_force_vanishes_on_bessel_bright_ring(bessel_ell2):
 def test_polarizability_validation_and_gain_warning():
     with pytest.raises(ParameterError):
         pf.Polarizability(complex("inf"))
-    with pytest.warns(UserWarning, match="gain"):
+    with pytest.warns(UserWarning, match="gain") as record:
         pf.Polarizability(1.0 - 0.1j)
+    assert record[0].filename == __file__  # the caller, not the dataclass __init__
     assert pf.Polarizability(2).chi == 2.0 + 0j
 
 

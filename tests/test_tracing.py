@@ -290,6 +290,47 @@ def test_zero_amplitude_mid_trace_stops_with_equal_length_arrays():
     assert np.array_equal(traj.points, reference.points[:3])
 
 
+@pytest.mark.parametrize("fault, params, termination", [
+    # |grad psi| 1e9 times too large fails the vortex guard: the step halves to 10 mm
+    (lambda psi, grads: (psi, tuple(1e9 * g for g in grads)), [0.0, 10.0, 30.0], "left-domain"),
+    # a zero at the stage ends the trajectory after its seed
+    (lambda psi, grads: (0.0 * psi, grads), [0.0], "singular-amplitude"),
+], ids=["vortex-guard", "zero"])
+def test_fault_at_an_rk4_stage(fault, params, termination):
+    spec = pf.GaussianPairSpec(wave=pf.WaveParameters(1e-3), w0_mm=0.5, a_mm=1.0)
+    cfg = pf.TraceConfig(
+        seeds=((0.7, 0.0),),
+        parameterization="paraxial-z",
+        step=20.0,
+        max_steps=1000,
+        domain=((-10.0, 10.0), (0.0, 1000.0)),
+    )
+    calls = []
+
+    class Recorder:
+        wave, ndim = spec.wave, spec.ndim
+
+        def psi_grad(self, *coords):
+            calls.append(coords)
+            return spec.psi_grad(*coords)
+
+    reference = pf.trace_streamline(Recorder(), cfg, "re")[0]
+    assert list(reference.params[:3]) == [0.0, 20.0, 40.0]
+    stage = calls[1]  # the seed is the first call, the first step's k2 stage the second
+
+    class FaultAtStage:
+        wave, ndim = spec.wave, spec.ndim
+
+        def psi_grad(self, *coords):
+            psi, grads = spec.psi_grad(*coords)
+            return fault(psi, grads) if coords == stage else (psi, grads)
+
+    traj = pf.trace_streamline(FaultAtStage(), cfg, "re")[0]
+    assert list(traj.params[:3]) == params
+    assert traj.termination == termination
+    assert len(traj.params) == len(traj.points) == len(traj.momenta)
+
+
 # ------------------------------------------------------------- non-crossing
 
 
