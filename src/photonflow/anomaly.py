@@ -11,11 +11,12 @@ spectrum bound.
 Winding conventions: phase differences per edge are mapped to (-pi, pi];
 plaquette loops run counterclockwise in the right-handed (axis1, axis2)
 plane of the grid, so charge signs follow the axis order the grid was
-given in.  Edges whose wrapped difference exceeds pi/2 are refined by
-recursive bisection with pointwise field evaluations, which resolves
-plaquettes that straddle a singularity asymmetrically.  Plaquettes with a
-singular corner sample cannot be classified and are skipped; lay grids
-out so zeros fall in plaquette interiors, not on nodes.
+given in.  Each edge whose wrapped difference exceeds pi/2 is refined
+once, by bisection with one array field evaluation per level and grid
+direction; this resolves plaquettes that straddle a singularity
+asymmetrically, and the two plaquettes sharing an edge use one step.
+Plaquettes with a singular corner sample cannot be classified and are
+skipped; lay grids out so zeros fall in plaquette interiors, not on nodes.
 
 Known limitation (anomaly-charge-split): an edge whose phase step is near
 2 pi wraps small and is not refined, so a charge-2 vortex close to a
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import ParameterError, ResolutionError
 from .fields import FieldSample, FieldSpec, TirTwoWaveSpec
-from .grids import GridSpec, frame_names, sample_grid
+from .grids import GridSpec, sample_grid
 from .observables import ComplexMomentum, local_momentum, singular_cells
 
 LABELS = ("normal", "backflow", "superluminal", "singular")
@@ -65,11 +66,14 @@ def phase_winding(phases) -> float:
     return float(steps.sum())
 
 
-def _plaquette_edges(ph):
-    """Wrapped phase steps along rows and columns, and each plaquette's sum of them."""
-    d_col = wrap_angle(np.diff(ph, axis=1))
-    d_row = wrap_angle(np.diff(ph, axis=0))
-    return d_col, d_row, d_col[:-1, :] + d_row[:, 1:] - d_col[1:, :] - d_row[:, :-1]
+def _edge_steps(ph):
+    """Wrapped phase steps along rows (d_col) and along columns (d_row)."""
+    return wrap_angle(np.diff(ph, axis=1)), wrap_angle(np.diff(ph, axis=0))
+
+
+def _loop_sums(d_col, d_row):
+    """Each plaquette's counterclockwise sum of its four edge steps."""
+    return d_col[:-1, :] + d_row[:, 1:] - d_col[1:, :] - d_row[:, :-1]
 
 
 def plaquette_winding(phases: np.ndarray) -> np.ndarray:
@@ -78,12 +82,12 @@ def plaquette_winding(phases: np.ndarray) -> np.ndarray:
     Interior edges cancel exactly in floating point, so the sum over any
     rectangular block equals the winding around the block's boundary.
     Values are trustworthy where all four wrapped edge differences stay
-    below pi/2; detect_vortices refines the rest.
+    below pi/2; vortices_in_sample refines the rest, edge by edge.
     """
     ph = np.asarray(phases, dtype=float)
     if ph.ndim != 2 or ph.shape[0] < 2 or ph.shape[1] < 2:
         raise ParameterError(f"need a 2D phase array with >= 2 samples per axis, got {ph.shape}")
-    return _plaquette_edges(ph)[2]
+    return _loop_sums(*_edge_steps(ph))
 
 
 @dataclass(frozen=True)
@@ -124,13 +128,6 @@ class AnomalyMap:
         return np.array(LABELS, dtype=object)[self.labels]
 
 
-def _frame_point(grid: GridSpec, ndim: int, a1: float, a2: float) -> tuple:
-    names = frame_names(ndim)
-    fixed = dict(grid.fixed)
-    values = {grid.axes[0]: a1, grid.axes[1]: a2}
-    return tuple(float(values.get(n, fixed.get(n, 0.0))) for n in names)
-
-
 def _check_resolution(spec, grid):
     lam_min = 2.0 * math.pi / spec.max_wavenumber()
     worst = max(grid.spacing(0), grid.spacing(1))
@@ -140,22 +137,33 @@ def _check_resolution(spec, grid):
             f"need < {lam_min / 8.0:.4g} mm (shortest local wavelength / 8)")
 
 
-def _refined_edge(spec, pa, ph_a, pb, ph_b, floor, depth=0):
-    d = float(wrap_angle(ph_b - ph_a))
-    if abs(d) <= _HALF_PI:
+def _refined_steps(spec, floor, a, b, ph_a, ph_b, depth=0):
+    """Phase steps of the edges a -> b (frame points, shape (ndim, n)) with phases ph_a, ph_b.
+
+    A step above pi/2 becomes the refined step of its first half plus that
+    of its second half; all midpoints of one level are one array call.
+    """
+    d = wrap_angle(ph_b - ph_a)
+    rough = np.abs(d) > _HALF_PI
+    if not rough.any():
         return d
+    a, b = a[:, rough], b[:, rough]
     if depth >= _MAX_BISECTIONS:
         raise ResolutionError(
-            f"phase step between {pa} and {pb} does not bisect below pi/2; "
-            "the edge passes through (or too near) a field zero")
-    pm = tuple(0.5 * (ca + cb) for ca, cb in zip(pa, pb))
-    psi_m, _ = spec.psi_grad(*pm)
-    psi_m = complex(psi_m)
-    if abs(psi_m) <= floor:
-        raise ResolutionError(f"plaquette edge passes through a field zero near {pm}")
-    ph_m = math.atan2(psi_m.imag, psi_m.real)
-    return (_refined_edge(spec, pa, ph_a, pm, ph_m, floor, depth + 1)
-            + _refined_edge(spec, pm, ph_m, pb, ph_b, floor, depth + 1))
+            f"phase step between {tuple(a[:, 0].tolist())} and {tuple(b[:, 0].tolist())} "
+            "does not bisect below pi/2; the edge passes through (or too near) a field zero")
+    m = 0.5 * (a + b)
+    psi_m, _ = spec.psi_grad(*m)
+    zero = np.abs(psi_m) <= floor
+    if zero.any():
+        near = tuple(m[:, zero.argmax()].tolist())
+        raise ResolutionError(f"plaquette edge passes through a field zero near {near}")
+    ph_m = np.angle(psi_m)
+    halves = _refined_steps(spec, floor, np.hstack((a, m)), np.hstack((m, b)),
+                            np.concatenate((ph_a[rough], ph_m)),
+                            np.concatenate((ph_m, ph_b[rough])), depth + 1)
+    d[rough] = halves[:ph_m.size] + halves[ph_m.size:]
+    return d
 
 
 def detect_vortices(spec: FieldSpec, grid: GridSpec) -> list:
@@ -181,43 +189,35 @@ def vortices_in_sample(spec: FieldSpec, grid: GridSpec, sample: FieldSample, flo
     """
     _check_resolution(spec, grid)
     ph = np.angle(sample.psi)
+    c1, c2 = grid.coords(0), grid.coords(1)
+    ok = ~(singular[:-1, :-1] | singular[:-1, 1:] | singular[1:, 1:] | singular[1:, :-1])
 
-    d_col, d_row, w_raw = _plaquette_edges(ph)
+    def nodes(j, i):
+        return np.array(grid.frame_coords(spec.ndim, c1[i], c2[j]))
 
-    rough_edge = ((np.abs(d_col[:-1, :]) > _HALF_PI) | (np.abs(d_col[1:, :]) > _HALF_PI)
-                  | (np.abs(d_row[:, 1:]) > _HALF_PI) | (np.abs(d_row[:, :-1]) > _HALF_PI))
-    corner_singular = (singular[:-1, :-1] | singular[:-1, 1:]
-                       | singular[1:, 1:] | singular[1:, :-1])
-    candidates = (np.abs(w_raw) > 0.5) | rough_edge
+    # refine, once, every rough edge of a plaquette that can be classified
+    d_col, d_row = _edge_steps(ph)
+    used_col = np.pad(ok, ((0, 1), (0, 0))) | np.pad(ok, ((1, 0), (0, 0)))
+    used_row = np.pad(ok, ((0, 0), (0, 1))) | np.pad(ok, ((0, 0), (1, 0)))
+    for steps, used, dj, di in ((d_col, used_col, 0, 1), (d_row, used_row, 1, 0)):
+        rough = used & (np.abs(steps) > _HALF_PI)
+        j, i = np.nonzero(rough)
+        steps[rough] = _refined_steps(spec, floor, nodes(j, i), nodes(j + dj, i + di),
+                                      ph[j, i], ph[j + dj, i + di])
 
-    c1 = grid.coords(0)
-    c2 = grid.coords(1)
-    records = []
-    for j, i in np.argwhere(candidates & ~corner_singular):
-        corners = [
-            _frame_point(grid, spec.ndim, c1[i], c2[j]),
-            _frame_point(grid, spec.ndim, c1[i + 1], c2[j]),
-            _frame_point(grid, spec.ndim, c1[i + 1], c2[j + 1]),
-            _frame_point(grid, spec.ndim, c1[i], c2[j + 1]),
-        ]
-        ph_c = [ph[j, i], ph[j, i + 1], ph[j + 1, i + 1], ph[j + 1, i]]
-        total = 0.0
-        for a in range(4):
-            b = (a + 1) % 4
-            total += _refined_edge(spec, corners[a], ph_c[a], corners[b], ph_c[b], floor)
-        charge_f = total / (2.0 * math.pi)
-        charge = round(charge_f)
-        residual = abs(charge_f - charge)
-        if residual >= 0.1:
-            raise ResolutionError(
-                f"plaquette at ({c1[i]:.6g}, {c2[j]:.6g}) has non-integer winding "
-                f"{charge_f:.4f} x 2pi; refine the grid")
-        if charge != 0:
-            center = _frame_point(grid, spec.ndim,
-                                  0.5 * (c1[i] + c1[i + 1]), 0.5 * (c2[j] + c2[j + 1]))
-            records.append(VortexRecord(position=center, charge=int(charge),
-                                        residual=residual))
-    return records
+    turns = _loop_sums(d_col, d_row) / (2.0 * math.pi)
+    charge = np.rint(turns)
+    residual = np.abs(turns - charge)
+    bad = ok & (residual >= 0.1)
+    if bad.any():
+        j, i = np.argwhere(bad)[0]
+        raise ResolutionError(
+            f"plaquette at ({c1[i]:.6g}, {c2[j]:.6g}) has non-integer winding "
+            f"{turns[j, i]:.4f} x 2pi; refine the grid")
+    j, i = np.nonzero(ok & (np.abs(charge) >= 1))  # NaN windings (non-finite psi) give none
+    centres = 0.5 * (nodes(j, i) + nodes(j + 1, i + 1))
+    return [VortexRecord(position=tuple(p), charge=int(q), residual=float(r))
+            for p, q, r in zip(centres.T.tolist(), charge[j, i], residual[j, i])]
 
 
 def check_label_options(spec: FieldSpec, bound_model: str = "uniform",

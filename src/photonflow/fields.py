@@ -473,7 +473,7 @@ def field_from_dict(obj: dict) -> FieldSpec:
         raise ParameterError(f"field spec must be a JSON object, got {type(obj).__name__}")
     data = dict(obj)
     family = data.pop("family", None)
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise ParameterError(
             f"unknown field family {family!r}; expected one of {sorted(_FAMILIES)}")
     if "lambda_mm" not in data:

@@ -105,29 +105,27 @@ class GridSpec:
         lo, hi = self.ranges[i]
         return (hi - lo) / (self.counts[i] - 1)
 
-    def mesh(self, ndim: int) -> tuple:
-        """Broadcast meshes for every frame coordinate, each (counts2, counts1)."""
+    def frame_coords(self, ndim: int, a1, a2) -> tuple:
+        """Frame coordinates, in frame order, of axis values a1, a2 (numbers or arrays).
+
+        Off-axis coordinates take their fixed value, or 0, in the same shape.
+        """
         names = frame_names(ndim)
         for name in self.axes:
             if name not in names:
                 raise ParameterError(
                     f"axis {name!r} is not a coordinate of this field's frame {names}")
-        fixed = dict(self.fixed)
-        for name in fixed:
+        for name, _ in self.fixed:
             if name not in names:
                 raise ParameterError(
                     f"fixed coordinate {name!r} is not in this field's frame {names}")
-        m1, m2 = np.meshgrid(self.coords(0), self.coords(1))
-        shape = m1.shape
-        out = []
-        for name in names:
-            if name == self.axes[0]:
-                out.append(m1)
-            elif name == self.axes[1]:
-                out.append(m2)
-            else:
-                out.append(np.full(shape, fixed.get(name, 0.0)))
-        return tuple(out)
+        values = dict.fromkeys(names, 0.0) | dict(self.fixed) | dict(zip(self.axes, (a1, a2)))
+        shape = np.broadcast(a1, a2).shape
+        return tuple(v if n in self.axes else np.full(shape, v) for n, v in values.items())
+
+    def mesh(self, ndim: int) -> tuple:
+        """Broadcast meshes for every frame coordinate, each (counts2, counts1)."""
+        return self.frame_coords(ndim, *np.meshgrid(self.coords(0), self.coords(1)))
 
     def to_dict(self) -> dict:
         return {

@@ -7,8 +7,9 @@ import pytest
 
 import photonflow as pf
 from photonflow.errors import ParameterError, ResolutionError
+from photonflow.observables import singular_cells
 
-from conftest import TWO_PI
+from conftest import TWO_PI, wrap
 
 
 # ------------------------------------------------------------ angle wrapping
@@ -162,6 +163,107 @@ def test_tir_glass_vortex_rows(tir_field):
     )
     flipped = pf.detect_vortices(tir_field, lower)
     assert flipped and all(r.charge == -1 for r in flipped)
+
+
+def test_refinement_evaluates_each_midpoint_once(tir_field, monkeypatch):
+    # an interior edge belongs to two plaquettes, yet it is refined once
+    grid = pf.GridSpec(
+        axes=("x", "z"), ranges=((-2.0, 0.0), (0.1, 0.6)), counts=(81, 21)
+    )
+    points = []
+    psi_grad = pf.TirTwoWaveSpec.psi_grad
+
+    def recording(self, *coords):
+        coords = np.broadcast_arrays(*coords)
+        if coords[0].shape != (21, 81):  # not the grid sample itself
+            points.extend(zip(*(c.ravel().tolist() for c in coords)))
+        return psi_grad(self, *coords)
+
+    monkeypatch.setattr(pf.TirTwoWaveSpec, "psi_grad", recording)
+    records = pf.detect_vortices(tir_field, grid)
+    assert [r.charge for r in records] == [1, 1, 1, 1]
+    assert points and len(set(points)) == len(points)
+
+
+def reference_vortices(spec, grid):
+    """(position, charge, residual) per vortex, from a per-plaquette loop
+    that bisects each side recursively with scalar point evaluations."""
+    psi = spec.psi_grad(*grid.mesh(spec.ndim))[0]
+    floor, singular = singular_cells(np.abs(psi))
+    ph = np.angle(psi)
+    c1, c2 = grid.coords(0), grid.coords(1)
+
+    def point(u, v):
+        return tuple(float(c) for c in grid.frame_coords(spec.ndim, u, v))
+
+    def side(pa, ph_a, pb, ph_b, depth=0):
+        d = float(wrap(ph_b - ph_a))
+        if abs(d) <= 0.5 * math.pi:
+            return d
+        assert depth < 32
+        pm = tuple(0.5 * (a + b) for a, b in zip(pa, pb))
+        psi_m = complex(spec.psi_grad(*pm)[0])
+        assert abs(psi_m) > floor
+        ph_m = math.atan2(psi_m.imag, psi_m.real)
+        return side(pa, ph_a, pm, ph_m, depth + 1) + side(pm, ph_m, pb, ph_b, depth + 1)
+
+    found = []
+    for j in range(len(c2) - 1):
+        for i in range(len(c1) - 1):
+            loop = [(j, i), (j, i + 1), (j + 1, i + 1), (j + 1, i)]
+            if any(singular[n] for n in loop):
+                continue
+            pts = [point(c1[n[1]], c2[n[0]]) for n in loop]
+            total = sum(side(pts[a], ph[loop[a]], pts[(a + 1) % 4], ph[loop[(a + 1) % 4]])
+                        for a in range(4))
+            charge = round(total / TWO_PI)
+            if charge:
+                centre = point(0.5 * (c1[i] + c1[i + 1]), 0.5 * (c2[j] + c2[j + 1]))
+                found.append((centre, charge, abs(total / TWO_PI - charge)))
+    return found
+
+
+@pytest.mark.parametrize("case", ["tir", "tir-lower", "bessel-2", "bessel-3-off-centre"])
+def test_refinement_matches_the_per_plaquette_reference(case, tir_field):
+    # same records as the loop; residuals may move by rounding only (array
+    # and scalar evaluations differ in the last bit, and the reference sums
+    # directed sides)
+    spec, grid = {
+        "tir": (tir_field, pf.GridSpec(axes=("x", "z"), ranges=((-2.0, 0.0), (0.1, 0.6)),
+                                       counts=(81, 21))),
+        "tir-lower": (tir_field, pf.GridSpec(axes=("x", "z"), ranges=((-2.0, 0.0), (5.9, 6.5)),
+                                             counts=(81, 25))),
+        "bessel-2": (pf.BesselSpec(wave=pf.WaveParameters(1.0), ell=2, k_perp=0.05 * TWO_PI),
+                     bessel_grid()),
+        "bessel-3-off-centre": (
+            pf.BesselSpec(wave=pf.WaveParameters(1.0), ell=3, k_perp=0.05 * TWO_PI),
+            pf.GridSpec(axes=("y", "x"), ranges=((-0.13, 0.09), (-0.07, 0.15)),
+                        counts=(12, 12), fixed=(("z", 0.4),))),
+    }[case]
+    records = pf.detect_vortices(spec, grid)
+    expected = reference_vortices(spec, grid)
+    assert records and [(r.position, r.charge) for r in records] == [e[:2] for e in expected]
+    assert [r.residual for r in records] == pytest.approx([e[2] for e in expected], abs=1e-15)
+
+
+@pytest.mark.parametrize("ell", [-3, -2, -1, 0, 1, 2, 3])
+def test_off_centre_axis_charges_sum_to_ell(ell):
+    # the axis sits 0.25-0.75 spacings from the nearest nodes, off the
+    # plaquette centre; high charges may split over neighbouring
+    # plaquettes (anomaly-charge-split), but the total is conserved
+    spec = pf.BesselSpec(wave=pf.WaveParameters(1.0), ell=ell, k_perp=0.05 * TWO_PI)
+    rng = np.random.RandomState(100 + ell)
+    for _ in range(15):
+        h = rng.uniform(0.01, 0.1)
+        fx, fy = rng.uniform(0.25, 0.75, 2)
+        grid = pf.GridSpec(
+            axes=("x", "y"),
+            ranges=((-(5 + fx) * h, (6 - fx) * h), (-(5 + fy) * h, (6 - fy) * h)),
+            counts=(12, 12),
+            fixed=(("z", 0.0),),
+        )
+        records = pf.detect_vortices(spec, grid)
+        assert sum(r.charge for r in records) == ell, (h, fx, fy)
 
 
 def test_tir_air_side_is_vortex_free(tir_field):

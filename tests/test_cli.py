@@ -1,9 +1,11 @@
 """End-to-end CLI behavior: JSON/CSV/PGM outputs, exit codes, determinism."""
 
+import ast
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -128,6 +130,31 @@ def test_anomaly_edge_through_a_field_zero_exits_two(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == (
         "error: plaquette edge passes through a field zero near (0.0, 0.0, 0.0)\n")
+
+
+def test_anomaly_edge_that_never_bisects_exits_two(tmp_path, capsys):
+    # the l = 1 axis lies 0.3 of the way along the edge from x = -0.03 to
+    # x = 0.07, so no dyadic midpoint reaches it and the step stays near pi
+    field = json.dumps({"family": "bessel", "lambda_mm": 1, "ell": 1, "k_perp_per_mm": 0.3})
+    code = cli.run(["anomaly", "--field-json", field, "--grid", "x:-0.03:0.07:2,y:-0.1:0.1:3",
+                    "--fixed", "z=0", "--out", str(tmp_path / "a.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: phase step between (") and err.endswith(
+        " does not bisect below pi/2; the edge passes through (or too near) a field zero\n")
+    ends = sorted(ast.literal_eval(p) for p in re.findall(r"\([^()]*,[^()]*\)", err))
+    assert len(ends) == 2 and all(y == 0.0 and z == 0.0 for _, y, z in ends)
+    (xa, _, _), (xb, _, _) = ends
+    assert xa < 0.0 < xb and xb - xa < 1e-9
+
+
+@pytest.mark.parametrize("family", [["x"], {"a": 1}])
+def test_unhashable_family_exits_two(tmp_path, capsys, family):
+    field = json.dumps({"family": family, "lambda_mm": 1})
+    code = cli.run(["fieldmap", "--field-json", field, "--grid", "x:0:1:4,z:0:1:4",
+                    "--out", str(tmp_path / "o.json")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: unknown field family {family!r}")
 
 
 @pytest.mark.parametrize("reader", ["field", "seeds", "render"])
@@ -589,7 +616,8 @@ def test_each_command_samples_its_grid_once(tir_file, tmp_path, monkeypatch, arg
     psi_grad = pf.TirTwoWaveSpec.psi_grad
 
     def counting(self, *coords):
-        if any(np.ndim(c) for c in coords):
+        # grid samples only: the vortex search's refinement batches are 1-D
+        if np.broadcast(*coords).shape == (21, 81):
             calls.append(coords)
         return psi_grad(self, *coords)
 
