@@ -174,6 +174,10 @@ class GaussianPairSpec(_FieldFamily):
             raise ParameterError(f"w0_mm must be > 0, got {w0}")
         if a < 0.0:
             raise ParameterError(f"a_mm must be >= 0, got {a}")
+        zr = 0.5 * self.wave.k * (w0 * w0)  # rayleigh_mm, by products that cannot raise
+        if not (0.0 < zr < math.inf and 0.0 < zr * zr < math.inf):  # psi_grad squares zR
+            raise ParameterError(f"w0_mm = {w0} gives the Rayleigh range zR = k w0^2/2 = {zr} "
+                                 "mm; zR and zR^2 must be finite and > 0")
         object.__setattr__(self, "w0_mm", w0)
         object.__setattr__(self, "a_mm", a)
 

@@ -142,5 +142,6 @@ def sample_grid(spec, grid: GridSpec) -> FieldSample:
     psi has shape (counts2, counts1); grad_psi stacks the frame
     components on a leading axis, shape (ndim, counts2, counts1).
     """
-    psi, grads = spec.psi_grad(*grid.mesh(spec.ndim))
+    with np.errstate(over="ignore", invalid="ignore"):  # raised by singular_cells instead
+        psi, grads = spec.psi_grad(*grid.mesh(spec.ndim))
     return FieldSample(psi=psi, grad_psi=np.stack(grads), k=spec.wave.k)

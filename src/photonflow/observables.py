@@ -38,7 +38,10 @@ def _is_singular(amplitude, amp_floor):
 
 def singular_cells(amplitude):
     """(floor, mask): SINGULAR_REL_THRESHOLD x peak amplitude, and the cells at or below it."""
-    floor = SINGULAR_REL_THRESHOLD * float(np.max(amplitude))
+    peak = float(np.max(amplitude))
+    if not math.isfinite(peak):  # its floor would mark every cell singular
+        raise ParameterError(f"the field amplitude overflows: its peak is {peak!r}")
+    floor = SINGULAR_REL_THRESHOLD * peak
     return floor, _is_singular(amplitude, floor)
 
 

@@ -2,10 +2,11 @@
 
 Trajectories are classical RK4 streamlines of either the current part
 (Re p, the "average photon trajectories") or the osmotic part (Im p) of
-the complex local momentum.  Two parameterizations are supported:
+the complex local momentum.  The integrated state is the frame position
+r in both of the two parameterizations:
 
-* paraxial-z: the transverse position evolves in z via
-  dx/dz = p_x/p_z; natural for beams whose p_z never changes sign.
+* paraxial-z: dr/dz = p/p_z, whose z component is 1, so z itself is the
+  parameter; natural for beams whose p_z never changes sign.
 * arc-length: dr/ds = p/|p| at unit speed; required where p_z crosses
   zero (backflow regions of interface fields).
 
@@ -101,36 +102,28 @@ class Trajectory:
     termination: str
 
 
-def _momentum(spec, pos, amp_max):
-    """(p at pos, running amplitude maximum with pos included).
+def _momentum_rate(spec, pos, which: str, paraxial: bool, p_max: float, amp_max: float):
+    """(p, dpos/dt, running amplitude maximum with pos included) at pos.
 
     p is None at or below SINGULAR_REL_THRESHOLD times the largest
-    amplitude the trajectory has seen, pos included.
+    amplitude the trajectory has seen, pos included.  The rate is None
+    where the step must shrink: near a vortex (|p| > p_max), where the
+    paraxial parameterization breaks down (v_z <= 0) and at an arc-length
+    stagnation point (|v| = 0).
     """
     sample = evaluate(spec, pos)
     amp_max = max(amp_max, sample.amplitude)
     try:
-        return local_momentum(sample, SINGULAR_REL_THRESHOLD * amp_max).p, amp_max
+        p = local_momentum(sample, SINGULAR_REL_THRESHOLD * amp_max).p
     except SingularPointError:
-        return None, amp_max
-
-
-def _rate(p, which: str, paraxial: bool, p_max: float):
-    """dy/dt of the streamline at momentum p, or None where the step must shrink.
-
-    That is near a vortex (|p| > p_max), where the paraxial
-    parameterization breaks down (v_z <= 0) and at an arc-length
-    stagnation point (|v| = 0).
-    """
+        return None, None, amp_max
     if np.linalg.norm(p) > p_max:
-        return None
+        return p, None, amp_max
     # Orientation: re runs with the current; im descends the osmotic
     # field toward amplitude maxima (see module docstring).
     v = p.real if which == "re" else -p.imag
-    if paraxial:
-        return None if v[-1] <= 0.0 else v[:-1] / v[-1]
-    speed = np.linalg.norm(v)
-    return None if speed == 0.0 else v / speed
+    speed = v[-1] if paraxial else np.linalg.norm(v)
+    return p, (None if speed <= 0.0 else v / speed), amp_max
 
 
 def _inside(pos, domain) -> bool:
@@ -143,24 +136,21 @@ def _trace_one(spec, cfg: TraceConfig, which: str, seed) -> Trajectory:
     paraxial = cfg.parameterization == PARAXIAL
     z_hi = cfg.domain[-1][1]
     p_max = cfg.vortex_guard * spec.wave.k
-    # The ODE integrates y over the parameter t: the transverse position
-    # over z in paraxial mode, the whole position over arc length otherwise.
-    if paraxial:
-        t, y = seed[-1], np.asarray(seed[:-1], dtype=float)
-    else:
-        t, y = 0.0, np.asarray(seed, dtype=float)
+    # The ODE integrates the frame position over the parameter t: z in
+    # paraxial mode, where pos[-1] is t itself, and arc length otherwise.
+    pos = np.array(seed, dtype=float)
+    t = seed[-1] if paraxial else 0.0
     params, points, momenta = [], [], []
     amp_max = 0.0
     h = cfg.step
     cause = None
     while True:
-        pos = np.append(y, t) if paraxial else y
         if not _inside(pos, cfg.domain):
             cause = "left-domain"
             break
-        # The point's momentum is recorded and is also the next step's
-        # stage k1, so every point is evaluated once.
-        p, amp_max = _momentum(spec, pos, amp_max)
+        # The point's momentum is recorded and its rate is also the next
+        # step's stage k1, so every point is evaluated once.
+        p, k1, amp_max = _momentum_rate(spec, pos, which, paraxial, p_max, amp_max)
         if p is None:
             if not params:
                 raise SeedError(f"seed {seed} sits on a field zero")
@@ -175,7 +165,6 @@ def _trace_one(spec, cfg: TraceConfig, which: str, seed) -> Trajectory:
         if len(params) > cfg.max_steps:
             cause = "max-steps"
             break
-        k1 = _rate(p, which, paraxial, p_max)
         if k1 is None:  # k1 does not depend on h: no halving can help
             cause = "vortex-proximity"
             break
@@ -183,10 +172,8 @@ def _trace_one(spec, cfg: TraceConfig, which: str, seed) -> Trajectory:
             h_eff = min(h, z_hi - t) if paraxial else h
             ks = [k1]
             for c in (0.5, 0.5, 1.0):
-                y_c = y + c * h_eff * ks[-1]
-                p, amp_max = _momentum(
-                    spec, np.append(y_c, t + c * h_eff) if paraxial else y_c, amp_max)
-                k = None if p is None else _rate(p, which, paraxial, p_max)
+                p, k, amp_max = _momentum_rate(
+                    spec, pos + c * h_eff * ks[-1], which, paraxial, p_max, amp_max)
                 if k is None:
                     break
                 ks.append(k)
@@ -195,38 +182,37 @@ def _trace_one(spec, cfg: TraceConfig, which: str, seed) -> Trajectory:
                 break
             if len(ks) == 4:
                 _, k2, k3, k4 = ks
-                y_new = y + (h_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                disp = np.linalg.norm(y_new - y)
-                if paraxial:
-                    disp = math.hypot(h_eff, disp)
-                if not disp > 2.0 * h_eff:  # a NaN step is taken, then leaves the domain
+                step = (h_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if not np.linalg.norm(step) > 2.0 * h_eff:  # a NaN step is taken, then leaves
                     break
             h *= 0.5
         else:
             cause = "vortex-proximity"
         if cause is not None:
             break
+        pos = pos + step
         t = z_hi if paraxial and h_eff < h else t + h_eff  # land on z_hi exactly
-        y = y_new
+        if paraxial:  # z is the parameter itself, so it keeps t's exact ladder
+            pos[-1] = t
         h = min(cfg.step, 2.0 * h)
-    return Trajectory(
-        which=which,
-        parameterization=cfg.parameterization,
-        params=np.array(params),
-        points=np.array(points),
-        momenta=np.array(momenta),
-        termination=cause,
-    )
+    return Trajectory(which=which, parameterization=cfg.parameterization,
+                      params=np.array(params), points=np.array(points),
+                      momenta=np.array(momenta), termination=cause)
+
+
+def check_seeds(spec: FieldSpec, seeds) -> None:
+    """Raise ParameterError unless every seed has one coordinate per frame axis."""
+    for seed in seeds:
+        if len(seed) != spec.ndim:
+            raise ParameterError(
+                f"seed {seed} has {len(seed)} coordinates but the field frame has {spec.ndim}")
 
 
 def trace_streamline(spec: FieldSpec, cfg: TraceConfig, which: str):
     """Trace every seed in cfg; returns one Trajectory per seed."""
     if which not in ("re", "im"):
         raise ParameterError(f"which must be 're' or 'im', got {which!r}")
-    for seed in cfg.seeds:
-        if len(seed) != spec.ndim:
-            raise ParameterError(
-                f"seed {seed} has {len(seed)} coordinates but the field frame has {spec.ndim}")
+    check_seeds(spec, cfg.seeds)
     return [_trace_one(spec, cfg, which, seed) for seed in cfg.seeds]
 
 

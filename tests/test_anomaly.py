@@ -44,6 +44,12 @@ def test_phase_winding_rejects_undersampled_loops():
         pf.phase_winding([0.0, 1.0])  # a loop needs at least 3 samples
 
 
+@pytest.mark.parametrize("shape", [(4,), (1, 4), (4, 1), (2, 2, 2)])
+def test_plaquette_winding_needs_a_2d_array_of_at_least_2x2(shape):
+    with pytest.raises(ParameterError, match="need a 2D phase array"):
+        pf.plaquette_winding(np.zeros(shape))
+
+
 def test_plaquette_sum_telescopes_to_boundary_winding():
     # interior edges cancel in floating point, so the sum over all
     # plaquettes must equal the winding around the outer boundary

@@ -580,6 +580,90 @@ def test_force_bad_chi_exits_two(bessel_file, tmp_path, capsys):
                     "--out", out]) == 2
 
 
+PLANE = '{"family":"plane_wave","lambda_mm":1,"direction":[0,1]}'
+BESSEL = '{"family":"bessel","lambda_mm":1,"ell":2,"k_perp_per_mm":0.3}'
+PLANE_TRACE = ["trace", "--field-json", PLANE, "--seeds-inline", "0,0"]
+WAIST = ("w0_mm = {} gives the Rayleigh range zR = k w0^2/2 = {} mm; "
+         "zR and zR^2 must be finite and > 0")
+
+
+def pair(w0, lambda_mm=1):
+    return json.dumps({"family": "gaussian_pair", "lambda_mm": lambda_mm, "w0_mm": w0,
+                       "a_mm": 1})
+
+
+# argv (with {dir} for the test's directory), files written there first, stderr line
+@pytest.mark.parametrize("argv, files, message", [
+    # grid strings and fixed coordinates
+    (["fieldmap", "--field-json", PLANE, "--grid", "x:0:1,z:0:1:4"], {},
+     "axis clause must be name:lo:hi:count, got 'x:0:1'"),
+    (["fieldmap", "--field-json", PLANE, "--grid", "x:a:1:4,z:0:1:4"], {},
+     "malformed axis clause 'x:a:1:4'"),
+    (["fieldmap", "--field-json", PLANE, "--grid", "x:0:1:4,y:0:1:4"], {},
+     "axis 'y' is not a coordinate of this field's frame ('x', 'z')"),
+    (["fieldmap", "--field-json", PLANE, "--grid", "x:0:1:4,z:0:1:4", "--fixed", "y=0"], {},
+     "fixed coordinate 'y' is not in this field's frame ('x', 'z')"),
+    (["fieldmap", "--field-json", BESSEL, "--grid", "x:0:1:4,y:0:1:4", "--fixed", "q=1"], {},
+     "fixed coordinate must be one of ('x', 'y', 'z'), got 'q'"),
+    (["fieldmap", "--field-json", BESSEL, "--grid", "x:0:1:4,y:0:1:4", "--fixed", "x=1"], {},
+     "coordinate 'x' is both an axis and fixed"),
+    (["fieldmap", "--field-json", BESSEL, "--grid", "x:0:1:4,z:0:1:4", "--fixed", "y=inf"], {},
+     "fixed y must be finite, got inf"),
+    (["fieldmap", "--field-json", BESSEL, "--grid", "x:0:1:4,y:0:1:4", "--fixed", "z=1,z=2"],
+     {}, "duplicate fixed coordinate"),
+    (["fieldmap", "--field-json", BESSEL, "--grid", "x:0:1:4,y:0:1:4", "--fixed", "z"], {},
+     "fixed coordinate must be name=value, got 'z'"),
+    (["fieldmap", "--field-json", BESSEL, "--grid", "x:0:1:4,y:0:1:4", "--fixed", "z=a"], {},
+     "malformed fixed coordinate 'z=a'"),
+    (["fieldmap", "--field-json", PLANE, "--grid", "x:0:1:4,z:0:1:4", "--layers", ","], {},
+     "at least one layer is required"),
+    # field specs
+    (["fieldmap", "--field-json", "[1]", "--grid", "x:0:1:4,z:0:1:4"], {},
+     "field spec must be a JSON object, got list"),
+    (["fieldmap", "--field-json", pair("wide"), "--grid", "x:0:1:4,z:0:1:4"], {},
+     "w0_mm must be a real number, got 'wide'"),
+    # Gaussian waists: zR^2 overflows; w0^2 overflows; zR overflows; zR underflows to 0
+    (["fieldmap", "--field-json", pair(1e100), "--grid", "x:0:1:4,z:0:1:4"], {},
+     WAIST.format(1e100, 3.141592653589793e200)),
+    (["trace", "--field-json", pair(1e100), "--seeds-inline", "0,0"], {},
+     WAIST.format(1e100, 3.141592653589793e200)),
+    (["fieldmap", "--field-json", pair(1e200), "--grid", "x:0:1:4,z:0:1:4"], {},
+     WAIST.format(1e200, math.inf)),
+    (["trace", "--field-json", pair(1e150, 1e-300)], {}, WAIST.format(1e150, math.inf)),
+    (["fieldmap", "--field-json", pair(1e-200), "--grid", "x:0:1:4,z:0:1:4",
+      "--layers", "amp,re_px"], {}, WAIST.format(1e-200, 0.0)),
+    # a grid on which the amplitude overflows
+    (["fieldmap", "--field-json", '{"family":"evanescent","lambda_mm":1,"kappa_per_mm":45}',
+      "--grid", "x:-19:1:32,z:0:1:8", "--layers", "re_px,phase"], {},
+     "the field amplitude overflows: its peak is inf"),
+    # trace seeds and domains
+    (["trace", "--field-json", PLANE], {},
+     "this field family has no default seeds; pass --seeds or --seeds-inline"),
+    (["trace", "--field-json", PLANE, "--seeds-inline", ";"], {}, "no seeds given"),
+    (["trace", "--field-json", PLANE, "--seeds-inline", "0,0;1"], {},
+     "seed (1.0,) has 1 coordinates but the field frame has 2"),
+    (["trace", "--field-json", BESSEL, "--mode", "3d", "--seeds-inline", "0.5,0"], {},
+     "seed (0.5, 0.0) has 2 coordinates but the field frame has 3"),
+    (PLANE_TRACE + ["--domain", "x:0"], {}, "domain clause must be name:lo:hi, got 'x:0'"),
+    (PLANE_TRACE + ["--domain", "q:0:1"], {}, "domain coordinate 'q' not in frame ('x', 'z')"),
+    (PLANE_TRACE + ["--domain", "x:a:1"], {}, "malformed domain clause 'x:a:1'"),
+    (PLANE_TRACE + ["--domain", "x:1:0"], {},
+     "domain bounds must be finite and ordered, got (1.0, 0.0)"),
+    # render inputs
+    (["render", "--in", "{dir}/bad.json", "--layer", "amp"], {"bad.json": "not json"},
+     "grid result is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    (["render", "--in", "{dir}/empty.json", "--layer", "amp"],
+     {"empty.json": '{"layers": {"amp": []}}'}, "layer 'amp' is empty"),
+])
+def test_rejected_input_exits_two_with_its_message(tmp_path, capsys, argv, files, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+    assert cli.run(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 # ------------------------------------------------- validation, grid sampling
 
 

@@ -375,6 +375,22 @@ def test_field_sample_phase_raises_at_zero():
         sample.phase
 
 
+def test_field_sample_phase_is_the_argument_of_psi():
+    for psi, phase in ((1 + 1j, math.pi / 4), (-2 + 0j, math.pi), (-1j, -math.pi / 2)):
+        assert pf.FieldSample(psi=psi, grad_psi=np.array([0j, 0j]), k=1.0).phase == phase
+
+
+def test_grid_needs_one_range_per_axis():
+    with pytest.raises(ParameterError, match=r"one \(lo, hi\) range per axis required"):
+        pf.GridSpec(axes=("x", "z"), ranges=((0.0, 1.0),), counts=(2, 2))
+
+
+def test_gaussian_waist_rule_admits_the_extremes_it_can_evaluate():
+    for w0 in (1e-76, 1e76):  # zR and zR^2 stay finite and positive
+        spec = pf.GaussianPairSpec(wave=pf.WaveParameters(1.0), w0_mm=w0, a_mm=0.0)
+        assert np.isfinite(pf.local_momentum(pf.evaluate(spec, (0.0, 1.0))).p).all()
+
+
 def test_grid_sample_amplitude_is_computed_once(bessel_ell2):
     grid = pf.GridSpec(axes=("x", "y"), ranges=((-1, 1), (-1, 1)), counts=(5, 4),
                        fixed=(("z", 0.0),))

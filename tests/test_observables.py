@@ -7,6 +7,7 @@ import pytest
 
 import photonflow as pf
 from photonflow.errors import ParameterError, SingularPointError
+from photonflow.observables import singular_cells
 
 from conftest import TWO_PI, draw_points, fd_momentum
 
@@ -296,6 +297,12 @@ def test_momentum_ratio_raises_at_zero_energy(bessel_ell2):
     assert dec.W == 0.0
     with pytest.raises(SingularPointError):
         pf.momentum_ratio(dec)
+
+
+@pytest.mark.parametrize("peak", [math.inf, math.nan])
+def test_singular_cells_rejects_a_peak_that_is_not_finite(peak):
+    with pytest.raises(ParameterError, match="the field amplitude overflows"):
+        singular_cells(np.array([[1.0, peak], [0.0, 2.0]]))
 
 
 def test_embed3_shapes():

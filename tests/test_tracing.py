@@ -82,6 +82,16 @@ def test_gaussian_pair_axial_seed_stays_on_axis(gaussian_pair):
     assert traj.termination == "left-domain"
 
 
+def test_paraxial_points_carry_the_z_ladder_exactly(gaussian_pair):
+    cfg = pf.TraceConfig(seeds=((0.3, 0.5),), parameterization="paraxial-z", step=7.0,
+                         max_steps=400, domain=((-10.0, 10.0), (0.0, 100.0)))
+    traj = pf.trace_streamline(gaussian_pair, cfg, "re")[0]
+    # z is the parameter itself: 0.5 + 7 n, then the last step lands on z_hi
+    assert np.array_equal(traj.points[:, -1], traj.params)
+    assert traj.params.tolist() == [0.5 + 7.0 * n for n in range(15)] + [100.0]
+    assert traj.termination == "left-domain"
+
+
 def test_bessel_ell0_trace_is_axial():
     spec = pf.BesselSpec(wave=pf.WaveParameters(1.0), ell=0, k_perp=0.5)
     cfg = pf.TraceConfig(
@@ -414,6 +424,13 @@ def test_trace_rejects_bad_which_and_bad_seed(plane_wave, bessel_ell2):
     )
     with pytest.raises(SeedError):  # zero amplitude at the vortex core
         pf.trace_streamline(bessel_ell2, on_axis, "re")
+    planar_seed = pf.TraceConfig(  # seed and domain agree, the field's frame does not
+        seeds=((0.5, 0.0),), parameterization="paraxial-z",
+        step=0.1, max_steps=10, domain=((-1.0, 1.0), (0.0, 1.0)),
+    )
+    with pytest.raises(ParameterError, match=r"seed \(0.5, 0.0\) has 2 coordinates but "
+                                             "the field frame has 3"):
+        pf.trace_streamline(bessel_ell2, planar_seed, "re")
 
 
 def test_helix_validation(helix_bessel, gaussian_pair):
