@@ -150,7 +150,8 @@ def _derivations(spec, grid, args, cal=None, chi=None) -> _Derived:
 def _write_layers(args, spec, grid, names, extra, cal=None, chi=None) -> int:
     """Write the named layers of one grid sample and the command's extra keys."""
     derived = _derivations(spec, grid, args, cal, chi)
-    layers = {name: _LAYERS[name](name, derived) for name in names}
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by name, as in sample_grid
+        layers = {name: _LAYERS[name](name, derived) for name in names}
     _write_json(args.out, {"grid": grid.to_dict(), "layers": layers,
                            "provenance": _provenance(spec, args), **extra})
     return 0

@@ -264,37 +264,25 @@ class BesselSpec(_FieldFamily):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         z = np.asarray(z, dtype=float)
-        m = abs(self.ell)
+        m = float(abs(self.ell))  # an ell beyond int64 would make an object array jv rejects
         kp = self.k_perp
         kz = self.k_z
         r = np.hypot(x, y)
         phi = np.arctan2(y, x)
-        jm = special.jv(m, kp * r)
-        jmp = special.jvp(m, kp * r)
+        orders = np.array([m - 1.0, m, m + 1.0]).reshape((3,) + (1,) * r.ndim)
+        j_lo, jm, j_hi = special.jv(orders, kp * r)
         carrier = np.exp(1j * (self.ell * phi + kz * z))
         psi = jm * carrier
 
-        on_axis = r == 0.0
-        rsafe = np.where(on_axis, 1.0, r)
-        dr = kp * jmp * carrier                   # radial derivative
-        az = (1j * self.ell / rsafe) * psi        # (1/r) d/dphi
+        # J_{m-1} - J_{m+1} = 2 J'_m and J_{m-1} + J_{m+1} = (2m/s) J_m (DLMF 10.6.1)
+        # give both transverse components with no 1/r, so the axis needs no branch
+        dr = kp * ((j_lo - j_hi) / 2) * carrier                           # radial derivative
+        az = (1j * np.sign(self.ell) * kp) * ((j_lo + j_hi) / 2) * carrier  # (1/r) d/dphi
         cos_p = np.cos(phi)
         sin_p = np.sin(phi)
         gx = cos_p * dr - sin_p * az
         gy = sin_p * dr + cos_p * az
         gz = 1j * kz * psi
-        if np.any(on_axis):
-            # Limits from J_m(s) ~ (s/2)^m / m!: transverse gradient is zero
-            # on axis except for |ell| = 1, where psi ~ (kp/2)(x + i sgn(ell) y).
-            axial = np.exp(1j * kz * z)
-            if m == 1:
-                g0x = 0.5 * kp * axial
-                g0y = 1j * np.sign(self.ell) * 0.5 * kp * axial
-            else:
-                g0x = np.zeros_like(axial)
-                g0y = np.zeros_like(axial)
-            gx = np.where(on_axis, g0x, gx)
-            gy = np.where(on_axis, g0y, gy)
         return psi, (gx, gy, gz)
 
 
@@ -422,7 +410,9 @@ class TirTwoWaveSpec(_FieldFamily):
         gx = 0j
         gz = 0j
         for amp, _, kz, kappa, _, t in self.partial_waves():
-            term = amp * t * np.exp(-kappa * x + 1j * kz * z)
+            # psi_grad keeps this side at x >= 0 only; at x < 0 exp(-kappa x) would overflow,
+            # so the exponent is capped at 0. The glass terms have unit modulus and cannot.
+            term = amp * t * np.exp(np.minimum(-kappa * x, 0.0) + 1j * kz * z)
             psi = psi + term
             gx = gx - kappa * term
             gz = gz + 1j * kz * term

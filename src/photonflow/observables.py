@@ -41,6 +41,8 @@ def singular_cells(amplitude):
     peak = float(np.max(amplitude))
     if not math.isfinite(peak):  # its floor would mark every cell singular
         raise ParameterError(f"the field amplitude overflows: its peak is {peak!r}")
+    if peak == 0.0:  # no analytic family vanishes on a whole grid: every cell underflowed
+        raise ParameterError(f"the field amplitude underflows: its peak is {peak!r}")
     floor = SINGULAR_REL_THRESHOLD * peak
     return floor, _is_singular(amplitude, floor)
 

@@ -176,13 +176,32 @@ def test_non_utf8_input_exits_two(pair_file, tmp_path, capsys, reader):
 def test_unrepresentable_layer_exits_two_and_names_it(tmp_path, capsys):
     # the amplitude overflows to inf on most of the grid; JSON cannot hold it
     out = tmp_path / "o.json"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = cli.run(["fieldmap", "--field-json",
-                        '{"family":"evanescent","lambda_mm":1,"kappa_per_mm":50}',
-                        "--grid", "x:-20:1:32,z:0:1:8", "--layers", "amp,re_px",
-                        "--out", str(out)])
+    code = cli.run(["fieldmap", "--field-json",
+                    '{"family":"evanescent","lambda_mm":1,"kappa_per_mm":50}',
+                    "--grid", "x:-20:1:32,z:0:1:8", "--layers", "amp,re_px",
+                    "--out", str(out)])
     assert code == 2
     assert "layer 'amp' cannot be represented" in capsys.readouterr().err
+    assert not out.exists()
+
+
+EVANESCENT_45 = '{"family":"evanescent","lambda_mm":1,"kappa_per_mm":45}'
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["stokes"], "the field amplitude overflows"),
+    (["force"], "layer 'F_grad' cannot be represented"),
+    (["fieldmap", "--layers", "S1"], "the field amplitude overflows"),
+    (["fieldmap", "--layers", "W"], "layer 'W' cannot be represented"),
+    (["fieldmap", "--layers", "P_O"], "layer 'P_O' cannot be represented"),
+])
+def test_layers_of_an_overflowing_grid_exit_two_without_a_warning(tmp_path, capsys, argv,
+                                                                   message):
+    # the suite turns a RuntimeWarning into an error, which the CLI would exit 1 on
+    out = tmp_path / "o.json"
+    assert cli.run(argv[:1] + ["--field-json", EVANESCENT_45, "--grid", "x:-19:1:32,z:0:1:8"]
+                   + argv[1:] + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not out.exists()
 
 
@@ -462,6 +481,16 @@ def test_trace_mode_dimension_mismatch(bessel_file, pair_file, tmp_path, capsys)
                     "--seeds-inline", "0.5,0,0", "--out", out]) == 2
 
 
+def test_trace_deep_in_tir_glass_exits_zero(tmp_path, capsys):
+    # the discarded air side, exp(-kappa x), would overflow here; the suite makes that an error
+    tir = '{"family":"tir_two_wave","lambda_mm":0.5,"n":2.0,"theta1_rad":1.2,"theta2_rad":1.3}'
+    out = tmp_path / "t.csv"
+    assert cli.run(["trace", "--field-json", tir, "--seeds-inline=-200,0",
+                    "--domain", "x:-201:-199", "--z-end", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text().splitlines()[1].startswith("0,0.0,-200.0,0.0,0.0,")
+
+
 def test_trace_malformed_inline_seed(pair_file, tmp_path, capsys):
     out = str(tmp_path / "t.csv")
     assert cli.run(["trace", "--field", pair_file,
@@ -582,6 +611,8 @@ def test_force_bad_chi_exits_two(bessel_file, tmp_path, capsys):
 
 PLANE = '{"family":"plane_wave","lambda_mm":1,"direction":[0,1]}'
 BESSEL = '{"family":"bessel","lambda_mm":1,"ell":2,"k_perp_per_mm":0.3}'
+# J_m underflows to 0.0 on every node for an order beyond a C long
+BESSEL_HUGE_ELL = '{"family":"bessel","lambda_mm":1,"ell":1e300,"k_perp_per_mm":0.3}'
 PLANE_TRACE = ["trace", "--field-json", PLANE, "--seeds-inline", "0,0"]
 WAIST = ("w0_mm = {} gives the Rayleigh range zR = k w0^2/2 = {} mm; "
          "zR and zR^2 must be finite and > 0")
@@ -654,6 +685,9 @@ def pair(w0, lambda_mm=1):
      "grid result is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
     (["render", "--in", "{dir}/empty.json", "--layer", "amp"],
      {"empty.json": '{"layers": {"amp": []}}'}, "layer 'amp' is empty"),
+    # a grid on which the amplitude underflows everywhere
+    (["fieldmap", "--field-json", BESSEL_HUGE_ELL, "--grid", "x:-1:1:4,y:-1:1:4",
+      "--layers", "re_px,phase"], {}, "the field amplitude underflows: its peak is 0.0"),
 ])
 def test_rejected_input_exits_two_with_its_message(tmp_path, capsys, argv, files, message):
     for name, text in files.items():
@@ -662,6 +696,14 @@ def test_rejected_input_exits_two_with_its_message(tmp_path, capsys, argv, files
     assert cli.run(argv + ["--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_bessel_order_beyond_a_c_long_writes_its_amplitude(tmp_path):
+    # jv takes the order as a float: an integer ell of 1e300 does not fit an int64
+    out = tmp_path / "o.json"
+    assert cli.run(["fieldmap", "--field-json", BESSEL_HUGE_ELL, "--grid", "x:-1:1:4,y:-1:1:4",
+                    "--layers", "amp", "--out", str(out)]) == 0
+    assert load(out)["layers"]["amp"] == [[0.0] * 4] * 4
 
 
 # ------------------------------------------------- validation, grid sampling

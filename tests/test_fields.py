@@ -117,8 +117,10 @@ def _j_series_prime(m, x):
     return 0.5 * (_j_series(m - 1, x) - _j_series(m + 1, x))
 
 
-def test_bessel_profile_matches_power_series(bessel_ell2):
-    spec = bessel_ell2
+@pytest.mark.parametrize("ell", range(-3, 4))
+def test_bessel_profile_matches_power_series(ell):
+    spec = pf.BesselSpec(wave=pf.WaveParameters(1.0), ell=ell, k_perp=0.05 * TWO_PI)
+    m = abs(ell)
     kp = spec.k_perp
     kz = spec.k_z
     rng = np.random.RandomState(5)
@@ -128,12 +130,17 @@ def test_bessel_profile_matches_power_series(bessel_ell2):
         z = rng.uniform(-3.0, 3.0)
         x, y = r * math.cos(phi), r * math.sin(phi)
         s = pf.evaluate(spec, (x, y, z))
-        expected = _j_series(2, kp * r) * np.exp(1j * (2 * phi + kz * z))
+        carrier = np.exp(1j * (ell * phi + kz * z))
+        expected = _j_series(m, kp * r) * carrier
         assert abs(s.psi - expected) <= 1e-12 * max(abs(expected), 1e-3)
         # radial derivative through the chain rule, checked on grad . r_hat
         dr = (s.grad_psi[0] * math.cos(phi) + s.grad_psi[1] * math.sin(phi))
-        expected_dr = kp * _j_series_prime(2, kp * r) * np.exp(1j * (2 * phi + kz * z))
+        expected_dr = kp * _j_series_prime(m, kp * r) * carrier
         assert abs(dr - expected_dr) <= 1e-11 * max(abs(expected_dr), 1e-3)
+        # azimuthal component: grad . phi_hat = (1/r) d(psi)/d(phi) = i ell psi / r
+        dphi = (-s.grad_psi[0] * math.sin(phi) + s.grad_psi[1] * math.cos(phi))
+        expected_dphi = 1j * ell * expected / r
+        assert abs(dphi - expected_dphi) <= 1e-11 * max(abs(expected_dphi), 1e-3)
 
 
 def test_bessel_longitudinal_wavenumber():
@@ -143,22 +150,36 @@ def test_bessel_longitudinal_wavenumber():
     assert spec.k_z**2 + spec.k_perp**2 == pytest.approx(k * k, rel=1e-15)
 
 
-def test_bessel_on_axis_limits():
+@pytest.mark.parametrize("ell", range(-3, 4))
+def test_bessel_on_axis_limits(ell):
     kp = 0.4
-    one = pf.BesselSpec(wave=pf.WaveParameters(1.0), ell=1, k_perp=kp)
-    s = pf.evaluate(one, (0.0, 0.0, 0.0))
-    assert s.psi == 0.0
-    # J_1(kp r) e^{i phi} ~ (kp/2)(x + i y), so the gradient limit is finite
-    assert s.grad_psi[0] == pytest.approx(0.5 * kp, rel=1e-14)
-    assert s.grad_psi[1] == pytest.approx(0.5j * kp, rel=1e-14)
-    minus = pf.BesselSpec(wave=pf.WaveParameters(1.0), ell=-1, k_perp=kp)
-    sm = pf.evaluate(minus, (0.0, 0.0, 0.0))
-    assert sm.grad_psi[1] == pytest.approx(-0.5j * kp, rel=1e-14)
+    spec = pf.BesselSpec(wave=pf.WaveParameters(1.0), ell=ell, k_perp=kp)
+    z = 1.0
+    axial = np.exp(1j * spec.k_z * z)
+    # J_m(s) ~ (s/2)^m / m!: psi vanishes on axis unless ell = 0, and so does the
+    # transverse gradient unless |ell| = 1, where psi ~ (kp/2)(x + i sgn(ell) y) e^{i kz z}
+    psi = axial if ell == 0 else 0.0
+    gx, gy = (0.5 * kp * axial, 0.5j * np.sign(ell) * kp * axial) if abs(ell) == 1 else (0, 0)
+    # every signed zero: the axis has no azimuth, and arctan2 gives 0 or +-pi there
+    for x, y in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)):
+        s = pf.evaluate(spec, (x, y, z))
+        assert s.psi == pytest.approx(psi, rel=1e-14, abs=0.0)
+        assert s.grad_psi[0] == pytest.approx(gx, rel=1e-14, abs=0.0)
+        assert s.grad_psi[1] == pytest.approx(gy, rel=1e-14, abs=0.0)
+        assert s.grad_psi[2] == pytest.approx(1j * spec.k_z * psi, rel=1e-14, abs=0.0)
 
-    two = pf.BesselSpec(wave=pf.WaveParameters(1.0), ell=2, k_perp=kp)
-    s2 = pf.evaluate(two, (0.0, 0.0, 1.0))
-    assert s2.psi == 0.0
-    assert np.all(s2.grad_psi == 0.0)
+
+def test_bessel_point_and_array_paths_agree_bit_for_bit():
+    rng = np.random.RandomState(11)
+    for ell in range(-3, 4):
+        spec = pf.BesselSpec(wave=pf.WaveParameters(1.0), ell=ell, k_perp=0.3 * TWO_PI)
+        points = rng.uniform(-6.0, 6.0, size=(300, 3))
+        points[:2, :2] = 0.0  # on axis
+        psi, grads = spec.psi_grad(*points.T)
+        for i, point in enumerate(points):
+            s = pf.evaluate(spec, point)
+            assert np.array([s.psi, *s.grad_psi]).tobytes() == \
+                np.array([psi[i], *(g[i] for g in grads)]).tobytes()
 
 
 def test_bessel_ell_zero_has_no_azimuthal_structure():
@@ -242,6 +263,15 @@ def test_tir_air_side_decays_with_both_kappas(tir_field):
     )
     got = pf.evaluate(tir_field, (x, z)).psi
     assert abs(got - expected) <= 1e-13 * abs(expected)
+
+
+def test_tir_deep_in_the_glass_does_not_overflow():
+    # the air side, exp(+kappa |x|) here, is discarded at x < 0; the suite turns the
+    # overflow warning its evaluation would raise into an error
+    spec = pf.TirTwoWaveSpec(wave=pf.WaveParameters(0.5), n=2.0, theta1=1.2, theta2=1.3)
+    s = pf.evaluate(spec, (-50.0, 0.0))
+    psi, gx, gz = spec._glass(np.array(-50.0), np.array(0.0))
+    assert np.array([s.psi, *s.grad_psi]).tobytes() == np.array([psi, gx, gz]).tobytes()
 
 
 # ------------------------------------------------------------- serialization

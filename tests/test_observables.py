@@ -299,10 +299,13 @@ def test_momentum_ratio_raises_at_zero_energy(bessel_ell2):
         pf.momentum_ratio(dec)
 
 
-@pytest.mark.parametrize("peak", [math.inf, math.nan])
+@pytest.mark.parametrize("peak", [math.inf, math.nan, 0.0])
 def test_singular_cells_rejects_a_peak_that_is_not_finite(peak):
-    with pytest.raises(ParameterError, match="the field amplitude overflows"):
-        singular_cells(np.array([[1.0, peak], [0.0, 2.0]]))
+    # a zero peak is float underflow on every cell: its floor would mark them all singular
+    flows = "underflows" if peak == 0.0 else "overflows"
+    message = f"^the field amplitude {flows}: its peak is {peak!r}$"
+    with pytest.raises(ParameterError, match=message):
+        singular_cells(np.array([[peak, 0.0], [peak, peak]]))
 
 
 def test_embed3_shapes():
