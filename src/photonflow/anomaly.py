@@ -241,7 +241,7 @@ def _bound_array(spec, bound_model, grid):
     if bound_model == "uniform":
         return np.full(tuple(reversed(grid.counts)), k)
     x = grid.mesh(spec.ndim)[0]
-    return np.where(x < 0.0, spec.n * k, k)
+    return np.where(spec.in_glass(x), spec.n * k, k)
 
 
 def classify_anomalies(spec: FieldSpec, grid: GridSpec, bound_model: str = "uniform",

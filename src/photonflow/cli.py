@@ -152,6 +152,7 @@ def _write_layers(args, spec, grid, names, extra, cal=None, chi=None) -> int:
     derived = _derivations(spec, grid, args, cal, chi)
     with np.errstate(over="ignore", invalid="ignore"):  # reported by name, as in sample_grid
         layers = {name: _LAYERS[name](name, derived) for name in names}
+    derived["singular"]  # a peak that overflows or underflows to 0.0 exits 2, whatever the layers
     _write_json(args.out, {"grid": grid.to_dict(), "layers": layers,
                            "provenance": _provenance(spec, args), **extra})
     return 0

@@ -324,10 +324,10 @@ class EvanescentSpec(_FieldFamily):
 class TirTwoWaveSpec(_FieldFamily):
     """Two plane waves totally internally reflected at a glass/air interface.
 
-    Glass fills x < 0 (index n), air fills x >= 0.  Each incident wave i
-    arrives at angle theta_i from the interface normal x-hat, above the
-    critical angle, so the transmitted components are evanescent.  The
-    s-polarization Fresnel coefficients are used:
+    Glass (index n) fills x < 0 and air x >= 0; psi_grad evaluates each side
+    on its own nodes only (in_glass).  Each wave i arrives above the critical
+    angle, at theta_i from the interface normal x-hat, so its transmitted part
+    is evanescent.  The s-polarization Fresnel coefficients are used:
 
         r_i = (k_x,i - i kappa_i) / (k_x,i + i kappa_i)   (|r_i| = 1)
         t_i = 2 k_x,i / (k_x,i + i kappa_i)
@@ -392,27 +392,28 @@ class TirTwoWaveSpec(_FieldFamily):
             out.append((amp, kx, kz, kappa, (kx - 1j * kappa) / denom, 2.0 * kx / denom))
         return tuple(out)
 
+    def in_glass(self, x):
+        """True where x lies in the glass; the air holds x >= 0, x = -0.0 included."""
+        return x < 0.0
+
+    # A complex scalar multiplies a fresh array from the right: numpy's complex multiply
+    # is not commutative bit for bit, and it swaps the operands of scalar * fresh array
+    # from 256 KiB up, so a node would get other bits in a large batch than in a small one.
     def _glass(self, x, z):
-        psi = 0j
-        gx = 0j
-        gz = 0j
+        psi = gx = gz = 0j
         for amp, kx, kz, _, r, _ in self.partial_waves():
             zph = np.exp(1j * kz * z)
             up = np.exp(1j * kx * x)
-            dn = r * np.exp(-1j * kx * x)
+            dn = np.conj(up) * r  # exp(-i kx x): up has unit modulus
             psi = psi + amp * (up + dn) * zph
-            gx = gx + amp * 1j * kx * (up - dn) * zph
-            gz = gz + amp * 1j * kz * (up + dn) * zph
+            gx = gx + (up - dn) * (amp * 1j * kx) * zph
+            gz = gz + (up + dn) * (amp * 1j * kz) * zph
         return psi, gx, gz
 
     def _air(self, x, z):
-        psi = 0j
-        gx = 0j
-        gz = 0j
+        psi = gx = gz = 0j
         for amp, _, kz, kappa, _, t in self.partial_waves():
-            # psi_grad keeps this side at x >= 0 only; at x < 0 exp(-kappa x) would overflow,
-            # so the exponent is capped at 0. The glass terms have unit modulus and cannot.
-            term = amp * t * np.exp(np.minimum(-kappa * x, 0.0) + 1j * kz * z)
+            term = np.exp(-kappa * x + 1j * kz * z) * (amp * t)
             psi = psi + term
             gx = gx - kappa * term
             gz = gz + 1j * kz * term
@@ -421,16 +422,18 @@ class TirTwoWaveSpec(_FieldFamily):
     def psi_grad(self, x, z):
         x = np.asarray(x, dtype=float)
         z = np.asarray(z, dtype=float)
-        x_b, z_b = np.broadcast_arrays(x, z)
-        glass = x_b < 0.0
-        psi_g, gx_g, gz_g = self._glass(x_b, z_b)
-        psi_a, gx_a, gz_a = self._air(x_b, z_b)
-        psi = np.where(glass, psi_g, psi_a)
-        gx = np.where(glass, gx_g, gx_a)
-        gz = np.where(glass, gz_g, gz_a)
-        if x_b.ndim == 0:
-            psi, gx, gz = psi[()], gx[()], gz[()]
-        return psi, (gx, gz)
+        if x.ndim == z.ndim == 0:
+            psi, gx, gz = (self._glass if self.in_glass(x) else self._air)(x, z)
+            return psi, (gx, gz)
+        x, z = np.broadcast_arrays(x, z)
+        glass = self.in_glass(x)
+        # both sides before the outputs, so that their temporaries never coexist
+        sides = [(m, side(x[m], z[m])) for m, side in ((glass, self._glass), (~glass, self._air))]
+        outs = tuple(np.empty(x.shape, dtype=complex) for _ in range(3))
+        for mask, values in sides:
+            for out, value in zip(outs, values):
+                out[mask] = value
+        return outs[0], outs[1:]
 
 
 FieldSpec = Union[PlaneWaveSpec, GaussianPairSpec, BesselSpec, EvanescentSpec, TirTwoWaveSpec]
@@ -450,11 +453,7 @@ def evaluate(spec: FieldSpec, point) -> FieldSample:
             f"{type(spec).__name__} expects a point with {spec.ndim} coordinates, "
             f"got shape {coords.shape}")
     psi, grads = spec.psi_grad(*coords)
-    return FieldSample(
-        psi=complex(psi),
-        grad_psi=np.array([complex(g) for g in grads]),
-        k=spec.wave.k,
-    )
+    return FieldSample(psi=complex(psi), grad_psi=np.array(grads), k=spec.wave.k)
 
 
 def field_to_dict(spec: FieldSpec) -> dict:

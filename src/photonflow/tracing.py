@@ -112,6 +112,9 @@ def _momentum_rate(spec, pos, which: str, paraxial: bool, p_max: float, amp_max:
     stagnation point (|v| = 0).
     """
     sample = evaluate(spec, pos)
+    if not math.isfinite(sample.amplitude):  # not a field zero: no step size can pass it
+        raise ParameterError(f"the field amplitude overflows at {tuple(pos.tolist())}: "
+                             f"|psi| = {sample.amplitude!r}")
     amp_max = max(amp_max, sample.amplitude)
     try:
         p = local_momentum(sample, SINGULAR_REL_THRESHOLD * amp_max).p
@@ -213,7 +216,8 @@ def trace_streamline(spec: FieldSpec, cfg: TraceConfig, which: str):
     if which not in ("re", "im"):
         raise ParameterError(f"which must be 're' or 'im', got {which!r}")
     check_seeds(spec, cfg.seeds)
-    return [_trace_one(spec, cfg, which, seed) for seed in cfg.seeds]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises in _momentum_rate
+        return [_trace_one(spec, cfg, which, seed) for seed in cfg.seeds]
 
 
 def trace_bessel_helix(spec: BesselSpec, r0: float, phi0: float, z_end: float,

@@ -688,6 +688,14 @@ def pair(w0, lambda_mm=1):
     # a grid on which the amplitude underflows everywhere
     (["fieldmap", "--field-json", BESSEL_HUGE_ELL, "--grid", "x:-1:1:4,y:-1:1:4",
       "--layers", "re_px,phase"], {}, "the field amplitude underflows: its peak is 0.0"),
+    # ... also where no layer needs the singular mask: 0.0 cells are no field zero either
+    (["fieldmap", "--field-json", BESSEL_HUGE_ELL, "--grid", "x:-1:1:4,y:-1:1:4",
+      "--layers", "amp"], {}, "the field amplitude underflows: its peak is 0.0"),
+    (["force", "--field-json", BESSEL_HUGE_ELL, "--grid", "x:-1:1:4,y:-1:1:4"], {},
+     "the field amplitude underflows: its peak is 0.0"),
+    # a trace point where the amplitude overflows is no field zero
+    (["trace", "--field-json", '{"family":"evanescent","lambda_mm":1,"kappa_per_mm":50}',
+      "--seeds-inline=-20,0"], {}, "the field amplitude overflows at (-20.0, 0.0): |psi| = inf"),
 ])
 def test_rejected_input_exits_two_with_its_message(tmp_path, capsys, argv, files, message):
     for name, text in files.items():
@@ -696,14 +704,6 @@ def test_rejected_input_exits_two_with_its_message(tmp_path, capsys, argv, files
     assert cli.run(argv + ["--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
-
-
-def test_bessel_order_beyond_a_c_long_writes_its_amplitude(tmp_path):
-    # jv takes the order as a float: an integer ell of 1e300 does not fit an int64
-    out = tmp_path / "o.json"
-    assert cli.run(["fieldmap", "--field-json", BESSEL_HUGE_ELL, "--grid", "x:-1:1:4,y:-1:1:4",
-                    "--layers", "amp", "--out", str(out)]) == 0
-    assert load(out)["layers"]["amp"] == [[0.0] * 4] * 4
 
 
 # ------------------------------------------------- validation, grid sampling
@@ -725,9 +725,10 @@ def test_non_finite_parameters_exit_two(tir_file, tmp_path, capsys, argv):
 
 
 # local_momentum and singular_cells calls on the grid sample of each command
-# below: a raw force map needs neither, the others derive each at most once
+# below: a raw force map needs no momentum, and every command derives each at
+# most once (singular_cells also rejects a peak that over- or underflows)
 DERIVED = {"anomaly --with-labels": (1, 1), "fieldmap --layers amp,re_px,P_O,label": (1, 1),
-           "force": (0, 0), "stokes": (1, 1), "force --normalized": (1, 1)}
+           "force": (0, 1), "stokes": (1, 1), "force --normalized": (1, 1)}
 
 
 @pytest.mark.parametrize("argv, evals", [

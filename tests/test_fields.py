@@ -266,7 +266,7 @@ def test_tir_air_side_decays_with_both_kappas(tir_field):
 
 
 def test_tir_deep_in_the_glass_does_not_overflow():
-    # the air side, exp(+kappa |x|) here, is discarded at x < 0; the suite turns the
+    # the air side, exp(+kappa |x|) here, is not evaluated at x < 0; the suite turns the
     # overflow warning its evaluation would raise into an error
     spec = pf.TirTwoWaveSpec(wave=pf.WaveParameters(0.5), n=2.0, theta1=1.2, theta2=1.3)
     s = pf.evaluate(spec, (-50.0, 0.0))
