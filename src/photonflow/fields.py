@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property
 from typing import Union, get_args
 
 import numpy as np
@@ -381,6 +382,10 @@ class TirTwoWaveSpec(_FieldFamily):
 
     def partial_waves(self):
         """Per-wave constants (amp, k_x, k_z, kappa, r, t)."""
+        return self._partial_waves
+
+    @cached_property  # once per spec: psi_grad reads them on every call
+    def _partial_waves(self):
         k = self.wave.k
         nk = self.n * k
         out = []
@@ -401,18 +406,19 @@ class TirTwoWaveSpec(_FieldFamily):
     # from 256 KiB up, so a node would get other bits in a large batch than in a small one.
     def _glass(self, x, z):
         psi = gx = gz = 0j
-        for amp, kx, kz, _, r, _ in self.partial_waves():
+        for amp, kx, kz, _, r, _ in self._partial_waves:
             zph = np.exp(1j * kz * z)
             up = np.exp(1j * kx * x)
             dn = np.conj(up) * r  # exp(-i kx x): up has unit modulus
-            psi = psi + amp * (up + dn) * zph
+            both = up + dn
+            psi = psi + amp * both * zph
             gx = gx + (up - dn) * (amp * 1j * kx) * zph
-            gz = gz + (up + dn) * (amp * 1j * kz) * zph
+            gz = gz + both * (amp * 1j * kz) * zph
         return psi, gx, gz
 
     def _air(self, x, z):
         psi = gx = gz = 0j
-        for amp, _, kz, kappa, _, t in self.partial_waves():
+        for amp, _, kz, kappa, _, t in self._partial_waves:
             term = np.exp(-kappa * x + 1j * kz * z) * (amp * t)
             psi = psi + term
             gx = gx - kappa * term
@@ -425,10 +431,12 @@ class TirTwoWaveSpec(_FieldFamily):
         if x.ndim == z.ndim == 0:
             psi, gx, gz = (self._glass if self.in_glass(x) else self._air)(x, z)
             return psi, (gx, gz)
-        x, z = np.broadcast_arrays(x, z)
+        if x.shape != z.shape:
+            x, z = np.broadcast_arrays(x, z)
         glass = self.in_glass(x)
         # both sides before the outputs, so that their temporaries never coexist
-        sides = [(m, side(x[m], z[m])) for m, side in ((glass, self._glass), (~glass, self._air))]
+        sides = [(m, side(x[m], z[m])) for m, side in ((glass, self._glass), (~glass, self._air))
+                 if m.any()]
         outs = tuple(np.empty(x.shape, dtype=complex) for _ in range(3))
         for mask, values in sides:
             for out, value in zip(outs, values):

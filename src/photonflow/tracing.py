@@ -21,6 +21,20 @@ whenever a later stage sees |p| > vortex_guard * k the step is halved,
 and a step that still fails after eight halvings ends the trajectory
 with the vortex-proximity cause.  A recorded point whose own |p| is over
 the guard ends it at once, since k1 does not depend on the step size.
+
+A bundle of two or more seeds is integrated together: each RK4 stage is
+one array psi_grad call for every seed at that stage, and each seed keeps
+its own step size, halving count, amplitude maximum and stop cause.  Every
+operation is element-wise over the seeds, so a seed's row does not depend
+on the other seeds of its bundle or on when they stopped.  A lone seed
+keeps the loop of 0-d calls, which cost less than a one-column array, and
+its output is unchanged.  A bundle row can differ in the last bits from
+the same seed traced alone: the Gaussian pair and TIR fields round
+differently at a 0-d point and on an array, and the arc-length speed |v|
+is summed in another order.  Its stop cause and point count are the same
+unless a comparison falls within those bits.  The first error of a bundle
+is raised: an overflow names its point, and a seed on a field zero names
+the seed.
 """
 
 from __future__ import annotations
@@ -32,8 +46,8 @@ import numpy as np
 from scipy import special
 
 from .errors import ParameterError, SeedError, SingularPointError
-from .fields import BesselSpec, FieldSpec, evaluate
-from .observables import SINGULAR_REL_THRESHOLD, local_momentum
+from .fields import BesselSpec, FieldSample, FieldSpec, evaluate
+from .observables import SINGULAR_REL_THRESHOLD, _is_singular, local_momentum
 
 PARAXIAL = "paraxial-z"
 ARC_LENGTH = "arc-length"
@@ -203,6 +217,139 @@ def _trace_one(spec, cfg: TraceConfig, which: str, seed) -> Trajectory:
                       momenta=np.array(momenta), termination=cause)
 
 
+def _bundle_rate(spec, q, which: str, paraxial: bool, p_max: float, amp_max):
+    """_momentum_rate at every column of q, shape (ndim, m), in one psi_grad call.
+
+    Returns (p, rate, amp_max, singular, ok).  singular marks the columns
+    where _momentum_rate's p is None and ok those where its rate is not;
+    rate holds dpos/dt in the ok columns.
+    """
+    psi, grads = spec.psi_grad(*q)
+    sample = FieldSample(psi=psi, grad_psi=np.array(grads), k=spec.wave.k)
+    amp = sample.amplitude
+    finite = np.isfinite(amp)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise ParameterError(f"the field amplitude overflows at {tuple(q[:, j].tolist())}: "
+                             f"|psi| = {float(amp[j])!r}")
+    amp_max = np.maximum(amp_max, amp)
+    floor = SINGULAR_REL_THRESHOLD * amp_max
+    singular = _is_singular(amp, floor)
+    p = local_momentum(sample, floor).p
+    v = p.real if which == "re" else -p.imag
+    speed = v[-1] if paraxial else np.linalg.norm(v, axis=0)
+    ok = ~(singular | (np.linalg.norm(p, axis=0) > p_max) | (speed <= 0.0))
+    return p, v / np.where(ok, speed, 1.0), amp_max, singular, ok
+
+
+_CAUSES = (None, "left-domain", "max-steps", "vortex-proximity", "singular-amplitude")
+_LEFT, _MAX, _VORTEX, _SINGULAR = range(1, 5)
+
+
+def _trace_bundle(spec, cfg: TraceConfig, which: str) -> list:
+    """_trace_one for every seed of cfg at once, one psi_grad call per RK4 stage.
+
+    Each seed still running is one column of the state, and a seed that
+    stops leaves it.  A round evaluates the seeds that have just arrived at
+    a point, then tries one step of every running seed, each at its own
+    step size.  Every operation is element-wise in the columns, so a seed's
+    row does not depend on the other seeds or on when they stopped.
+    """
+    for seed in cfg.seeds:
+        if not _inside(seed, cfg.domain):
+            raise SeedError(f"seed {seed} outside domain {cfg.domain}")
+    paraxial = cfg.parameterization == PARAXIAL
+    z_hi = cfg.domain[-1][1]
+    p_max = cfg.vortex_guard * spec.wave.k
+    lo, hi = np.array(cfg.domain).T[:, :, None]
+    n = len(cfg.seeds)
+    ids = np.arange(n)                   # the seed of each column
+    pos = np.array(cfg.seeds).T
+    t = pos[-1].copy() if paraxial else np.zeros(n)
+    h = np.full(n, cfg.step)
+    amp_max = np.zeros(n)
+    count = np.zeros(n, dtype=int)       # points recorded
+    fails = np.zeros(n, dtype=int)       # failed attempts at the current step
+    k1 = np.empty_like(pos)
+    arrived = ids                        # the columns at a new point inside the domain
+    records = []                         # (seeds, params, points, momenta) of new points
+    causes = [None] * n
+    while ids.size:
+        code = np.zeros(ids.size, dtype=int)  # an index into _CAUSES once a column stops
+        a = arrived
+        if a.size:
+            x = pos[:, a]
+            p, rate, amp_max[a], singular, ok = _bundle_rate(
+                spec, x, which, paraxial, p_max, amp_max[a])
+            if singular.any():
+                if not records:  # the seeds themselves, column i is seed i
+                    raise SeedError(f"seed {cfg.seeds[np.argmax(singular)]} sits on a field zero")
+                code[a[singular]] = _SINGULAR
+                a, x, p, rate, ok = (arr[..., ~singular] for arr in (a, x, p, rate, ok))
+            ta, ca = t[a], count[a] + 1
+            records.append((ids[a], ta, x, p))
+            count[a] = ca
+            k1[:, a] = rate
+            # in reverse order of precedence: the first cause that applies is the last set
+            code[a[~ok]] = _VORTEX
+            code[a[ca > cfg.max_steps]] = _MAX
+            if paraxial:
+                code[a[ta >= z_hi]] = _LEFT
+        j = np.flatnonzero(code == 0)    # the columns that try a step, until a stage fails
+        h_eff = np.minimum(h[j], z_hi - t[j]) if paraxial else h[j]
+        x, k, am = pos[:, j], k1[:, j], amp_max[j]
+        acc = k                          # k1 + 2 k2 + 2 k3 + k4, left to right
+        for c, w in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
+            if not j.size:
+                break
+            _, k, am, singular, ok = _bundle_rate(
+                spec, x + (c * h_eff) * k, which, paraxial, p_max, am)
+            if not ok.all():
+                amp_max[j] = am
+                code[j[singular]] = _SINGULAR
+                j, x, h_eff, k, acc, am = (arr[..., ok] for arr in (j, x, h_eff, k, acc, am))
+            acc = acc + w * k
+        amp_max[j] = am
+        step = (h_eff / 6.0) * acc
+        good = ~(np.linalg.norm(step, axis=0) > 2.0 * h_eff)  # a NaN step is taken, then leaves
+        halved = code == 0
+        halved[j[good]] = False
+        if halved.any():
+            h[halved] *= 0.5
+            fails[halved] += 1
+            code[halved & (fails > _MAX_HALVINGS)] = _VORTEX
+            j, h_eff, step = j[good], h_eff[good], step[:, good]
+        y, hj = pos[:, j] + step, h[j]
+        if paraxial:  # land on z_hi exactly; z keeps t's exact ladder
+            t[j] = y[-1] = np.where(h_eff < hj, z_hi, t[j] + h_eff)
+        else:
+            t[j] += h_eff
+        pos[:, j] = y
+        h[j] = np.minimum(cfg.step, 2.0 * hj)
+        fails[j] = 0
+        inside = ((lo <= y) & (y <= hi)).all(axis=0)
+        code[j[~inside]] = _LEFT
+        arrived = j[inside]
+        stopped = code != 0
+        if stopped.any():
+            for i, c in zip(ids[stopped].tolist(), code[stopped].tolist()):
+                causes[i] = _CAUSES[c]
+            running = ~stopped
+            arrived = (np.cumsum(running) - 1)[arrived]
+            ids, pos, t, h, amp_max, count, fails, k1 = (
+                arr[..., running] for arr in (ids, pos, t, h, amp_max, count, fails, k1))
+    seed_of = np.concatenate([r[0] for r in records])
+    order = np.argsort(seed_of, kind="stable")
+    rows = np.cumsum(np.bincount(seed_of, minlength=n))[:-1]
+    params, points, momenta = (np.split(arr, rows) for arr in (
+        np.concatenate([r[1] for r in records])[order],
+        np.concatenate([r[2] for r in records], axis=1).T[order],
+        np.concatenate([r[3] for r in records], axis=1).T[order]))
+    return [Trajectory(which=which, parameterization=cfg.parameterization, params=pr,
+                       points=pt, momenta=mo, termination=cause)
+            for pr, pt, mo, cause in zip(params, points, momenta, causes)]
+
+
 def check_seeds(spec: FieldSpec, seeds) -> None:
     """Raise ParameterError unless every seed has one coordinate per frame axis."""
     for seed in seeds:
@@ -216,8 +363,11 @@ def trace_streamline(spec: FieldSpec, cfg: TraceConfig, which: str):
     if which not in ("re", "im"):
         raise ParameterError(f"which must be 're' or 'im', got {which!r}")
     check_seeds(spec, cfg.seeds)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises in _momentum_rate
-        return [_trace_one(spec, cfg, which, seed) for seed in cfg.seeds]
+    # an overflow raises in _momentum_rate and _bundle_rate
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(cfg.seeds) == 1:  # a lone seed: 0-d calls cost less than a one-column array
+            return [_trace_one(spec, cfg, which, cfg.seeds[0])]
+        return _trace_bundle(spec, cfg, which)
 
 
 def trace_bessel_helix(spec: BesselSpec, r0: float, phi0: float, z_end: float,

@@ -696,6 +696,13 @@ def pair(w0, lambda_mm=1):
     # a trace point where the amplitude overflows is no field zero
     (["trace", "--field-json", '{"family":"evanescent","lambda_mm":1,"kappa_per_mm":50}',
       "--seeds-inline=-20,0"], {}, "the field amplitude overflows at (-20.0, 0.0): |psi| = inf"),
+    # ... also when it is the second seed of a bundle
+    (["trace", "--field-json", '{"family":"evanescent","lambda_mm":1,"kappa_per_mm":50}',
+      "--seeds-inline=0,0;-20,0"], {},
+     "the field amplitude overflows at (-20.0, 0.0): |psi| = inf"),
+    # a bundle seed on the vortex axis
+    (["trace", "--field-json", BESSEL, "--mode", "3d", "--seeds-inline", "0.5,0,0;0,0,0"], {},
+     "seed (0.0, 0.0, 0.0) sits on a field zero"),
 ])
 def test_rejected_input_exits_two_with_its_message(tmp_path, capsys, argv, files, message):
     for name, text in files.items():

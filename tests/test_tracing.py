@@ -273,8 +273,33 @@ def test_consecutive_points_stay_within_twice_the_step(tir_field):
     assert gaps.max() <= 2.0 * cfg.step + 1e-12
 
 
+class FaultAt:
+    """spec, with psi = 0 exactly at the points zero_at and |grad psi| 1e9 times
+    too large at the points guard_at; a point is a tuple, coords 0-d or arrays."""
+
+    def __init__(self, spec, zero_at=(), guard_at=()):
+        self.spec, self.wave, self.ndim = spec, spec.wave, spec.ndim
+        self.zero_at, self.guard_at = zero_at, guard_at
+
+    @staticmethod
+    def hits(coords, points):
+        hit = np.zeros(np.shape(coords[0]), dtype=bool)
+        for point in points:
+            hit |= np.logical_and.reduce([c == v for c, v in zip(coords, point)])
+        return hit
+
+    def psi_grad(self, *coords):
+        psi, grads = self.spec.psi_grad(*coords)
+        guard = self.hits(coords, self.guard_at)
+        return (np.where(self.hits(coords, self.zero_at), 0.0 * psi, psi),
+                tuple(np.where(guard, 1e9 * g, g) for g in grads))
+
+
+PAIR_1E3 = pf.GaussianPairSpec(wave=pf.WaveParameters(1e-3), w0_mm=0.5, a_mm=1.0)
+
+
 def test_zero_amplitude_mid_trace_stops_with_equal_length_arrays():
-    spec = pf.GaussianPairSpec(wave=pf.WaveParameters(1e-3), w0_mm=0.5, a_mm=1.0)
+    spec = PAIR_1E3
     cfg = pf.TraceConfig(
         seeds=((0.7, 0.0),),
         parameterization="paraxial-z",
@@ -284,20 +309,35 @@ def test_zero_amplitude_mid_trace_stops_with_equal_length_arrays():
     )
     reference = pf.trace_streamline(spec, cfg, "re")[0]
     zero_at = tuple(reference.points[3])
-
-    class ZeroAtFourthPoint:
-        """The Gaussian pair, with psi = 0 exactly at the reference's 4th point."""
-
-        wave, ndim = spec.wave, spec.ndim
-
-        def psi_grad(self, *coords):
-            psi, grads = spec.psi_grad(*coords)
-            return (0.0 * psi if coords == zero_at else psi), grads
-
-    traj = pf.trace_streamline(ZeroAtFourthPoint(), cfg, "re")[0]
+    # the Gaussian pair, with psi = 0 exactly at the reference's 4th point
+    traj = pf.trace_streamline(FaultAt(spec, zero_at=[zero_at]), cfg, "re")[0]
     assert traj.termination == "singular-amplitude"
     assert len(traj.params) == len(traj.points) == len(traj.momenta) == 3
     assert np.array_equal(traj.points, reference.points[:3])
+
+
+def test_each_bundle_row_stops_for_its_own_cause():
+    cfg = pf.TraceConfig(
+        seeds=((0.7, 0.0), (-0.4, 0.0), (9.5, 0.0), (0.2, 0.0)),
+        parameterization="paraxial-z",
+        step=20.0,
+        max_steps=30,
+        domain=((-10.0, 10.0), (0.0, 1000.0)),
+    )
+    reference = pf.trace_streamline(PAIR_1E3, cfg, "re")
+    assert [len(t.params) for t in reference] == [31, 31, 14, 31]
+    # psi = 0 at the first row's 4th point, and the second row's 3rd point over the guard
+    faulty = FaultAt(PAIR_1E3, zero_at=[tuple(reference[0].points[3])],
+                     guard_at=[tuple(reference[1].points[2])])
+    bundle = pf.trace_streamline(faulty, cfg, "re")
+    assert [t.termination for t in bundle] == [
+        "singular-amplitude", "vortex-proximity", "left-domain", "max-steps"]
+    for traj, ref, n in zip(bundle, reference, (3, 3, 14, 31)):
+        assert len(traj.params) == len(traj.points) == len(traj.momenta) == n
+        assert np.array_equal(traj.params, ref.params[:n])
+        assert np.array_equal(traj.points, ref.points[:n])
+        assert np.array_equal(traj.momenta[:2], ref.momenta[:2])
+    assert np.array_equal(bundle[0].momenta, reference[0].momenta[:3])
 
 
 @pytest.mark.parametrize("fault, params, termination", [
@@ -339,6 +379,24 @@ def test_fault_at_an_rk4_stage(fault, params, termination):
     assert list(traj.params[:3]) == params
     assert traj.termination == termination
     assert len(traj.params) == len(traj.points) == len(traj.momenta)
+
+
+def test_a_bundle_evaluates_all_its_seeds_in_one_call_per_stage(monkeypatch, gaussian_pair):
+    calls = count_point_evaluations(monkeypatch, pf.GaussianPairSpec)
+    half = gaussian_pair.a_mm + gaussian_pair.w0_mm
+    cfg = pf.TraceConfig(
+        seeds=tuple((x, 0.0) for x in np.linspace(-half, half, 17)),  # the CLI's default fan
+        parameterization="paraxial-z",
+        step=2.0,
+        max_steps=400,
+        domain=((-20.0, 20.0), (0.0, 100.0)),
+    )
+    trajs = pf.trace_streamline(gaussian_pair, cfg, "re")
+    longest = max(len(t.params) for t in trajs)
+    assert longest == 51 and all(t.termination == "left-domain" for t in trajs)
+    # each point once, three later stages per step: as many calls as one seed alone needs
+    assert len(calls) <= 4 * longest + 1
+    assert all(np.shape(coords[0]) == (17,) for coords in calls)
 
 
 # ------------------------------------------------------------- non-crossing
