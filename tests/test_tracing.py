@@ -340,12 +340,15 @@ def test_each_bundle_row_stops_for_its_own_cause():
     assert np.array_equal(bundle[0].momenta, reference[0].momenta[:3])
 
 
-@pytest.mark.parametrize("fault, params, termination", [
+STAGE_FAULTS = pytest.mark.parametrize("fault, params, termination", [
     # |grad psi| 1e9 times too large fails the vortex guard: the step halves to 10 mm
     (lambda psi, grads: (psi, tuple(1e9 * g for g in grads)), [0.0, 10.0, 30.0], "left-domain"),
     # a zero at the stage ends the trajectory after its seed
     (lambda psi, grads: (0.0 * psi, grads), [0.0], "singular-amplitude"),
 ], ids=["vortex-guard", "zero"])
+
+
+@STAGE_FAULTS
 def test_fault_at_an_rk4_stage(fault, params, termination):
     spec = pf.GaussianPairSpec(wave=pf.WaveParameters(1e-3), w0_mm=0.5, a_mm=1.0)
     cfg = pf.TraceConfig(
@@ -379,6 +382,45 @@ def test_fault_at_an_rk4_stage(fault, params, termination):
     assert list(traj.params[:3]) == params
     assert traj.termination == termination
     assert len(traj.params) == len(traj.points) == len(traj.momenta)
+
+
+@STAGE_FAULTS
+def test_fault_at_an_rk4_stage_of_one_bundle_seed(fault, params, termination):
+    cfg = pf.TraceConfig(
+        seeds=((0.7, 0.0), (-0.3, 0.0)),
+        parameterization="paraxial-z",
+        step=20.0,
+        max_steps=1000,
+        domain=((-10.0, 10.0), (0.0, 1000.0)),
+    )
+    calls = []
+
+    class Recorder:
+        wave, ndim = PAIR_1E3.wave, PAIR_1E3.ndim
+
+        def psi_grad(self, *coords):
+            calls.append(tuple(np.copy(c) for c in coords))
+            return PAIR_1E3.psi_grad(*coords)
+
+    reference = pf.trace_streamline(Recorder(), cfg, "re")
+    stage = tuple(c[0] for c in calls[1])  # the first seed's k2 stage of the first step
+
+    class FaultAtStage:
+        wave, ndim = PAIR_1E3.wave, PAIR_1E3.ndim
+
+        def psi_grad(self, *coords):
+            psi, grads = PAIR_1E3.psi_grad(*coords)
+            hit = FaultAt.hits(coords, [stage])
+            bad_psi, bad_grads = fault(psi, grads)
+            return (np.where(hit, bad_psi, psi),
+                    tuple(np.where(hit, b, g) for b, g in zip(bad_grads, grads)))
+
+    traj, other = pf.trace_streamline(FaultAtStage(), cfg, "re")
+    assert list(traj.params[:3]) == params
+    assert traj.termination == termination
+    assert len(traj.params) == len(traj.points) == len(traj.momenta)
+    assert np.array_equal(other.points, reference[1].points)  # the other seed steps on
+    assert other.termination == reference[1].termination
 
 
 def test_a_bundle_evaluates_all_its_seeds_in_one_call_per_stage(monkeypatch, gaussian_pair):
