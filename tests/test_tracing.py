@@ -273,26 +273,30 @@ def test_consecutive_points_stay_within_twice_the_step(tir_field):
     assert gaps.max() <= 2.0 * cfg.step + 1e-12
 
 
+def zero_psi(psi, grads):
+    return 0.0 * psi, grads
+
+
+def blow_up_grad(psi, grads):  # |grad psi| 1e9 times too large fails the vortex guard
+    return psi, tuple(1e9 * g for g in grads)
+
+
 class FaultAt:
-    """spec, with psi = 0 exactly at the points zero_at and |grad psi| 1e9 times
-    too large at the points guard_at; a point is a tuple, coords 0-d or arrays."""
+    """spec, with fault(psi, grads) applied exactly at the given points (tuples);
+    coords may be 0-d or arrays."""
 
-    def __init__(self, spec, zero_at=(), guard_at=()):
+    def __init__(self, spec, points, fault):
         self.spec, self.wave, self.ndim = spec, spec.wave, spec.ndim
-        self.zero_at, self.guard_at = zero_at, guard_at
-
-    @staticmethod
-    def hits(coords, points):
-        hit = np.zeros(np.shape(coords[0]), dtype=bool)
-        for point in points:
-            hit |= np.logical_and.reduce([c == v for c, v in zip(coords, point)])
-        return hit
+        self.points, self.fault = points, fault
 
     def psi_grad(self, *coords):
         psi, grads = self.spec.psi_grad(*coords)
-        guard = self.hits(coords, self.guard_at)
-        return (np.where(self.hits(coords, self.zero_at), 0.0 * psi, psi),
-                tuple(np.where(guard, 1e9 * g, g) for g in grads))
+        hit = np.zeros(np.shape(coords[0]), dtype=bool)
+        for point in self.points:
+            hit |= np.logical_and.reduce([c == v for c, v in zip(coords, point)])
+        bad_psi, bad_grads = self.fault(psi, grads)
+        return (np.where(hit, bad_psi, psi),
+                tuple(np.where(hit, b, g) for b, g in zip(bad_grads, grads)))
 
 
 PAIR_1E3 = pf.GaussianPairSpec(wave=pf.WaveParameters(1e-3), w0_mm=0.5, a_mm=1.0)
@@ -310,7 +314,7 @@ def test_zero_amplitude_mid_trace_stops_with_equal_length_arrays():
     reference = pf.trace_streamline(spec, cfg, "re")[0]
     zero_at = tuple(reference.points[3])
     # the Gaussian pair, with psi = 0 exactly at the reference's 4th point
-    traj = pf.trace_streamline(FaultAt(spec, zero_at=[zero_at]), cfg, "re")[0]
+    traj = pf.trace_streamline(FaultAt(spec, [zero_at], zero_psi), cfg, "re")[0]
     assert traj.termination == "singular-amplitude"
     assert len(traj.params) == len(traj.points) == len(traj.momenta) == 3
     assert np.array_equal(traj.points, reference.points[:3])
@@ -327,8 +331,8 @@ def test_each_bundle_row_stops_for_its_own_cause():
     reference = pf.trace_streamline(PAIR_1E3, cfg, "re")
     assert [len(t.params) for t in reference] == [31, 31, 14, 31]
     # psi = 0 at the first row's 4th point, and the second row's 3rd point over the guard
-    faulty = FaultAt(PAIR_1E3, zero_at=[tuple(reference[0].points[3])],
-                     guard_at=[tuple(reference[1].points[2])])
+    faulty = FaultAt(FaultAt(PAIR_1E3, [tuple(reference[0].points[3])], zero_psi),
+                     [tuple(reference[1].points[2])], blow_up_grad)
     bundle = pf.trace_streamline(faulty, cfg, "re")
     assert [t.termination for t in bundle] == [
         "singular-amplitude", "vortex-proximity", "left-domain", "max-steps"]
@@ -341,10 +345,8 @@ def test_each_bundle_row_stops_for_its_own_cause():
 
 
 STAGE_FAULTS = pytest.mark.parametrize("fault, params, termination", [
-    # |grad psi| 1e9 times too large fails the vortex guard: the step halves to 10 mm
-    (lambda psi, grads: (psi, tuple(1e9 * g for g in grads)), [0.0, 10.0, 30.0], "left-domain"),
-    # a zero at the stage ends the trajectory after its seed
-    (lambda psi, grads: (0.0 * psi, grads), [0.0], "singular-amplitude"),
+    (blow_up_grad, [0.0, 10.0, 30.0], "left-domain"),  # the step halves to 10 mm
+    (zero_psi, [0.0], "singular-amplitude"),  # a zero at the stage ends the trajectory
 ], ids=["vortex-guard", "zero"])
 
 
@@ -405,17 +407,7 @@ def test_fault_at_an_rk4_stage_of_one_bundle_seed(fault, params, termination):
     reference = pf.trace_streamline(Recorder(), cfg, "re")
     stage = tuple(c[0] for c in calls[1])  # the first seed's k2 stage of the first step
 
-    class FaultAtStage:
-        wave, ndim = PAIR_1E3.wave, PAIR_1E3.ndim
-
-        def psi_grad(self, *coords):
-            psi, grads = PAIR_1E3.psi_grad(*coords)
-            hit = FaultAt.hits(coords, [stage])
-            bad_psi, bad_grads = fault(psi, grads)
-            return (np.where(hit, bad_psi, psi),
-                    tuple(np.where(hit, b, g) for b, g in zip(bad_grads, grads)))
-
-    traj, other = pf.trace_streamline(FaultAtStage(), cfg, "re")
+    traj, other = pf.trace_streamline(FaultAt(PAIR_1E3, [stage], fault), cfg, "re")
     assert list(traj.params[:3]) == params
     assert traj.termination == termination
     assert len(traj.params) == len(traj.points) == len(traj.momenta)
