@@ -27,14 +27,15 @@ one array psi_grad call for every seed at that stage, and each seed keeps
 its own step size, halving count, amplitude maximum and stop cause.  Every
 operation is element-wise over the seeds, so a seed's row does not depend
 on the other seeds of its bundle or on when they stopped.  A lone seed
-keeps the loop of 0-d calls, which cost less than a one-column array, and
-its output is unchanged.  A bundle row can differ in the last bits from
-the same seed traced alone: the Gaussian pair and TIR fields round
-differently at a 0-d point and on an array, and the arc-length speed |v|
-is summed in another order.  Its stop cause and point count are the same
-unless a comparison falls within those bits.  The first error of a bundle
-is raised: an overflow names its point, and a seed on a field zero names
-the seed.
+runs the loop of 0-d calls, which cost less than a one-column array.  A
+bundle row can differ in the last bits from the same seed traced alone:
+the Gaussian pair and TIR fields round differently at a 0-d point and on
+an array, and the arc-length speed |v| is summed in another order.  Its
+stop cause and point count are the same unless a comparison falls within
+those bits; near an arc-length stagnation point, where the direction of a
+vanishing v is ill-conditioned, the difference can grow until the two
+paths visibly part.  The first error of a bundle is raised: an overflow
+names its point, and a seed on a field zero names the seed.
 """
 
 from __future__ import annotations
