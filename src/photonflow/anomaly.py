@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ParameterError, ResolutionError
 from .fields import FieldSample, FieldSpec, TirTwoWaveSpec
 from .grids import GridSpec, sample_grid
-from .observables import ComplexMomentum, local_momentum, singular_cells
+from .observables import ComplexMomentum, _is_singular, local_momentum, singular_cells
 
 LABELS = ("normal", "backflow", "superluminal", "singular")
 LABEL_CODES = {name: code for code, name in enumerate(LABELS)}
@@ -154,7 +154,7 @@ def _refined_steps(spec, floor, a, b, ph_a, ph_b, depth=0):
             "does not bisect below pi/2; the edge passes through (or too near) a field zero")
     m = 0.5 * (a + b)
     psi_m, _ = spec.psi_grad(*m)
-    zero = np.abs(psi_m) <= floor
+    zero = _is_singular(np.abs(psi_m), floor)
     if zero.any():
         near = tuple(m[:, zero.argmax()].tolist())
         raise ResolutionError(f"plaquette edge passes through a field zero near {near}")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ParameterError, SingularPointError
 from .fields import FieldSample, FieldSpec, evaluate
-from .observables import ComplexMomentum, embed3
+from .observables import ComplexMomentum, _is_singular, embed3
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,6 @@ def optical_force(spec: FieldSpec, chi: Polarizability, point):
 
 def normalized_forces(f_grad: np.ndarray, f_scat: np.ndarray, w: float, w_floor: float = 0.0):
     """(F_grad/W, F_scat/W); raises where the energy density is singular."""
-    if w <= w_floor or w == 0.0:
+    if _is_singular(w, w_floor):
         raise SingularPointError(f"energy density {w!r} at/below floor {w_floor!r}")
     return f_grad / w, f_scat / w

@@ -194,7 +194,7 @@ def poynting_decomposition(spec: FieldSpec, pol: PolarizationState, point) -> Po
 
 def momentum_ratio(dec: PoyntingDecomposition, w_floor: float = 0.0) -> np.ndarray:
     """P_O / W; equals re_p/k at every non-singular point."""
-    if dec.W <= w_floor or dec.W == 0.0:
+    if _is_singular(dec.W, w_floor):
         raise SingularPointError(f"energy density {dec.W!r} at/below floor {w_floor!r}")
     return dec.P_O / dec.W
 

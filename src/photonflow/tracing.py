@@ -22,20 +22,21 @@ and a step that still fails after eight halvings ends the trajectory
 with the vortex-proximity cause.  A recorded point whose own |p| is over
 the guard ends it at once, since k1 does not depend on the step size.
 
-A bundle of two or more seeds is integrated together: each RK4 stage is
-one array psi_grad call for every seed at that stage, and each seed keeps
-its own step size, halving count, amplitude maximum and stop cause.  Every
-operation is element-wise over the seeds, so a seed's row does not depend
-on the other seeds of its bundle or on when they stopped.  A lone seed
-runs the loop of 0-d calls, which cost less than a one-column array.  A
-bundle row can differ in the last bits from the same seed traced alone:
-the Gaussian pair and TIR fields round differently at a 0-d point and on
-an array, and the arc-length speed |v| is summed in another order.  Its
-stop cause and point count are the same unless a comparison falls within
-those bits; near an arc-length stagnation point, where the direction of a
-vanishing v is ill-conditioned, the difference can grow until the two
-paths visibly part.  The first error of a bundle is raised: an overflow
-names its point, and a seed on a field zero names the seed.
+A bundle of two or more seeds is integrated together: column i of the
+state is seed i for the whole trace, each RK4 stage is one array psi_grad
+call for every seed at that stage, and each seed keeps its own step size,
+halving count, amplitude maximum and stop cause.  Every operation is
+element-wise over the seeds, so a seed's row does not depend on the other
+seeds of its bundle or on when they stopped.  A lone seed runs the loop
+of 0-d calls, which cost less than a one-column array.  A bundle row can
+differ in the last bits from the same seed traced alone: the Gaussian
+pair and TIR fields round differently at a 0-d point and on an array, and
+the arc-length speed |v| is summed in another order.  Its stop cause and
+point count are the same unless a comparison falls within those bits;
+near an arc-length stagnation point, where the direction of a vanishing v
+is ill-conditioned, the difference can grow until the two paths visibly
+part.  The first error of a bundle is raised: an overflow names its
+point, and a seed outside the domain or on a field zero names the seed.
 """
 
 from __future__ import annotations
@@ -149,8 +150,6 @@ def _inside(pos, domain) -> bool:
 
 
 def _trace_one(spec, cfg: TraceConfig, which: str, seed) -> Trajectory:
-    if not _inside(seed, cfg.domain):
-        raise SeedError(f"seed {seed} outside domain {cfg.domain}")
     paraxial = cfg.parameterization == PARAXIAL
     z_hi = cfg.domain[-1][1]
     p_max = cfg.vortex_guard * spec.wave.k
@@ -250,45 +249,41 @@ _LEFT, _MAX, _VORTEX, _SINGULAR = range(1, 5)
 def _trace_bundle(spec, cfg: TraceConfig, which: str) -> list:
     """_trace_one for every seed of cfg at once, one psi_grad call per RK4 stage.
 
-    Each seed still running is one column of the state, and a seed that
-    stops leaves it.  A round evaluates the seeds that have just arrived at
-    a point, then tries one step of every running seed, each at its own
-    step size.  Every operation is element-wise in the columns, so a seed's
-    row does not depend on the other seeds or on when they stopped.
+    Column i of the state is seed i for the whole trace, and code[i] is its
+    stop cause, an index into _CAUSES that is 0 while the seed runs.  A
+    round evaluates the seeds that have just arrived at a point, then tries
+    one step of every running seed, each at its own step size.  Every
+    operation is element-wise in the columns, so a seed's row does not
+    depend on the other seeds or on when they stopped.
     """
-    for seed in cfg.seeds:
-        if not _inside(seed, cfg.domain):
-            raise SeedError(f"seed {seed} outside domain {cfg.domain}")
     paraxial = cfg.parameterization == PARAXIAL
     z_hi = cfg.domain[-1][1]
     p_max = cfg.vortex_guard * spec.wave.k
     lo, hi = np.array(cfg.domain).T[:, :, None]
     n = len(cfg.seeds)
-    ids = np.arange(n)                   # the seed of each column
     pos = np.array(cfg.seeds).T
     t = pos[-1].copy() if paraxial else np.zeros(n)
     h = np.full(n, cfg.step)
     amp_max = np.zeros(n)
     count = np.zeros(n, dtype=int)       # points recorded
     fails = np.zeros(n, dtype=int)       # failed attempts at the current step
+    code = np.zeros(n, dtype=int)
     k1 = np.empty_like(pos)
-    arrived = ids                        # the columns at a new point inside the domain
+    arrived = np.arange(n)               # the seeds at a new point inside the domain
     records = []                         # (seeds, params, points, momenta) of new points
-    causes = [None] * n
-    while ids.size:
-        code = np.zeros(ids.size, dtype=int)  # an index into _CAUSES once a column stops
+    while not code.all():                # until no seed runs
         a = arrived
         if a.size:
             x = pos[:, a]
             p, rate, amp_max[a], singular, ok = _bundle_rate(
                 spec, x, which, paraxial, p_max, amp_max[a])
             if singular.any():
-                if not records:  # the seeds themselves, column i is seed i
+                if not records:  # the seeds themselves
                     raise SeedError(f"seed {cfg.seeds[np.argmax(singular)]} sits on a field zero")
                 code[a[singular]] = _SINGULAR
                 a, x, p, rate, ok = (arr[..., ~singular] for arr in (a, x, p, rate, ok))
             ta, ca = t[a], count[a] + 1
-            records.append((ids[a], ta, x, p))
+            records.append((a, ta, x, p))
             count[a] = ca
             k1[:, a] = rate
             # in reverse order of precedence: the first cause that applies is the last set
@@ -296,21 +291,19 @@ def _trace_bundle(spec, cfg: TraceConfig, which: str) -> list:
             code[a[ca > cfg.max_steps]] = _MAX
             if paraxial:
                 code[a[ta >= z_hi]] = _LEFT
-        j = np.flatnonzero(code == 0)    # the columns that try a step, until a stage fails
+        j = np.flatnonzero(code == 0)    # the seeds that try a step, until a stage fails
         h_eff = np.minimum(h[j], z_hi - t[j]) if paraxial else h[j]
-        x, k, am = pos[:, j], k1[:, j], amp_max[j]
+        x, k = pos[:, j], k1[:, j]
         acc = k                          # k1 + 2 k2 + 2 k3 + k4, left to right
         for c, w in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
             if not j.size:
                 break
-            _, k, am, singular, ok = _bundle_rate(
-                spec, x + (c * h_eff) * k, which, paraxial, p_max, am)
+            _, k, amp_max[j], singular, ok = _bundle_rate(
+                spec, x + (c * h_eff) * k, which, paraxial, p_max, amp_max[j])
             if not ok.all():
-                amp_max[j] = am
                 code[j[singular]] = _SINGULAR
-                j, x, h_eff, k, acc, am = (arr[..., ok] for arr in (j, x, h_eff, k, acc, am))
+                j, x, h_eff, k, acc = (arr[..., ok] for arr in (j, x, h_eff, k, acc))
             acc = acc + w * k
-        amp_max[j] = am
         step = (h_eff / 6.0) * acc
         good = ~(np.linalg.norm(step, axis=0) > 2.0 * h_eff)  # a NaN step is taken, then leaves
         halved = code == 0
@@ -331,24 +324,16 @@ def _trace_bundle(spec, cfg: TraceConfig, which: str) -> list:
         inside = ((lo <= y) & (y <= hi)).all(axis=0)
         code[j[~inside]] = _LEFT
         arrived = j[inside]
-        stopped = code != 0
-        if stopped.any():
-            for i, c in zip(ids[stopped].tolist(), code[stopped].tolist()):
-                causes[i] = _CAUSES[c]
-            running = ~stopped
-            arrived = (np.cumsum(running) - 1)[arrived]
-            ids, pos, t, h, amp_max, count, fails, k1 = (
-                arr[..., running] for arr in (ids, pos, t, h, amp_max, count, fails, k1))
     seed_of = np.concatenate([r[0] for r in records])
     order = np.argsort(seed_of, kind="stable")
-    rows = np.cumsum(np.bincount(seed_of, minlength=n))[:-1]
+    rows = np.cumsum(count)[:-1]
     params, points, momenta = (np.split(arr, rows) for arr in (
         np.concatenate([r[1] for r in records])[order],
         np.concatenate([r[2] for r in records], axis=1).T[order],
         np.concatenate([r[3] for r in records], axis=1).T[order]))
     return [Trajectory(which=which, parameterization=cfg.parameterization, params=pr,
-                       points=pt, momenta=mo, termination=cause)
-            for pr, pt, mo, cause in zip(params, points, momenta, causes)]
+                       points=pt, momenta=mo, termination=_CAUSES[c])
+            for pr, pt, mo, c in zip(params, points, momenta, code.tolist())]
 
 
 def check_seeds(spec: FieldSpec, seeds) -> None:
@@ -364,6 +349,9 @@ def trace_streamline(spec: FieldSpec, cfg: TraceConfig, which: str):
     if which not in ("re", "im"):
         raise ParameterError(f"which must be 're' or 'im', got {which!r}")
     check_seeds(spec, cfg.seeds)
+    for seed in cfg.seeds:
+        if not _inside(seed, cfg.domain):
+            raise SeedError(f"seed {seed} outside domain {cfg.domain}")
     # an overflow raises in _momentum_rate and _bundle_rate
     with np.errstate(over="ignore", invalid="ignore"):
         if len(cfg.seeds) == 1:  # a lone seed: 0-d calls cost less than a one-column array

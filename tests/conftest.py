@@ -10,8 +10,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import photonflow as pf
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite stays deterministic; a CLI run may take longer than
+# hypothesis's default deadline.
+settings.register_profile("photonflow", derandomize=True, database=None, deadline=None)
+settings.load_profile("photonflow")
 
 TWO_PI = 2.0 * math.pi
 

@@ -11,16 +11,26 @@ where numpy starts to reuse temporaries in place, and its blocks do not.
 A traced bundle is one set of array evaluations per RK4 stage, and the same
 holds for its rows: row i of a bundle equals seed i traced in a bundle with
 any one other seed, whichever of the two stops first and for whatever cause.
+
+Valid or not, a `trace` command line ends in exit 0 or 2, never in exit 1:
+the drawn command lines span every field family, mode and orientation, with
+seeds inside the domain, on its edge, outside it and on a field zero.  The
+suite turns warnings into errors, so a warning inside the command is an
+exit 1 too.
 """
 
+import json
 from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import photonflow as pf
 from conftest import TWO_PI, make_tir
+from photonflow import cli
 
 TILE_CASES = [
     (pf.PlaneWaveSpec(wave=pf.WaveParameters(0.5), direction=(0.6, 0.8)), "x:-2:2:33,z:0:3:27"),
@@ -147,3 +157,78 @@ def test_a_traced_row_does_not_depend_on_its_bundle(case):
             causes.add((short.termination, long.termination))
     # in some pair one seed stops first, for another cause than the other's
     assert any(a != b for a, b in causes), causes
+
+
+# ------------------------------------------------------------ trace argv
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False)
+
+
+FIELD_JSON = {
+    "plane_wave": st.fixed_dictionaries({
+        "lambda_mm": st.just(1.0),
+        "direction": st.sampled_from([[0.6, 0.8], [0.0, 1.0], [-0.6, 0.8], [1.0, 0.0],
+                                      [0.0, -1.0], [1.0, 2.0, 2.0], [0.0, 0.0, 1.0]])}),
+    "gaussian_pair": st.fixed_dictionaries({
+        "lambda_mm": st.sampled_from([1.0, 1e-3]), "w0_mm": _floats(0.05, 5.0),
+        "a_mm": _floats(0.0, 5.0)}),
+    "bessel": st.fixed_dictionaries({
+        "lambda_mm": st.just(1.0), "ell": st.integers(-3, 3), "k_perp_per_mm": _floats(0.05, 6.0)}),
+    "evanescent": st.fixed_dictionaries({
+        "lambda_mm": st.just(1.0), "kappa_per_mm": _floats(0.01, 50.0)}),
+    "tir_two_wave": st.fixed_dictionaries({  # past the critical angle for either index
+        "lambda_mm": st.just(1.0), "n": st.sampled_from([1.5, 1.9]),
+        "theta1_rad": _floats(0.8, 1.5), "theta2_rad": _floats(0.8, 1.5)}),
+}
+# mostly valid: a seed off the box or on a zero, or a 2D mode on a 3D field, exits 2
+SEED_KINDS = ["inside"] * 5 + ["edge"] * 2 + ["outside", "zero"]
+MODES = {2: ["paraxial", "arc"] * 2 + ["3d"], 3: ["3d"] * 4 + ["paraxial", "arc"]}
+
+
+@st.composite
+def seed_in(draw, box):
+    """A seed inside box, on its edge, outside it or on a field zero."""
+    seed = [draw(_floats(lo, hi)) for lo, hi in box]
+    kind = draw(st.sampled_from(SEED_KINDS))
+    i = draw(st.integers(0, len(box) - 1))
+    if kind == "edge":
+        seed[i] = box[i][draw(st.integers(0, 1))]
+    elif kind == "outside":
+        seed[i] = draw(st.sampled_from([box[i][0] - 1.0, box[i][1] + 1.0]))
+    elif kind == "zero":
+        # on a Bessel axis, or far out where the Gaussian and evanescent fields underflow
+        seed[:-1] = [0.0] * (len(box) - 1) if len(box) == 3 else [1e4]
+    return seed
+
+
+@st.composite
+def trace_argv(draw):
+    family = draw(st.sampled_from(sorted(FIELD_JSON)))
+    spec = {"family": family, **draw(FIELD_JSON[family])}
+    names = "xyz" if family == "bessel" or len(spec.get("direction", ())) == 3 else "xz"
+    mode = draw(st.sampled_from(MODES[len(names)]))
+    box = [sorted((draw(_floats(-5.0, 5.0)), draw(_floats(-5.0, 5.0)))) for _ in names]
+    seeds = draw(st.lists(seed_in(box), min_size=1, max_size=5))
+    argv = ["trace", "--field-json", json.dumps(spec),
+            "--seeds-inline=" + ";".join(",".join(repr(c) for c in s) for s in seeds),
+            "--mode", mode, "--which", draw(st.sampled_from(["re", "im"])),
+            "--max-steps", str(draw(st.integers(1, 50)))]
+    # arc-length needs the whole box; paraxial modes fill in the axes left out
+    full = mode == "arc" or draw(st.booleans())
+    clauses = [f"{n}:{lo!r}:{hi!r}" for n, (lo, hi) in zip(names, box)
+               if full or draw(st.booleans())]
+    if clauses:
+        argv.append("--domain=" + ",".join(clauses))
+    for flag, values in (("--step", _floats(1e-3, 10.0)), ("--z-end", _floats(1e-3, 100.0)),
+                         ("--guard", _floats(1.0, 1e4))):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(values)!r}")
+    return argv
+
+
+@settings(max_examples=120)
+@given(argv=trace_argv())
+def test_a_trace_command_exits_0_or_2(argv, tmp_path_factory):
+    out = tmp_path_factory.getbasetemp() / "trace-argv.csv"
+    assert cli.run(argv + ["--out", str(out)]) in (0, 2)

@@ -433,6 +433,26 @@ def test_a_bundle_evaluates_all_its_seeds_in_one_call_per_stage(monkeypatch, gau
     assert all(np.shape(coords[0]) == (17,) for coords in calls)
 
 
+def test_a_stopped_seed_is_never_evaluated_again(monkeypatch, plane_wave):
+    calls = count_point_evaluations(monkeypatch, pf.PlaneWaveSpec)
+    cfg = pf.TraceConfig(  # dx/dz = 0.75: the first seed crosses x = 1 after two steps
+        seeds=((0.5, 0.0), (-9.0, 0.0)),
+        parameterization="paraxial-z",
+        step=0.5,
+        max_steps=100,
+        domain=((-10.0, 1.0), (0.0, 10.0)),
+    )
+    first, second = pf.trace_streamline(plane_wave, cfg, "re")
+    assert first.termination == second.termination == "left-domain"
+    assert len(first.params) == 2 and len(second.params) == 21
+    # each of the first seed's points is evaluated once, then the three later
+    # stages of the step that leaves it; every call after those holds only the second seed
+    widths = [np.shape(coords[0]) for coords in calls]
+    shared = 4 * len(first.params)
+    assert widths == [(2,)] * shared + [(1,)] * (len(calls) - shared)
+    assert all(coords[0][0] < 0.0 for coords in calls[shared:])
+
+
 # ------------------------------------------------------------- non-crossing
 
 
@@ -509,6 +529,12 @@ def test_trace_rejects_bad_which_and_bad_seed(plane_wave, bessel_ell2):
     )
     with pytest.raises(SeedError):
         pf.trace_streamline(plane_wave, outside, "re")
+    second_outside = pf.TraceConfig(  # a bundle checks every seed, not just the first
+        seeds=((0.0, 0.5), (5.0, 0.5)), parameterization="arc-length",
+        step=0.1, max_steps=10, domain=((-1.0, 1.0), (0.0, 1.0)),
+    )
+    with pytest.raises(SeedError, match=r"seed \(5.0, 0.5\) outside domain"):
+        pf.trace_streamline(plane_wave, second_outside, "re")
     on_axis = pf.TraceConfig(
         seeds=((0.0, 0.0, 0.0),), parameterization="paraxial-z",
         step=0.1, max_steps=10,
