@@ -35,7 +35,8 @@ from .forces import Polarizability, force_from_sample, forces_from_momentum
 from .grids import GridSpec, frame_names, sample_grid
 from .observables import (PolarizationState, embed3, energy_density, local_momentum,
                           poynting_from_sample, singular_cells)
-from .tracing import ARC_LENGTH, PARAXIAL, TraceConfig, check_seeds, trace_streamline
+from .tracing import (ARC_LENGTH, PARAXIAL, TraceConfig, check_domain, check_seeds,
+                      trace_streamline)
 from .weakmeasure import (CalciteSpec, calcite_fields, predicted_parameters, readout_momentum,
                           stokes_parameters)
 
@@ -357,7 +358,8 @@ def _cmd_trace(args) -> int:
     if not seeds:
         raise ParameterError("no seeds given")
     check_seeds(spec, seeds)
-    domain = _resolve_domain(args, spec, seeds, paraxial)
+    # checked here, before its z range sets the default step
+    domain = check_domain(_resolve_domain(args, spec, seeds, paraxial))
     if args.step is not None:
         step = args.step
     elif paraxial:

@@ -24,15 +24,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, field, fields
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Union, get_args
 
 import numpy as np
-from scipy import special
 
 from .errors import ParameterError, RegimeError, SingularPointError
 
 TWO_PI = 2.0 * math.pi
+
+
+@cache
+def special():
+    """scipy.special, imported on first use: only the Bessel family needs it,
+    and the import is more than half of a fresh process's start-up."""
+    from scipy import special
+    return special
 
 
 def _require_finite(name, value):
@@ -214,13 +221,15 @@ class GaussianPairSpec(_FieldFamily):
         carrier = np.exp(1j * k * z)
         u1 = x - self.a_mm
         u2 = x + self.a_mm
-        e1 = np.exp(1j * k * u1 * u1 / (2.0 * q))
-        e2 = np.exp(1j * k * u2 * u2 / (2.0 * q))
-        envelope = winv * (e1 + e2)
+        two_q = 2.0 * q
+        e1 = np.exp(1j * k * u1 * u1 / two_q)
+        e2 = np.exp(1j * k * u2 * u2 / two_q)
+        both = e1 + e2
+        envelope = winv * both
         psi = envelope * carrier
         gx = winv * (1j * k / q) * (u1 * e1 + u2 * e2) * carrier
-        dq2 = -1j * k / (2.0 * q * q)
-        gz = (dwinv * (e1 + e2) + winv * (u1 * u1 * e1 + u2 * u2 * e2) * dq2) * carrier \
+        dq2 = -1j * k / (two_q * q)
+        gz = (dwinv * both + winv * (u1 * u1 * e1 + u2 * u2 * e2) * dq2) * carrier \
             + 1j * k * psi
         return psi, (gx, gz)
 
@@ -253,10 +262,16 @@ class BesselSpec(_FieldFamily):
     def ndim(self) -> int:
         return 3
 
-    @property
+    @cached_property  # once per spec, as _orders: psi_grad reads both on every call
     def k_z(self) -> float:
         k = self.wave.k
         return math.sqrt((k - self.k_perp) * (k + self.k_perp))
+
+    @cached_property
+    def _orders(self):
+        """The orders m - 1, m, m + 1 of J with m = |ell|."""
+        m = float(abs(self.ell))  # an ell beyond int64 would make an object array jv rejects
+        return np.array([m - 1.0, m, m + 1.0])
 
     def max_wavenumber(self) -> float:
         return self.wave.k
@@ -265,13 +280,12 @@ class BesselSpec(_FieldFamily):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         z = np.asarray(z, dtype=float)
-        m = float(abs(self.ell))  # an ell beyond int64 would make an object array jv rejects
         kp = self.k_perp
         kz = self.k_z
         r = np.hypot(x, y)
         phi = np.arctan2(y, x)
-        orders = np.array([m - 1.0, m, m + 1.0]).reshape((3,) + (1,) * r.ndim)
-        j_lo, jm, j_hi = special.jv(orders, kp * r)
+        orders = self._orders.reshape((3,) + (1,) * r.ndim)
+        j_lo, jm, j_hi = special().jv(orders, kp * r)
         carrier = np.exp(1j * (self.ell * phi + kz * z))
         psi = jm * carrier
 

@@ -45,16 +45,24 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import ParameterError, SeedError, SingularPointError
-from .fields import BesselSpec, FieldSample, FieldSpec, evaluate
+from .fields import BesselSpec, FieldSample, FieldSpec, evaluate, special
 from .observables import SINGULAR_REL_THRESHOLD, _is_singular, local_momentum
 
 PARAXIAL = "paraxial-z"
 ARC_LENGTH = "arc-length"
 
 _MAX_HALVINGS = 8
+
+
+def check_domain(domain) -> tuple:
+    """The domain as (lo, hi) float pairs; ParameterError unless each is finite and ordered."""
+    domain = tuple((float(lo), float(hi)) for lo, hi in domain)
+    for lo, hi in domain:
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ParameterError(f"domain bounds must be finite and ordered, got {(lo, hi)}")
+    return domain
 
 
 @dataclass(frozen=True)
@@ -85,10 +93,7 @@ class TraceConfig:
             raise ParameterError(f"max_steps must be >= 1, got {self.max_steps!r}")
         if not self.vortex_guard > 1.0:
             raise ParameterError(f"vortex_guard must be > 1, got {self.vortex_guard!r}")
-        domain = tuple((float(lo), float(hi)) for lo, hi in self.domain)
-        for lo, hi in domain:
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise ParameterError(f"domain bounds must be finite and ordered, got {(lo, hi)}")
+        domain = check_domain(self.domain)
         object.__setattr__(self, "domain", domain)
         seeds = tuple(tuple(float(c) for c in s) for s in self.seeds)
         if not seeds:
@@ -378,7 +383,7 @@ def trace_bessel_helix(spec: BesselSpec, r0: float, phi0: float, z_end: float,
     m = abs(spec.ell)
     x0 = spec.k_perp * r0
     n_zeros = int(x0 / math.pi) + 2
-    zeros = special.jn_zeros(m, n_zeros)
+    zeros = special().jn_zeros(m, n_zeros)
     nearest = zeros[np.argmin(np.abs(zeros - x0))]
     if abs(x0 - nearest) / nearest < 1e-6:
         raise SeedError(

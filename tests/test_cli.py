@@ -703,6 +703,15 @@ def pair(w0, lambda_mm=1):
     # a bundle seed on the vortex axis
     (["trace", "--field-json", BESSEL, "--mode", "3d", "--seeds-inline", "0.5,0,0;0,0,0"], {},
      "seed (0.0, 0.0, 0.0) sits on a field zero"),
+    # an empty, inverted or non-finite z range, where the default step would come from it
+    (PLANE_TRACE + ["--domain=z:1:1"], {},
+     "domain bounds must be finite and ordered, got (1.0, 1.0)"),
+    (PLANE_TRACE + ["--domain=z:2:1"], {},
+     "domain bounds must be finite and ordered, got (2.0, 1.0)"),
+    (PLANE_TRACE + ["--domain=z:0:inf"], {},
+     "domain bounds must be finite and ordered, got (0.0, inf)"),
+    (PLANE_TRACE + ["--domain=z:nan:1"], {},
+     "domain bounds must be finite and ordered, got (nan, 1.0)"),
 ])
 def test_rejected_input_exits_two_with_its_message(tmp_path, capsys, argv, files, message):
     for name, text in files.items():
@@ -1010,6 +1019,31 @@ def test_python_m_photonflow_runs_the_cli():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "trace" in proc.stdout
+
+
+# run in a fresh interpreter: this process already holds scipy.special
+COLD_START = """
+import json, sys
+import photonflow, photonflow.cli
+code = photonflow.cli.run(["fieldmap", "--field-json", sys.argv[1], "--grid", "x:0:1:8,z:0:1:8",
+                           "--layers", "amp,re_px", "--out", sys.argv[2]])
+cold = [name for name in ("scipy", "scipy.special") if name in sys.modules]
+sample = photonflow.evaluate(photonflow.field_from_dict(json.loads(sys.argv[3])), (0.3, 0.2, 0.1))
+print(json.dumps([code, cold, "scipy.special" in sys.modules,
+                  [z.hex() for v in (sample.psi, *sample.grad_psi) for z in (v.real, v.imag)]]))
+"""
+
+
+def test_scipy_special_loads_on_the_first_bessel_evaluation(tmp_path):
+    src = os.path.dirname(os.path.dirname(pf.__file__))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", COLD_START, PLANE,
+                           str(tmp_path / "map.json"), BESSEL],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    code, cold, loaded, bits = json.loads(proc.stdout.splitlines()[-1])
+    assert (code, cold, loaded) == (0, [], True)
+    sample = pf.evaluate(pf.field_from_dict(json.loads(BESSEL)), (0.3, 0.2, 0.1))
+    assert bits == [z.hex() for v in (sample.psi, *sample.grad_psi) for z in (v.real, v.imag)]
 
 
 def test_console_script_is_wired():

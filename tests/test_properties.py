@@ -12,14 +12,19 @@ A traced bundle is one set of array evaluations per RK4 stage, and the same
 holds for its rows: row i of a bundle equals seed i traced in a bundle with
 any one other seed, whichever of the two stops first and for whatever cause.
 
-Valid or not, a `trace` command line ends in exit 0 or 2, never in exit 1:
-the drawn command lines span every field family, mode and orientation, with
-seeds inside the domain, on its edge, outside it and on a field zero.  The
-suite turns warnings into errors, so a warning inside the command is an
+Valid or not, a `trace` or `fieldmap` command line ends in exit 0 or 2,
+never in exit 1.  The drawn `trace` command lines span every field family,
+mode and orientation, with seeds inside the domain, on its edge, outside it
+and on a field zero.  The drawn `fieldmap` command lines span every family,
+with specs that lose a key, gain one or take an extreme value, every layer,
+and grids that are malformed, too coarse, inverted, infinite, far out or
+off the field's frame.  The suite turns RuntimeWarning and
+DeprecationWarning into errors, so such a warning inside the command is an
 exit 1 too.
 """
 
 import json
+import math
 from dataclasses import replace
 from itertools import combinations
 
@@ -231,4 +236,100 @@ def trace_argv(draw):
 @given(argv=trace_argv())
 def test_a_trace_command_exits_0_or_2(argv, tmp_path_factory):
     out = tmp_path_factory.getbasetemp() / "trace-argv.csv"
+    assert cli.run(argv + ["--out", str(out)]) in (0, 2)
+
+
+# ------------------------------------------------------------ fieldmap argv
+
+# Each weighted list keeps its rare entries away from its ends, which hypothesis
+# draws more often than the rest.
+
+# a spec may lose a key, gain an unknown one or take an extreme or non-numeric value
+SPEC_EDITS = st.sampled_from([None] * 9 + ["drop", "unknown", "extreme"] + [None] * 9)
+EXTREMES = st.sampled_from([0.0, -1.0, 1e-300, 1e300, -1e300, "x", None, [], True])
+# mostly valid, some far out where a field over- or underflows; an empty, malformed,
+# inverted, infinite or too-coarse clause exits 2
+AXIS_KINDS = (["valid"] * 18 + ["far"] * 4
+              + ["empty", "inverted", "infinite", "nan", "count", "token", "parts"]
+              + ["valid"] * 18)
+
+
+@st.composite
+def field_spec_json(draw):
+    family = draw(st.sampled_from(sorted(FIELD_JSON)))
+    spec = {"family": family, **draw(FIELD_JSON[family])}
+    frame = "xyz" if family == "bessel" or len(spec.get("direction", ())) == 3 else "xz"
+    edit = draw(SPEC_EDITS)
+    key = draw(st.sampled_from(sorted(spec)))
+    if edit == "drop":
+        del spec[key]
+    elif edit == "unknown":
+        spec["colour"] = 1.0
+    elif edit == "extreme":
+        spec[key] = draw(EXTREMES)
+    return frame, spec
+
+
+@st.composite
+def axis_clause(draw, name):
+    lo = draw(_floats(-5.0, 5.0))
+    hi = lo + draw(_floats(0.1, 5.0))
+    count = draw(st.integers(2, 32))
+    kind = draw(st.sampled_from(AXIS_KINDS))
+    if kind == "far":
+        lo, hi = 10.0 * lo, 10.0 * hi
+    elif kind == "empty":
+        hi = lo
+    elif kind == "inverted":
+        lo, hi = hi + 1.0, lo
+    elif kind == "infinite":
+        lo = draw(st.sampled_from([-math.inf, math.inf]))
+    elif kind == "nan":
+        lo = math.nan
+    elif kind == "count":
+        count = draw(st.integers(-1, 1))
+    elif kind == "token":
+        count = draw(st.sampled_from(["", "a", "1.5", "1e1"]))
+    elif kind == "parts":
+        return f"{name}:{lo!r}:{hi!r}"
+    return f"{name}:{lo!r}:{hi!r}:{count}"
+
+
+@st.composite
+def fieldmap_argv(draw):
+    frame, spec = draw(field_spec_json())
+    # axes mostly in the frame; y on a planar field, q or a repeated axis exit 2
+    names = draw(st.sampled_from([frame[:2], frame[::-1][:2]] * 4 + ["xy", "zq", "xx"]
+                                 + [frame[:2], frame[::-1][:2]] * 4))
+    clauses = [draw(axis_clause(name)) for name in names]
+    clauses = draw(st.sampled_from([clauses] * 8 + [clauses[:1], clauses * 2,
+                                                    [c + ",," for c in clauses]]
+                                   + [clauses] * 9))
+    layers = draw(st.lists(st.sampled_from(cli.ALL_LAYERS), min_size=1, max_size=4))
+    if draw(st.booleans()) and draw(st.booleans()):  # a stokes-only or unknown layer, or ""
+        layers.insert(draw(st.integers(0, len(layers))),
+                      draw(st.sampled_from(["S1_pred", "bogus", ""])))
+    argv = ["fieldmap", "--field-json", json.dumps(spec), "--grid", ",".join(clauses),
+            "--layers", ",".join(layers), "--pol", draw(st.sampled_from(sorted(cli._POLS))),
+            "--bound", draw(st.sampled_from(["uniform", "piecewise", "uniform", "uniform"]))]
+    # off-axis coordinates of a 3D frame, rarely one outside the frame
+    off = [n for n in frame if n not in names] * 3
+    off = off + ["y", "q"] + off
+    if draw(st.booleans()) and (len(frame) == 3 or draw(st.integers(0, 3)) == 3):
+        fixed = draw(st.sampled_from(off))
+        value = draw(st.sampled_from(["0.25", "-1", "3"] * 2 + ["inf", "nan", "a", ""]
+                                     + ["0.25", "-1", "3"] * 2))
+        argv.append(f"--fixed={fixed}={value}" if value else f"--fixed={fixed}")
+    for flag, values in (("--superluminal-guard",
+                          st.sampled_from([0.0, 1e-5, 0.5, -1.0, math.inf, math.nan])),
+                         ("--delta-x-mm", st.sampled_from([1e-4, 0.0, -1e-3, 1e3]))):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(values)!r}")
+    return argv
+
+
+@settings(max_examples=120)
+@given(argv=fieldmap_argv())
+def test_a_fieldmap_command_exits_0_or_2(argv, tmp_path_factory):
+    out = tmp_path_factory.getbasetemp() / "fieldmap-argv.json"
     assert cli.run(argv + ["--out", str(out)]) in (0, 2)
