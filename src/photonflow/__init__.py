@@ -17,6 +17,7 @@ from .anomaly import (
 from .errors import (
     DegeneratePointerError,
     ParameterError,
+    ParameterWarning,
     RegimeError,
     ResolutionError,
     SeedError,

@@ -8,12 +8,19 @@ force maps), render (PGM raster of one scalar layer).
 The CLI holds no physics: each grid command samples its grid once, and
 every library result it writes is derived from that sample at most once.
 
-Output discipline: JSON is compact with sorted keys, floats use Python's
-shortest round-trip repr, CSV floats likewise, PGM is binary P5; no
-timestamps or environment data enter any output, so identical inputs
-give byte-identical files.  Samples where a quantity is undefined are
-written as the string "singular", never as silent zeros.  Exit codes:
-0 success, 2 validation/usage error, 1 runtime failure.
+Output discipline: JSON is compact with sorted keys, floats are written
+as Python's shortest round-trip repr writes them, CSV floats likewise, PGM
+is binary P5; no timestamps or environment data enter any output, so
+identical inputs give byte-identical files.  Float layers and trace rows
+are written by orjson where its text is repr's: zeros and 1e-4 <= |x| <
+1e16.  Both print the unique shortest digits that round-trip and lie
+nearest the value, so the two can differ only in layout (orjson writes
+0.00001 and 1e-7 where repr writes 1e-05 and 1e-07); every other float
+is written by repr itself.  Samples where a quantity is undefined are
+written as the string "singular", never as silent zeros.  photonflow's
+own warnings (ParameterWarning) go to stderr as "warning: ..." and never
+stop a command.  Exit codes: 0 success, 2 validation/usage error, 1
+runtime failure.
 """
 
 from __future__ import annotations
@@ -22,14 +29,17 @@ import argparse
 import json
 import math
 import sys
+import warnings
+from functools import cache
 from itertools import chain
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .anomaly import anomalies_in_sample, check_label_options, vortices_in_sample
-from .errors import ParameterError
+from .errors import ParameterError, ParameterWarning
 from .fields import FieldSpec, GaussianPairSpec, field_from_dict
 from .forces import Polarizability, force_from_sample, forces_from_momentum
 from .grids import GridSpec, frame_names, sample_grid
@@ -59,52 +69,95 @@ def _check_finite(name, finite, mask):
                              "values outside singular cells")
 
 
-def _scalar_rows(name, values, mask=None):
+@cache
+def _orjson():
+    """orjson, imported on the first artifact write, as fields.special is."""
+    import orjson
+    return orjson
+
+
+class _FloatLayer(NamedTuple):
+    """A float layer as written: its values and the singular mask of its
+    cells, or None.  A vector layer's values end in an [x, y, z] axis that
+    its mask lacks."""
+    values: np.ndarray
+    mask: np.ndarray | None
+
+
+def _float_text(values, mask=None) -> str:
+    """The text of json.dumps(cells.tolist(), separators=(",", ":")), where
+    cells holds the floats of `values` (of one or more dimensions) with
+    "singular" on the cells of `mask`.
+
+    orjson writes zeros and every float with 1e-4 <= |x| < 1e16: there its
+    text is repr's.  Every other float and every masked one is set to NaN,
+    which orjson writes as null, and the nulls are replaced in order by the
+    floats' repr and "singular"."""
+    floats = np.array(values, dtype=np.float64, order="C")
+    size = np.abs(floats)
+    other = ~(((size >= 1e-4) & (size < 1e16)) | (floats == 0.0))
+    if mask is not None:
+        masked = np.broadcast_to(mask.reshape(mask.shape + (1,) * (floats.ndim - mask.ndim)),
+                                 floats.shape)
+        other |= masked
+    texts = list(map(repr, floats[other].tolist()))
+    if mask is not None:
+        for i in np.flatnonzero(masked[other]).tolist():
+            texts[i] = '"singular"'
+    floats[other] = np.nan
+    lib = _orjson()
+    text = lib.dumps(floats, option=lib.OPT_SERIALIZE_NUMPY).decode("ascii")
+    if not texts:
+        return text
+    pieces = text.split("null")
+    if len(pieces) != len(texts) + 1:
+        raise RuntimeError(f"orjson wrote {len(pieces) - 1} nulls for {len(texts)} floats")
+    out = [""] * (2 * len(texts) + 1)
+    out[0::2] = pieces
+    out[1::2] = texts
+    text = "".join(out)
+    if mask is not None and mask.ndim < floats.ndim:  # a masked [x, y, z] cell is one "singular"
+        text = text.replace('["singular","singular","singular"]', '"singular"')
+    return text
+
+
+def _scalar_layer(name, values, mask=None) -> _FloatLayer:
     values = np.asarray(values, dtype=float)
     _check_finite(name, np.isfinite(values), mask)
-    if mask is None or not mask.any():
-        return values.tolist()
-    cells = values.astype(object)
-    cells[mask] = "singular"
-    return cells.tolist()
+    return _FloatLayer(values, mask)
 
 
-def _vector_rows(name, vx, vy, vz, mask=None):
+def _vector_layer(name, vx, vy, vz, mask=None) -> _FloatLayer:
     triples = np.stack([np.asarray(vx, dtype=float),
                         np.asarray(vy, dtype=float),
                         np.asarray(vz, dtype=float)], axis=-1)
     _check_finite(name, np.isfinite(triples).all(axis=-1), mask)
-    if mask is None or not mask.any():
-        return triples.tolist()
-    # one object cell per [x, y, z] list, so a whole cell can become "singular"
-    cells = np.fromiter(triples.reshape(-1, 3).tolist(), dtype=object, count=mask.size)
-    cells[mask.ravel()] = "singular"
-    return cells.reshape(mask.shape).tolist()
+    return _FloatLayer(triples, mask)
 
 
-# grid layers: name -> rows built from the layer name and the command's
+# grid layers: name -> layer built from the layer name and the command's
 # library results (_derivations)
 _LAYERS = {
-    "amp": lambda n, d: _scalar_rows(n, d["sample"].amplitude),
-    "phase": lambda n, d: _scalar_rows(n, np.angle(d["sample"].psi), d["mask"]),
-    "re_px": lambda n, d: _scalar_rows(n, d["momentum"].re_p[0], d["mask"]),
-    "re_pz": lambda n, d: _scalar_rows(n, d["momentum"].re_p[-1], d["mask"]),
-    "im_px": lambda n, d: _scalar_rows(n, d["momentum"].im_p[0], d["mask"]),
-    "im_pz": lambda n, d: _scalar_rows(n, d["momentum"].im_p[-1], d["mask"]),
-    "S1": lambda n, d: _scalar_rows(n, d["stokes"][0], d["stokes"][3]),
-    "S2": lambda n, d: _scalar_rows(n, d["stokes"][1], d["stokes"][3]),
-    "S3": lambda n, d: _scalar_rows(n, d["stokes"][2], d["stokes"][3]),
-    "W": lambda n, d: _scalar_rows(n, energy_density(d["sample"])),
-    "P_O": lambda n, d: _vector_rows(n, *d["poynting"].P_O),
-    "P_S": lambda n, d: _vector_rows(n, *d["poynting"].P_S),
+    "amp": lambda n, d: _scalar_layer(n, d["sample"].amplitude),
+    "phase": lambda n, d: _scalar_layer(n, np.angle(d["sample"].psi), d["mask"]),
+    "re_px": lambda n, d: _scalar_layer(n, d["momentum"].re_p[0], d["mask"]),
+    "re_pz": lambda n, d: _scalar_layer(n, d["momentum"].re_p[-1], d["mask"]),
+    "im_px": lambda n, d: _scalar_layer(n, d["momentum"].im_p[0], d["mask"]),
+    "im_pz": lambda n, d: _scalar_layer(n, d["momentum"].im_p[-1], d["mask"]),
+    "S1": lambda n, d: _scalar_layer(n, d["stokes"][0], d["stokes"][3]),
+    "S2": lambda n, d: _scalar_layer(n, d["stokes"][1], d["stokes"][3]),
+    "S3": lambda n, d: _scalar_layer(n, d["stokes"][2], d["stokes"][3]),
+    "W": lambda n, d: _scalar_layer(n, energy_density(d["sample"])),
+    "P_O": lambda n, d: _vector_layer(n, *d["poynting"].P_O),
+    "P_S": lambda n, d: _vector_layer(n, *d["poynting"].P_S),
     "label": lambda n, d: d["anomalies"].label_names().tolist(),
-    "S1_pred": lambda n, d: _scalar_rows(n, d["prediction"][0], d["mask"]),
-    "S2_pred": lambda n, d: _scalar_rows(n, d["prediction"][1], d["mask"]),
-    "S3_pred": lambda n, d: _scalar_rows(n, d["prediction"][2], d["mask"]),
-    "re_px_readout": lambda n, d: _scalar_rows(n, d["readout"][0], d["stokes"][3]),
-    "im_px_readout": lambda n, d: _scalar_rows(n, d["readout"][1], d["stokes"][3]),
-    "F_grad": lambda n, d: _vector_rows(n, *d["force"][0], d["force"][2]),
-    "F_scat": lambda n, d: _vector_rows(n, *d["force"][1], d["force"][2]),
+    "S1_pred": lambda n, d: _scalar_layer(n, d["prediction"][0], d["mask"]),
+    "S2_pred": lambda n, d: _scalar_layer(n, d["prediction"][1], d["mask"]),
+    "S3_pred": lambda n, d: _scalar_layer(n, d["prediction"][2], d["mask"]),
+    "re_px_readout": lambda n, d: _scalar_layer(n, d["readout"][0], d["stokes"][3]),
+    "im_px_readout": lambda n, d: _scalar_layer(n, d["readout"][1], d["stokes"][3]),
+    "F_grad": lambda n, d: _vector_layer(n, *d["force"][0], d["force"][2]),
+    "F_scat": lambda n, d: _vector_layer(n, *d["force"][1], d["force"][2]),
 }
 ALL_LAYERS = ("amp", "phase", "re_px", "re_pz", "im_px", "im_pz", "S1", "S2", "S3", "W",
               "P_O", "P_S", "label")
@@ -204,13 +257,30 @@ def _provenance(spec, args) -> dict:
     }
 
 
-def _write_json(path: str, obj) -> None:
-    # json.dumps runs the C encoder; json.dump streams through the pure-Python
-    # one.  Both give the same text.  Two writes, since text + "\n" would copy
-    # the whole artifact once more.
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def _write_object(fh, obj: dict) -> None:
+    """Write obj as _dumps writes it, one value at a time: float layers go
+    through _float_text and the dicts that hold them are walked likewise."""
+    fh.write("{")
+    for i, key in enumerate(sorted(obj)):
+        value = obj[key]
+        fh.write(f"{',' if i else ''}{_dumps(key)}:")
+        if isinstance(value, _FloatLayer):
+            fh.write(_float_text(*value))
+        elif isinstance(value, dict) and any(isinstance(v, _FloatLayer) for v in value.values()):
+            _write_object(fh, value)
+        else:
+            fh.write(_dumps(value))
+    fh.write("}")
+
+
+def _write_json(path: str, obj: dict) -> None:
+    # each piece is written as soon as it is encoded: no whole-artifact string
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        _write_object(fh, obj)
         fh.write("\n")
 
 
@@ -331,16 +401,16 @@ def _resolve_domain(args, spec, seeds, paraxial: bool) -> tuple:
 
 
 def _write_trace_csv(path: str, trajectories) -> None:
-    header = "traj_id,s_or_z,x,y,z,re_px,re_py,re_pz,im_px,im_py,im_pz"
-    lines = [header]
-    for tid, traj in enumerate(trajectories):
-        ndim = traj.points.shape[1]
-        momenta = embed3(traj.momenta.T, ndim).T
-        rows = np.column_stack(
-            [traj.params, embed3(traj.points.T, ndim).T, momenta.real, momenta.imag])
-        lines += [",".join([str(tid)] + [repr(v) for v in row]) for row in rows.tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("traj_id,s_or_z,x,y,z,re_px,re_py,re_pz,im_px,im_py,im_pz\n")
+        for tid, traj in enumerate(trajectories):  # each holds at least its seed
+            ndim = traj.points.shape[1]
+            momenta = embed3(traj.momenta.T, ndim).T
+            rows = np.column_stack(
+                [traj.params, embed3(traj.points.T, ndim).T, momenta.real, momenta.imag])
+            # [[a,b],[c,d]] becomes the lines "tid,a,b" and "tid,c,d"
+            text = _float_text(rows)[2:-2].replace("],[", f"\n{tid},")
+            fh.write(f"{tid},{text}\n")
 
 
 def _cmd_trace(args) -> int:
@@ -365,6 +435,9 @@ def _cmd_trace(args) -> int:
     elif paraxial:
         z_lo, z_hi = domain[-1]
         step = (z_hi - z_lo) / 1000.0
+        if not 0.0 < step < math.inf:
+            raise ParameterError(f"the z range ({z_lo}, {z_hi}) gives no default step "
+                                 f"((z_hi - z_lo) / 1000 = {step}); pass --step")
     else:
         step = spec.wave.lambda_mm / 20.0
     cfg = TraceConfig(seeds=seeds, parameterization=parameterization, step=step,
@@ -584,6 +657,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_reporter(show):
+    """A showwarning that prints ParameterWarning as "warning: ..." and passes
+    every other warning on to show."""
+    def report(message, category, *args, **kwargs):
+        if issubclass(category, ParameterWarning):
+            print(f"warning: {message}", file=sys.stderr)
+        else:
+            show(message, category, *args, **kwargs)
+    return report
+
+
 def run(argv) -> int:
     """Parse argv (without the program name) and execute one subcommand."""
     argv = list(argv)
@@ -594,7 +678,11 @@ def run(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     args.argv = argv
     try:
-        return args.handler(args)
+        with warnings.catch_warnings():
+            # photonflow's own warnings never stop a valid command, even under -W error
+            warnings.simplefilter("always", ParameterWarning)
+            warnings.showwarning = _warning_reporter(warnings.showwarning)
+            return args.handler(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

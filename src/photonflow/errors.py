@@ -26,3 +26,9 @@ class ResolutionError(ParameterError):
 
 class SeedError(ParameterError):
     """A trajectory seed sits on (or numerically too close to) a field zero."""
+
+
+class ParameterWarning(UserWarning):
+    """A valid parameter lies where a result's documented assumption no longer
+    holds (a gain medium, a calcite shift that is not small); the result is
+    still computed."""

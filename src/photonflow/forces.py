@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SingularPointError
+from .errors import ParameterError, ParameterWarning, SingularPointError
 from .fields import FieldSample, FieldSpec, evaluate
 from .observables import ComplexMomentum, _is_singular, embed3
 
@@ -38,7 +38,7 @@ class Polarizability:
         if chi.imag < 0.0:
             # 3 skips the dataclass __init__ to name the constructor's caller
             warnings.warn("Im(chi) < 0 describes gain, not a passive particle",
-                          stacklevel=3)
+                          ParameterWarning, stacklevel=3)
         object.__setattr__(self, "chi", chi)
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegeneratePointerError, ParameterError, SingularPointError
+from .errors import DegeneratePointerError, ParameterError, ParameterWarning, SingularPointError
 from .fields import FieldSpec, GaussianPairSpec, evaluate
 from .observables import ComplexMomentum, PolarizationState, singular_cells
 
@@ -82,7 +82,7 @@ def calcite_fields(spec: FieldSpec, cal: CalciteSpec, coords, psi):
     if isinstance(spec, GaussianPairSpec) and abs(cal.delta_x) > spec.w0_mm / 100.0:
         warnings.warn(
             f"delta_x = {cal.delta_x} mm exceeds w0/100 = {spec.w0_mm / 100.0} mm; "
-            "the first-order Stokes readout may be inaccurate", stacklevel=2)
+            "the first-order Stokes readout may be inaccurate", ParameterWarning, stacklevel=2)
     psi_shift, _ = spec.psi_grad(coords[0] - cal.delta_x, *coords[1:])
     return cal.pol.ex * psi_shift, cal.pol.ey * psi
 

@@ -207,13 +207,14 @@ def test_layers_of_an_overflowing_grid_exit_two_without_a_warning(tmp_path, caps
 
 def test_row_builders_reject_non_finite_cells_outside_the_mask():
     mask = np.array([[True, False]])
-    assert cli._scalar_rows("S1", [[np.inf, 1.0]], mask) == [["singular", 1.0]]
+    assert cli._float_text(*cli._scalar_layer("S1", [[np.inf, 1.0]], mask)) == (
+        '[["singular",1.0]]')
     with pytest.raises(pf.ParameterError, match="layer 'S1'"):
-        cli._scalar_rows("S1", [[1.0, np.nan]], mask)
-    assert cli._vector_rows("F_grad", [[np.nan, 1.0]], [[0.0, 2.0]], [[0.0, 3.0]], mask) == [
-        ["singular", [1.0, 2.0, 3.0]]]
+        cli._scalar_layer("S1", [[1.0, np.nan]], mask)
+    layer = cli._vector_layer("F_grad", [[np.nan, 1.0]], [[0.0, 2.0]], [[0.0, 3.0]], mask)
+    assert cli._float_text(*layer) == '[["singular",[1.0,2.0,3.0]]]'
     with pytest.raises(pf.ParameterError, match="layer 'F_grad'"):
-        cli._vector_rows("F_grad", [[0.0, 1.0]], [[0.0, -np.inf]], [[0.0, 3.0]], mask)
+        cli._vector_layer("F_grad", [[0.0, 1.0]], [[0.0, -np.inf]], [[0.0, 3.0]], mask)
 
 
 # ------------------------------------------------------------------ fieldmap
@@ -712,6 +713,13 @@ def pair(w0, lambda_mm=1):
      "domain bounds must be finite and ordered, got (0.0, inf)"),
     (PLANE_TRACE + ["--domain=z:nan:1"], {},
      "domain bounds must be finite and ordered, got (nan, 1.0)"),
+    # a finite, ordered z range whose default step underflows or overflows
+    (PLANE_TRACE + ["--domain=z:0:5e-324"], {},
+     "the z range (0.0, 5e-324) gives no default step ((z_hi - z_lo) / 1000 = 0.0); "
+     "pass --step"),
+    (PLANE_TRACE + ["--domain=z:-1e308:1e308"], {},
+     "the z range (-1e+308, 1e+308) gives no default step ((z_hi - z_lo) / 1000 = inf); "
+     "pass --step"),
 ])
 def test_rejected_input_exits_two_with_its_message(tmp_path, capsys, argv, files, message):
     for name, text in files.items():
@@ -991,23 +999,28 @@ def test_round_trip_of_grid_result(pair_file, tmp_path):
 def test_write_json_matches_the_streaming_encoder(tmp_path):
     mask = np.array([[False, True], [False, False]])
     obj = {
-        "scalar": cli._scalar_rows("s", [[-0.0, 1.0], [1e-05, 5e-324]], mask),
-        "vector": cli._vector_rows("v", [[1.7976931348623157e+308, 0.0], [2.0, -0.0]],
-                                   [[1e-05, 2.0], [3.0, 4.0]], [[5e-324, 1.0], [1.0, 1.0]], mask),
+        "layers": {
+            "scalar": cli._scalar_layer("s", [[-0.0, 1.0], [1e-05, 5e-324]], mask),
+            "vector": cli._vector_layer("v", [[1.7976931348623157e+308, 0.0], [2.0, -0.0]],
+                                        [[1e-05, 2.0], [3.0, 4.0]], [[5e-324, 1.0], [1.0, 1.0]],
+                                        mask),
+            "label": [["a", "b"], ["c", "d"]],
+        },
         "ints": [0, -3, 2**53 + 1],
-        "nested": {"b": {"z": 1, "a": [-0.0, 1e-05]}, "a": "text"},
+        "nested": {"b": {"z": 1, "a": [-0.0, 1e-05]}, "a": "text \u00e9"},
     }
-    assert obj["scalar"] == [[-0.0, "singular"], [1e-05, 5e-324]]
-    assert obj["vector"][0][1] == "singular"
-    assert obj["vector"][1] == [[2.0, 3.0, 1.0], [-0.0, 4.0, 1.0]]
+    # the same object with its float layers in list form
+    lists = dict(obj, layers=dict(obj["layers"], scalar=[[-0.0, "singular"], [1e-05, 5e-324]],
+                                  vector=[[[1.7976931348623157e+308, 1e-05, 5e-324], "singular"],
+                                          [[2.0, 3.0, 1.0], [-0.0, 4.0, 1.0]]]))
     path = tmp_path / "o.json"
     cli._write_json(str(path), obj)
     sink = io.StringIO()
-    json.dump(obj, sink, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    json.dump(lists, sink, sort_keys=True, separators=(",", ":"), allow_nan=False)
     blob = path.read_bytes()
     assert blob == (sink.getvalue() + "\n").encode("utf-8")
     for text in (b'"singular"', b"-0.0", b"1e-05", b"5e-324", b"1.7976931348623157e+308",
-                 b"9007199254740993"):
+                 b"9007199254740993", b"\\u00e9"):
         assert text in blob
 
 
@@ -1044,6 +1057,34 @@ def test_scipy_special_loads_on_the_first_bessel_evaluation(tmp_path):
     assert (code, cold, loaded) == (0, [], True)
     sample = pf.evaluate(pf.field_from_dict(json.loads(BESSEL)), (0.3, 0.2, 0.1))
     assert bits == [z.hex() for v in (sample.psi, *sample.grad_psi) for z in (v.real, v.imag)]
+
+
+@pytest.mark.parametrize("argv, warning", [
+    (["fieldmap", "--field-json", pair(0.5), "--grid", "x:-1:1:4,z:0:1:4", "--layers", "S3",
+      "--delta-x-mm", "1000"], "warning: delta_x = 1000.0 mm exceeds w0/100 = 0.005 mm"),
+    (["force", "--field-json", PLANE, "--grid", "x:0:1:4,z:0:1:4", "--chi=1e-3,-1e-4"],
+     "warning: Im(chi) < 0 describes gain, not a passive particle\n"),
+])
+def test_a_parameter_warning_does_not_stop_a_command_under_w_error(tmp_path, argv, warning):
+    src = os.path.dirname(os.path.dirname(pf.__file__))
+    out = tmp_path / "map.json"
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "photonflow", *argv,
+                           "--out", str(out)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.startswith(warning)
+    assert out.exists()
+
+
+def test_a_runtime_warning_in_a_command_still_raises(monkeypatch, capsys):
+    def warns(args):
+        np.float64(1.0) / np.float64(0.0)
+        return 0
+
+    monkeypatch.setattr(cli, "_cmd_fieldmap", warns)
+    assert cli.run(["fieldmap", "--field-json", PLANE, "--grid", "x:0:1:4,z:0:1:4",
+                    "--out", "unused.json"]) == 1
+    assert capsys.readouterr().err.startswith("runtime error in fieldmap (RuntimeWarning): ")
 
 
 def test_console_script_is_wired():

@@ -21,6 +21,10 @@ and grids that are malformed, too coarse, inverted, infinite, far out or
 off the field's frame.  The suite turns RuntimeWarning and
 DeprecationWarning into errors, so such a warning inside the command is an
 exit 1 too.
+
+A float layer's text is the text json.dumps gives its list form, and a trace
+CSV is the per-row repr join, for any finite floats, the boundaries of
+orjson's range and their neighbours included.
 """
 
 import json
@@ -333,3 +337,89 @@ def fieldmap_argv(draw):
 def test_a_fieldmap_command_exits_0_or_2(argv, tmp_path_factory):
     out = tmp_path_factory.getbasetemp() / "fieldmap-argv.json"
     assert cli.run(argv + ["--out", str(out)]) in (0, 2)
+
+
+# ------------------------------------------------------------ float text
+
+# zeros, the subnormal and normal minima, the ends of the range where orjson's
+# text is repr's, 2**53 + 1 (as a float, 2**53) and the largest double, each
+# with its neighbours and of both signs
+EDGES = [0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 1e-4, 1e15, 1e16, float(2**53 + 1),
+         1.7976931348623157e308]
+EDGE_FLOATS = [sign * v for x in EDGES for sign in (1.0, -1.0)
+               for v in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))
+               if math.isfinite(v)]
+CELL_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from(EDGE_FLOATS))
+
+
+def _float_array(draw, shape, elements=CELL_FLOATS):
+    size = math.prod(shape)
+    return np.array(draw(st.lists(elements, min_size=size, max_size=size)),
+                    dtype=float).reshape(shape)
+
+
+@st.composite
+def float_layer(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    shape = draw(st.sampled_from([(n,), (m, n), (m, n, 3)]))
+    values = _float_array(draw, shape)
+    if not draw(st.booleans()):
+        return values, None
+    mask = np.array(draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n)))
+    mask = mask[:n] if len(shape) == 1 else mask.reshape(m, n)
+    # a masked cell may hold anything, as an over- or underflowing one does
+    values[mask] = draw(st.sampled_from([0.0, math.inf, -math.inf, math.nan]))
+    return values, mask
+
+
+def list_form(values, mask):
+    if mask is None:
+        return values.tolist()
+    cells = np.empty(mask.shape, dtype=object)
+    for index in np.ndindex(mask.shape):
+        cells[index] = "singular" if mask[index] else values[index].tolist()
+    return cells.tolist()
+
+
+@settings(max_examples=400)
+@given(layer=float_layer())
+def test_float_text_is_the_text_of_json_dumps(layer):
+    values, mask = layer
+    assert cli._float_text(values, mask) == json.dumps(list_form(values, mask),
+                                                       separators=(",", ":"))
+
+
+# a trace's momenta may be infinite or NaN
+MOMENTUM_FLOATS = st.one_of(CELL_FLOATS, st.sampled_from([math.inf, -math.inf, math.nan]))
+
+
+@st.composite
+def trajectories(draw):
+    ndim = draw(st.sampled_from([2, 3]))
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, 5))
+        # (re, im) pairs read as complex, so that no arithmetic mixes inf and nan parts
+        momenta = _float_array(draw, (k, ndim, 2), MOMENTUM_FLOATS).view(complex)[..., 0]
+        out.append(pf.Trajectory(which="re", parameterization="paraxial",
+                                 params=_float_array(draw, (k,)),
+                                 points=_float_array(draw, (k, ndim)),
+                                 momenta=momenta,
+                                 termination="max-steps"))
+    return out
+
+
+@settings(max_examples=200)
+@given(trajs=trajectories())
+def test_trace_csv_is_the_per_row_repr_join(trajs, tmp_path_factory):
+    lines = ["traj_id,s_or_z,x,y,z,re_px,re_py,re_pz,im_px,im_py,im_pz"]
+    for tid, traj in enumerate(trajs):
+        ndim = traj.points.shape[1]
+        momenta = pf.embed3(traj.momenta.T, ndim).T
+        rows = np.column_stack(
+            [traj.params, pf.embed3(traj.points.T, ndim).T, momenta.real, momenta.imag])
+        lines += [",".join([str(tid)] + [repr(v) for v in row]) for row in rows.tolist()]
+    out = tmp_path_factory.getbasetemp() / "trace-rows.csv"
+    cli._write_trace_csv(str(out), trajs)
+    assert out.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
