@@ -11,16 +11,18 @@ every library result it writes is derived from that sample at most once.
 Output discipline: JSON is compact with sorted keys, floats are written
 as Python's shortest round-trip repr writes them, CSV floats likewise, PGM
 is binary P5; no timestamps or environment data enter any output, so
-identical inputs give byte-identical files.  Float layers and trace rows
-are written by orjson where its text is repr's: zeros and 1e-4 <= |x| <
-1e16.  Both print the unique shortest digits that round-trip and lie
-nearest the value, so the two can differ only in layout (orjson writes
-0.00001 and 1e-7 where repr writes 1e-05 and 1e-07); every other float
-is written by repr itself.  Samples where a quantity is undefined are
-written as the string "singular", never as silent zeros.  photonflow's
-own warnings (ParameterWarning) go to stderr as "warning: ..." and never
-stop a command.  Exit codes: 0 success, 2 validation/usage error, 1
-runtime failure.
+identical inputs give byte-identical files.  orjson writes every float of
+the layers and trace rows.  It prints the digits repr prints (both print
+the unique shortest digits that round-trip and lie nearest the value), so
+only the layout differs, in two ways that are fixed on orjson's bytes with
+numpy: an exponent gets repr's + or leading 0 (1e16 and 1e-7 become 1e+16
+and 1e-07), and 1e-5 <= |x| < 1e-4 is moved into exponent form (0.0000123
+becomes 1.23e-05).  Masked and non-finite floats go through orjson as NaN,
+which it writes as null, and each null is replaced in order.  Samples where
+a quantity is undefined are written as the string "singular", never as
+silent zeros.  photonflow's own warnings (ParameterWarning) go to stderr as
+"warning: ..." and never stop a command.  Exit codes: 0 success, 2
+validation/usage error, 1 runtime failure.
 """
 
 from __future__ import annotations
@@ -84,30 +86,106 @@ class _FloatLayer(NamedTuple):
     mask: np.ndarray | None
 
 
+class _LabelGrid(NamedTuple):
+    """A grid of names from anomaly.LABELS, as nested lists."""
+    names: list
+
+
+def _byte_class(chars: bytes) -> np.ndarray:
+    """A lookup table: True at the byte values in chars."""
+    table = np.zeros(256, dtype=bool)
+    table[list(chars)] = True
+    return table
+
+
+_DIGIT = _byte_class(b"0123456789")
+_TOKEN_END = _byte_class(b",]")
+_TOKEN_START = _byte_class(b"[,-")  # the byte before a number's first digit
+_E, _MINUS, _DOT, _ZERO = b"e-.0"
+_BLOCK = 1 << 14  # floats per _float_text call when a layer is written
+
+
+def _exponent_points(buf) -> list:
+    """Where repr's exponent differs from orjson's: the + after an e not
+    followed by -, and the 0 before a one-digit negative exponent."""
+    e = np.flatnonzero(buf == _E)
+    positive = buf[e + 1] != _MINUS
+    short = e[~positive]
+    short = short[_TOKEN_END[buf[short + 3]]]  # e-7, then , or ]
+    return [e[positive] + 1, short + 2]
+
+
+def _band_numbers(buf, band: int) -> tuple:
+    """Where the `band` numbers written as 0.0000... start (after [, , or
+    -), and how many significant digits follow the 0.0000 of each."""
+    dots = np.flatnonzero(buf[:-5] == _DOT)
+    for k in (4, 3, 2, 1, -1):
+        dots = dots[buf[dots + k] == _ZERO]
+    starts = dots[_TOKEN_START[buf[dots - 2]]] - 1
+    if len(starts) != band:
+        raise RuntimeError(f"orjson wrote {len(starts)} numbers as 0.0000... for {band} floats")
+    end = starts + 7
+    while (more := _DIGIT[buf[end]]).any():
+        end += more
+    return starts, end - starts - 6
+
+
+def _repr_layout(raw: bytes, band: int):
+    """orjson's text of a float array laid out as repr lays it out.
+
+    orjson prints the digits that repr prints (both print the shortest
+    digits that round-trip) but differs in two layouts, fixed here on the
+    bytes: after an exponent's e it writes no + and no leading 0 (1e16 and
+    1e-7 for repr's 1e+16 and 1e-07), and it writes the `band` floats with
+    1e-5 <= |x| < 1e-4 as 0.0000123 for repr's 1.23e-05.  Returns raw
+    itself when neither layout occurs, else a uint8 array."""
+    exponents = b"e" in raw
+    if not (exponents or band):
+        return raw
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    at, put = [], b""  # insertion points and the byte inserted at each
+    if exponents:
+        at += _exponent_points(buf)
+        put += b"+0"
+    if band:
+        starts, digits = _band_numbers(buf, band)
+        at = [p - 6 * np.searchsorted(starts, p) for p in at]  # once the 0.0000s are gone
+        buf = np.delete(buf, (starts[:, None] + np.arange(6)).ravel())
+        starts -= 6 * np.arange(band)
+        at += [starts[digits > 1] + 1] + [starts + digits] * 4  # 1.23e-05, 1e-05
+        put += b".e-05"
+    values = np.concatenate([np.full(len(p), c, np.uint8) for p, c in zip(at, put)])
+    return np.insert(buf, np.concatenate(at), values)
+
+
 def _float_text(values, mask=None) -> str:
     """The text of json.dumps(cells.tolist(), separators=(",", ":")), where
     cells holds the floats of `values` (of one or more dimensions) with
     "singular" on the cells of `mask`.
 
-    orjson writes zeros and every float with 1e-4 <= |x| < 1e16: there its
-    text is repr's.  Every other float and every masked one is set to NaN,
-    which orjson writes as null, and the nulls are replaced in order by the
-    floats' repr and "singular"."""
+    orjson writes every float and _repr_layout gives its text repr's layout.
+    Masked and non-finite floats are set to NaN, which orjson writes as null,
+    and the nulls are replaced in order by "singular" and the floats' repr
+    (inf, -inf and nan, which only a trace CSV holds)."""
     floats = np.array(values, dtype=np.float64, order="C")
-    size = np.abs(floats)
-    other = ~(((size >= 1e-4) & (size < 1e16)) | (floats == 0.0))
+    bad = ~np.isfinite(floats)
+    nulls = bad
     if mask is not None:
         masked = np.broadcast_to(mask.reshape(mask.shape + (1,) * (floats.ndim - mask.ndim)),
                                  floats.shape)
-        other |= masked
-    texts = list(map(repr, floats[other].tolist()))
-    if mask is not None:
-        for i in np.flatnonzero(masked[other]).tolist():
-            texts[i] = '"singular"'
-    floats[other] = np.nan
+        nulls = bad | masked
+        bad &= ~masked
+    texts = None
+    if nulls.any():
+        texts = ['"singular"'] * np.count_nonzero(nulls)
+        for i, value in zip(np.flatnonzero(bad[nulls]).tolist(), floats[bad].tolist()):
+            texts[i] = repr(value)
+        floats[nulls] = np.nan
+    size = np.abs(floats)
+    band = np.count_nonzero((size >= 1e-5) & (size < 1e-4))
     lib = _orjson()
-    text = lib.dumps(floats, option=lib.OPT_SERIALIZE_NUMPY).decode("ascii")
-    if not texts:
+    text = str(_repr_layout(lib.dumps(floats, option=lib.OPT_SERIALIZE_NUMPY), band), "ascii")
+    if texts is None:
         return text
     pieces = text.split("null")
     if len(pieces) != len(texts) + 1:
@@ -119,6 +197,18 @@ def _float_text(values, mask=None) -> str:
     if mask is not None and mask.ndim < floats.ndim:  # a masked [x, y, z] cell is one "singular"
         text = text.replace('["singular","singular","singular"]', '"singular"')
     return text
+
+
+def _write_floats(fh, values, mask=None) -> None:
+    """Write _float_text(values, mask) one block of rows at a time, so that
+    no whole-layer text and no whole-layer temporary is held."""
+    rows = max(1, _BLOCK * len(values) // max(1, values.size))
+    fh.write("[")
+    for i in range(0, len(values), rows):
+        if i:
+            fh.write(",")
+        fh.write(_float_text(values[i:i + rows], None if mask is None else mask[i:i + rows])[1:-1])
+    fh.write("]")
 
 
 def _scalar_layer(name, values, mask=None) -> _FloatLayer:
@@ -150,7 +240,7 @@ _LAYERS = {
     "W": lambda n, d: _scalar_layer(n, energy_density(d["sample"])),
     "P_O": lambda n, d: _vector_layer(n, *d["poynting"].P_O),
     "P_S": lambda n, d: _vector_layer(n, *d["poynting"].P_S),
-    "label": lambda n, d: d["anomalies"].label_names().tolist(),
+    "label": lambda n, d: _LabelGrid(d["anomalies"].label_names().tolist()),
     "S1_pred": lambda n, d: _scalar_layer(n, d["prediction"][0], d["mask"]),
     "S2_pred": lambda n, d: _scalar_layer(n, d["prediction"][1], d["mask"]),
     "S3_pred": lambda n, d: _scalar_layer(n, d["prediction"][2], d["mask"]),
@@ -263,14 +353,19 @@ def _dumps(value) -> str:
 
 def _write_object(fh, obj: dict) -> None:
     """Write obj as _dumps writes it, one value at a time: float layers go
-    through _float_text and the dicts that hold them are walked likewise."""
+    through _write_floats, label grids through orjson (their names are
+    ASCII, so its text is json.dumps's) and the dicts that hold them are
+    walked likewise."""
     fh.write("{")
     for i, key in enumerate(sorted(obj)):
         value = obj[key]
         fh.write(f"{',' if i else ''}{_dumps(key)}:")
         if isinstance(value, _FloatLayer):
-            fh.write(_float_text(*value))
-        elif isinstance(value, dict) and any(isinstance(v, _FloatLayer) for v in value.values()):
+            _write_floats(fh, *value)
+        elif isinstance(value, _LabelGrid):
+            fh.write(_orjson().dumps(value.names).decode("ascii"))
+        elif isinstance(value, dict) and any(isinstance(v, (_FloatLayer, _LabelGrid))
+                                             for v in value.values()):
             _write_object(fh, value)
         else:
             fh.write(_dumps(value))
@@ -330,7 +425,7 @@ def _cmd_anomaly(args) -> int:
         "provenance": _provenance(spec, args),
     }
     if args.with_labels:
-        out["labels"] = amap.label_names().tolist()
+        out["labels"] = _LabelGrid(amap.label_names().tolist())
     _write_json(args.out, out)
     return 0
 
@@ -578,6 +673,7 @@ def _add_grid_flags(sub):
                      help="off-axis coordinates as name=value[,name=value]")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="photonflow",
@@ -598,7 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--superluminal-guard", type=float, default=0.0,
                    help="relative margin above the bound before labeling superluminal")
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_fieldmap)
 
     p = subs.add_parser("stokes", help="calcite weak-measurement readout maps")
     _add_field_flags(p)
@@ -606,7 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-x-mm", type=float, default=1e-4)
     p.add_argument("--pol", choices=sorted(_POLS), default="diag")
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_stokes)
 
     p = subs.add_parser("trace", help="integrate momentum streamlines to CSV")
     _add_field_flags(p)
@@ -623,7 +717,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--guard", type=float, default=100.0,
                    help="vortex guard: step halving beyond |p| > guard*k")
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_trace)
 
     p = subs.add_parser("anomaly", help="vortices plus backflow/superluminal labels")
     _add_field_flags(p)
@@ -633,7 +726,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-labels", action="store_true",
                    help="include the per-cell label grid in the JSON")
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_anomaly)
 
     p = subs.add_parser("force", help="dipole gradient/scattering force maps")
     _add_field_flags(p)
@@ -643,7 +735,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalized", action="store_true",
                    help="emit F/W (momentum units) instead of raw forces")
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_force)
 
     p = subs.add_parser("render", help="write one scalar layer as a binary PGM")
     p.add_argument("--in", dest="input", required=True,
@@ -652,7 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--component", choices=sorted(_COMPONENTS), default=None,
                    help="component selector for vector layers")
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_render)
 
     return parser
 
@@ -682,7 +772,8 @@ def run(argv) -> int:
             # photonflow's own warnings never stop a valid command, even under -W error
             warnings.simplefilter("always", ParameterWarning)
             warnings.showwarning = _warning_reporter(warnings.showwarning)
-            return args.handler(args)
+            # looked up by name on each call: the parser is built once per process
+            return globals()[f"_cmd_{args.command}"](args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

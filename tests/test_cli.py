@@ -1024,6 +1024,72 @@ def test_write_json_matches_the_streaming_encoder(tmp_path):
         assert text in blob
 
 
+def test_write_json_writes_layers_block_by_block(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_BLOCK", 7)  # blocks of one to three rows
+    rng = np.random.default_rng(5)
+    scalar = rng.standard_normal((9, 4)) * 10.0 ** rng.uniform(-12, 20, (9, 4))
+    scalar[2, 1] = 1.5e-05
+    vector = rng.standard_normal((5, 4, 3)) * 10.0 ** rng.uniform(-8, -3, (5, 4, 3))
+    mask = rng.random((9, 4)) < 0.3
+    labels = [["normal", "backflow"], ["superluminal", "singular"]]
+    obj = {"layers": {"s": cli._scalar_layer("s", scalar, mask),
+                      "v": cli._vector_layer("v", *np.moveaxis(vector, -1, 0), mask[:5]),
+                      "label": cli._LabelGrid(labels)}}
+    lists = {"layers": {
+        "s": [["singular" if m else x for x, m in zip(r, mr)]
+              for r, mr in zip(scalar.tolist(), mask.tolist())],
+        "v": [["singular" if m else x for x, m in zip(r, mr)]
+              for r, mr in zip(vector.tolist(), mask[:5].tolist())],
+        "label": labels}}
+    path = tmp_path / "o.json"
+    cli._write_json(str(path), obj)
+    assert path.read_text(encoding="utf-8") == json.dumps(
+        lists, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_the_cached_parser_carries_nothing_from_one_run_to_the_next(tmp_path, capsys):
+    out, source = str(tmp_path / "out"), str(tmp_path / "map.json")
+    assert cli.run(["fieldmap", "--field-json", PLANE, "--grid", "x:0:1:4,z:0:1:4",
+                    "--layers", "P_O", "--out", source]) == 0
+    runs = [
+        ["fieldmap", "--field-json", BESSEL, "--grid", "x:-1:1:21,y:-1:1:21", "--fixed", "z=1",
+         "--layers", "amp,P_S,label", "--pol", "rcp", "--superluminal-guard", "0.5", "--out", out],
+        ["stokes", "--field-json", BESSEL, "--grid", "x:-1:1:21,y:-1:1:21", "--fixed", "z=1",
+         "--out", out],
+        ["fieldmap", "--field-json", BESSEL, "--grid", "x:-1:1:21,y:-1:1:21", "--fixed", "z=1",
+         "--layers", "P_S", "--out", out],
+        ["anomaly", "--field-json", BESSEL, "--grid", "x:-1:1:21,y:-1:1:21", "--fixed", "z=1",
+         "--with-labels", "--out", out],
+        ["anomaly", "--field-json", BESSEL, "--grid", "x:-1:1:21,y:-1:1:21", "--fixed", "z=1",
+         "--out", out],
+        ["force", "--field-json", PLANE, "--grid", "x:0:1:4,z:0:1:4", "--normalized",
+         "--out", out],
+        ["force", "--field-json", PLANE, "--grid", "x:0:1:4,z:0:1:4", "--out", out],
+        PLANE_TRACE + ["--mode", "arc", "--max-steps", "5", "--domain", "x:-1:1,z:-1:1",
+                       "--out", out],
+        PLANE_TRACE + ["--z-end", "1", "--out", out],
+        ["fieldmap", "--field-json", PLANE, "--out", out],
+        ["render", "--in", source, "--layer", "P_O", "--component", "z", "--out", out],
+        ["render", "--in", source, "--layer", "P_O", "--out", out],
+    ]
+
+    def outcome(argv):
+        if os.path.exists(out):
+            os.remove(out)
+        code = cli.run(argv)
+        blob = open(out, "rb").read() if os.path.exists(out) else None
+        return code, capsys.readouterr(), blob
+
+    assert cli.build_parser() is cli.build_parser()
+    cached = [outcome(argv) for argv in runs]
+    fresh = []
+    for argv in runs:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0] * 9 + [2, 0, 2]
+
+
 def test_python_m_photonflow_runs_the_cli():
     src = os.path.dirname(os.path.dirname(pf.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -341,16 +341,20 @@ def test_a_fieldmap_command_exits_0_or_2(argv, tmp_path_factory):
 
 # ------------------------------------------------------------ float text
 
-# zeros, the subnormal and normal minima, the ends of the range where orjson's
-# text is repr's, 2**53 + 1 (as a float, 2**53) and the largest double, each
-# with its neighbours and of both signs
+# zeros, the subnormal and normal minima, the ends of the band 1e-5 <= |x| <
+# 1e-4 and of orjson's positional text, 2**53 + 1 (as a float, 2**53), the
+# largest double and exponents of one, two and three digits, each with its
+# neighbours and of both signs
 EDGES = [0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 1e-4, 1e15, 1e16, float(2**53 + 1),
-         1.7976931348623157e308]
+         1.7976931348623157e308, 1e-6, 1e-9, 1e-10, 1e-99, 1e-100, 1e99, 1e100, 1e-307]
 EDGE_FLOATS = [sign * v for x in EDGES for sign in (1.0, -1.0)
                for v in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))
                if math.isfinite(v)]
+# st.floats() alone seldom lands in 1e-5 <= |x| < 1e-4 or on a one-digit negative exponent
 CELL_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                        st.sampled_from(EDGE_FLOATS))
+                        st.sampled_from(EDGE_FLOATS),
+                        st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from([1.0, -1.0]),
+                                  st.one_of(st.floats(-10, -3), st.floats(15, 308))))
 
 
 def _float_array(draw, shape, elements=CELL_FLOATS):
