@@ -33,8 +33,6 @@ import math
 import sys
 import warnings
 from functools import cache
-from itertools import chain
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -312,16 +310,21 @@ def _read_text(path: str, what: str) -> str:
         raise ParameterError(f"cannot read {what}: {path!r} is not UTF-8 text ({exc})")
 
 
+def _decode(text: str, what: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParameterError(f"{what} is not valid JSON: {exc}")
+    except RecursionError:  # nested past the interpreter's recursion limit
+        raise ParameterError(f"{what} nests arrays or objects too deeply to decode")
+
+
 def _load_field(args) -> FieldSpec:
     if getattr(args, "field_json", None):
         text = args.field_json
     else:
         text = _read_text(args.field, "field spec")
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"field spec is not valid JSON: {exc}")
-    return field_from_dict(obj)
+    return field_from_dict(_decode(text, "field spec"))
 
 
 def _parse_fixed(text: str) -> tuple:
@@ -559,6 +562,7 @@ def _cmd_force(args) -> int:
 
 _COMPONENTS = {"x": 0, "y": 1, "z": 2}
 _ROWS = (list, str, dict)  # len() works; the cells of str and dict rows are rejected
+_NUMBERS = (int, float)  # exact types: a bool is not a number
 
 
 def _non_finite(layer: str) -> ParameterError:
@@ -566,56 +570,50 @@ def _non_finite(layer: str) -> ParameterError:
                           "numeral beyond the float range)")
 
 
-def _render_cells(layer: str, cells, component):
-    """Float values and singular mask of a layer's cells (a flat object array
-    in row-major order).  The first cell that cannot be rendered raises; the
-    cells before it are converted first, so their own failures come first."""
-    types = np.fromiter(map(type, cells), dtype=object, count=cells.size)
-    mask = np.zeros(cells.size, dtype=bool)
-    vectors = np.zeros(cells.size, dtype=bool)
-    offending = np.zeros(cells.size, dtype=bool)
-    for kind in set(types.tolist()) - {int, float}:
-        of_kind = types == kind
-        if kind is str:
-            mask[of_kind] = cells[of_kind] == "singular"
-            offending |= of_kind & ~mask
-        elif kind is list and component is not None:
-            vectors = of_kind
-        else:
-            offending |= of_kind
-    end = int(offending.argmax()) if offending.any() else cells.size
-
-    numbers = cells[:end].copy()
-    numbers[(mask | vectors)[:end]] = 0.0
-    values = np.zeros(cells.size)
-    picks = np.flatnonzero(vectors[:end])
-    try:
-        values[:end] = numbers.astype(float)
-        if picks.size:
-            components = map(itemgetter(_COMPONENTS[component]), cells[picks])
-            values[picks] = np.fromiter(map(float, components), dtype=float, count=picks.size)
-    except OverflowError:  # an integer numeral too large for a float
-        raise _non_finite(layer)
-    except (IndexError, TypeError, ValueError):
-        raise ParameterError(
-            f"layer {layer!r} has a vector cell without a numeric {component} component")
-
-    if end < cells.size:
-        cell = cells[end]
-        if isinstance(cell, list):
-            raise ParameterError(
-                f"layer {layer!r} is a vector layer; pass --component x|y|z")
-        raise ParameterError(
-            f"layer {layer!r} is not numeric (cell {cell!r}); "
-            "categorical layers cannot be rendered")
+def _render_cells(layer: str, rows: list, width: int, component):
+    """Float values and singular mask of a layer's rows.  Rows and cells are
+    read in row-major order and the first failure raises: a row of the wrong
+    length, a cell that is neither a number nor "singular" (nor, with a
+    component, a vector cell holding a number there), or an integer numeral
+    beyond the float range.  A number is an int or a float, never a bool;
+    NaN and infinite floats pass, for the caller to report."""
+    axis = _COMPONENTS.get(component)
+    values = np.empty((len(rows), width))
+    mask = np.zeros((len(rows), width), dtype=bool)
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ParameterError(f"layer {layer!r} rows have inconsistent lengths")
+        numbers = row  # copied only when a cell is not a float
+        for j, cell in enumerate(row):
+            if type(cell) is float:
+                continue
+            if type(cell) is list and axis is not None:
+                cell = cell[axis] if axis < len(cell) else None
+                if type(cell) not in _NUMBERS:
+                    raise ParameterError(f"layer {layer!r} has a vector cell without a "
+                                         f"numeric {component} component")
+            if type(cell) in _NUMBERS:
+                try:
+                    value = float(cell)
+                except OverflowError:  # an integer numeral too large for a float
+                    raise _non_finite(layer)
+            elif cell == "singular":
+                mask[i, j] = True
+                value = 0.0
+            elif type(cell) is list:
+                raise ParameterError(f"layer {layer!r} is a vector layer; pass --component x|y|z")
+            else:
+                raise ParameterError(f"layer {layer!r} is not numeric (cell {cell!r}); "
+                                     "categorical layers cannot be rendered")
+            if numbers is row:
+                numbers = list(row)
+            numbers[j] = value
+        values[i] = numbers
     return values, mask
 
 
 def _cmd_render(args) -> int:
-    try:
-        obj = json.loads(_read_text(args.input, "grid result"))
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"grid result is not valid JSON: {exc}")
+    obj = _decode(_read_text(args.input, "grid result"), "grid result")
     layers = obj.get("layers") if isinstance(obj, dict) else None
     if not isinstance(layers, dict) or args.layer not in layers:
         raise ParameterError(f"no layer {args.layer!r} in {args.input}")
@@ -627,17 +625,9 @@ def _cmd_render(args) -> int:
     width = len(rows[0]) if height else 0
     if height < 1 or width < 1:
         raise ParameterError(f"layer {args.layer!r} is empty")
-    # rows are checked in order: a row of the wrong length is reported only
-    # after the cells of the rows above it pass
-    full = next((j for j, row in enumerate(rows) if len(row) != width), height)
-    cells = np.fromiter(chain.from_iterable(rows[:full]), dtype=object, count=full * width)
-    values, mask = _render_cells(args.layer, cells, args.component)
-    if full < height:
-        raise ParameterError(f"layer {args.layer!r} rows have inconsistent lengths")
+    values, mask = _render_cells(args.layer, rows, width, args.component)
     if not np.isfinite(values).all():
         raise _non_finite(args.layer)
-    values = values.reshape(height, width)
-    mask = mask.reshape(height, width)
 
     live = values[~mask]
     pixels = np.zeros((height, width), dtype=np.uint8)

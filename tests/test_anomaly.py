@@ -252,12 +252,9 @@ def test_refinement_matches_the_per_plaquette_reference(case, tir_field):
     assert [r.residual for r in records] == pytest.approx([e[2] for e in expected], abs=1e-15)
 
 
-@pytest.mark.parametrize("ell", [-3, -2, -1, 0, 1, 2, 3])
-def test_off_centre_axis_charges_sum_to_ell(ell):
-    # the axis sits 0.25-0.75 spacings from the nearest nodes, off the
-    # plaquette centre; high charges may split over neighbouring
-    # plaquettes (anomaly-charge-split), but the total is conserved
-    spec = pf.BesselSpec(wave=pf.WaveParameters(1.0), ell=ell, k_perp=0.05 * TWO_PI)
+def off_centre_grids(ell):
+    """15 seeded 12x12 grids whose Bessel axis sits 0.25-0.75 spacings from
+    the nearest nodes, off the plaquette centre, each with its (h, fx, fy)."""
     rng = np.random.RandomState(100 + ell)
     for _ in range(15):
         h = rng.uniform(0.01, 0.1)
@@ -268,8 +265,29 @@ def test_off_centre_axis_charges_sum_to_ell(ell):
             counts=(12, 12),
             fixed=(("z", 0.0),),
         )
+        yield (h, fx, fy), grid
+
+
+@pytest.mark.parametrize("ell", [-3, -2, -1, 0, 1, 2, 3])
+def test_off_centre_axis_charges_sum_to_ell(ell):
+    # high charges may split over neighbouring plaquettes
+    # (anomaly-charge-split), but the total is conserved
+    spec = pf.BesselSpec(wave=pf.WaveParameters(1.0), ell=ell, k_perp=0.05 * TWO_PI)
+    for where, grid in off_centre_grids(ell):
         records = pf.detect_vortices(spec, grid)
-        assert sum(r.charge for r in records) == ell, (h, fx, fy)
+        assert sum(r.charge for r in records) == ell, where
+
+
+SPLITS = pytest.mark.xfail(strict=True, reason="anomaly-charge-split")
+
+
+@pytest.mark.parametrize("ell", [pytest.param(-3, marks=SPLITS), -2, -1, 0, 1, 2,
+                                 pytest.param(3, marks=SPLITS)])
+def test_off_centre_axis_gives_one_record_of_charge_ell(ell):
+    spec = pf.BesselSpec(wave=pf.WaveParameters(1.0), ell=ell, k_perp=0.05 * TWO_PI)
+    for where, grid in off_centre_grids(ell):
+        charges = [r.charge for r in pf.detect_vortices(spec, grid)]
+        assert charges == ([ell] if ell else []), where
 
 
 def test_tir_air_side_is_vortex_free(tir_field):

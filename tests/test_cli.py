@@ -720,6 +720,13 @@ def pair(w0, lambda_mm=1):
     (PLANE_TRACE + ["--domain=z:-1e308:1e308"], {},
      "the z range (-1e+308, 1e+308) gives no default step ((z_hi - z_lo) / 1000 = inf); "
      "pass --step"),
+    # JSON nested deeper than the decoder's recursion limit
+    (["render", "--in", "{dir}/deep.json", "--layer", "amp"],
+     {"deep.json": "[" * 100000 + "]" * 100000},
+     "grid result nests arrays or objects too deeply to decode"),
+    (["fieldmap", "--field-json", '{"a":' * 100000 + "1" + "}" * 100000,
+      "--grid", "x:0:1:4,z:0:1:4"], {},
+     "field spec nests arrays or objects too deeply to decode"),
 ])
 def test_rejected_input_exits_two_with_its_message(tmp_path, capsys, argv, files, message):
     for name, text in files.items():
@@ -927,6 +934,12 @@ def test_render_rejects_cells_it_cannot_draw(tmp_path, capsys, rows, message):
     [[[1.0, None, 0.0], 2.0]],
     [[[1.0, "x", 0.0]]],
     [[[1.0]]],
+    # a component is a number as a scalar cell is: not a numeric string, not a bool
+    [[[1.0, "2.5", 0.0]]],
+    [[[1.0, True, 0.0]]],
+    # the first failure in row-major order is the one reported, here before
+    # an integer numeral beyond the float range
+    [[[1.0], 10 ** 400]],
 ])
 def test_render_rejects_vector_cells_without_the_component(tmp_path, capsys, rows):
     assert cli.run(["render", "--in", write_layer(tmp_path, rows), "--layer", "L",

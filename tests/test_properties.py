@@ -18,9 +18,14 @@ mode and orientation, with seeds inside the domain, on its edge, outside it
 and on a field zero.  The drawn `fieldmap` command lines span every family,
 with specs that lose a key, gain one or take an extreme value, every layer,
 and grids that are malformed, too coarse, inverted, infinite, far out or
-off the field's frame.  The suite turns RuntimeWarning and
-DeprecationWarning into errors, so such a warning inside the command is an
-exit 1 too.
+off the field's frame.  A `render` of a drawn artifact ends the same way,
+whatever its layer holds: NaN and Infinity literals, numerals beyond a
+double, ragged rows, a string row, strings (a lone surrogate among them),
+objects, booleans, nulls and arrays nested past the decoder's recursion limit
+as cells, and vector cells with too few or non-numeric components.  It writes
+no PGM when it exits 2, and a header with the layer's width and height when
+it exits 0.  The suite turns RuntimeWarning and DeprecationWarning into
+errors, so such a warning inside the command is an exit 1 too.
 
 A float layer's text is the text json.dumps gives its list form, and a trace
 CSV is the per-row repr join, for any finite floats, the boundaries of
@@ -337,6 +342,78 @@ def fieldmap_argv(draw):
 def test_a_fieldmap_command_exits_0_or_2(argv, tmp_path_factory):
     out = tmp_path_factory.getbasetemp() / "fieldmap-argv.json"
     assert cli.run(argv + ["--out", str(out)]) in (0, 2)
+
+
+# ------------------------------------------------------------ render artifacts
+
+NUMERALS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                     st.integers(-2 ** 70, 2 ** 70).map(str))
+# literals json.loads reads as non-finite floats or as integers too large for one
+NON_FINITE = st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999", "-1e400", "1" + "0" * 400])
+# the last but one is a lone surrogate; the last nests past the decoder's recursion limit
+NOT_NUMBERS = st.sampled_from(['"abc"', '"2.5"', '""', "{}", '{"a":1.0}', "true", "false", "null",
+                               '"\\ud800"', "[" * 100000 + "]" * 100000])
+NUMBER_KINDS = st.sampled_from(["number"] * 12 + ["non-finite", "not-number"] + ["number"] * 12)
+# a value is a vector cell in a vector layer and a numeral in a scalar one
+CELL_KINDS = st.sampled_from(["value"] * 8 + ["singular", "vector", "numeral"] + ["value"] * 8)
+VECTOR_SIZES = st.sampled_from([3] * 6 + [0, 1, 2, 4] + [3] * 6)
+ROW_EDITS = st.sampled_from([None] * 8 + ["short", "long", "string"] + [None] * 8)
+
+
+@st.composite
+def numeral(draw):
+    """A numeral, rarely a non-finite literal or a token that is no number."""
+    kind = draw(NUMBER_KINDS)
+    return draw({"number": NUMERALS, "non-finite": NON_FINITE, "not-number": NOT_NUMBERS}[kind])
+
+
+@st.composite
+def layer_cell(draw, vector):
+    kind = draw(CELL_KINDS)
+    if kind == "singular":
+        return '"singular"'
+    if kind == "vector" or (kind == "value" and vector):
+        return "[" + ",".join(draw(numeral()) for _ in range(draw(VECTOR_SIZES))) + "]"
+    return draw(numeral())
+
+
+@st.composite
+def render_artifact(draw):
+    """Artifact text of one layer 'L', the --component to draw and the layer's
+    width and height."""
+    vector = draw(st.booleans())
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows = [[draw(layer_cell(vector)) for _ in range(width)] for _ in range(height)]
+    edit, i = draw(ROW_EDITS), draw(st.integers(0, height - 1))
+    if edit == "short":
+        rows[i].pop()
+    elif edit == "long":
+        rows[i].append(draw(layer_cell(vector)))
+    text = ["[" + ",".join(row) + "]" for row in rows]
+    if edit == "string":
+        text[i] = json.dumps("ab"[:width])
+    # mostly a component for a vector layer and none for a scalar one
+    components = ["x", "y", "z"] * 2 + [None] + ["z", "y", "x"] * 2 if vector else [None, "y", None]
+    component = draw(st.sampled_from(components))
+    artifact = '{"layers":{"L":[' + ",".join(text) + "]}}"
+    return artifact, component, len(rows[0]), height
+
+
+@settings(max_examples=200)
+@given(case=render_artifact())
+def test_a_render_command_exits_0_or_2(case, tmp_path_factory):
+    artifact, component, width, height = case
+    base = tmp_path_factory.getbasetemp()
+    path, out = base / "render-artifact.json", base / "render-artifact.pgm"
+    path.write_text(artifact, encoding="utf-8")
+    out.unlink(missing_ok=True)
+    argv = ["render", "--in", str(path), "--layer", "L", "--out", str(out)]
+    code = cli.run(argv + (["--component", component] if component else []))
+    assert code in (0, 2)
+    if code == 2:
+        assert not out.exists()
+    else:
+        assert out.read_bytes().startswith(f"P5\n{width} {height}\n255\n".encode("ascii"))
 
 
 # ------------------------------------------------------------ float text
