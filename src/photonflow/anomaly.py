@@ -232,6 +232,8 @@ def check_label_options(spec: FieldSpec, bound_model: str = "uniform",
     """
     if not superluminal_guard >= 0.0:
         raise ParameterError(f"superluminal_guard must be >= 0, got {superluminal_guard!r}")
+    if superluminal_guard == math.inf:  # the anomaly artifact records it, and JSON has no inf
+        raise ParameterError("superluminal_guard must be finite, got inf")
     if bound_model not in ("uniform", "piecewise"):
         raise ParameterError(
             f"bound_model must be 'uniform' or 'piecewise', got {bound_model!r}")

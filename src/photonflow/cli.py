@@ -59,16 +59,6 @@ _POLS = {
 }
 
 
-def _check_finite(name, finite, mask):
-    """JSON has no inf or nan: a layer that over- or underflows outside its
-    singular cells cannot be written."""
-    if mask is not None:
-        finite = finite | mask
-    if not finite.all():
-        raise ParameterError(f"layer {name!r} cannot be represented: it holds non-finite "
-                             "values outside singular cells")
-
-
 @cache
 def _orjson():
     """orjson, imported on the first artifact write, as fields.special is."""
@@ -210,17 +200,21 @@ def _write_floats(fh, values, mask=None) -> None:
 
 
 def _scalar_layer(name, values, mask=None) -> _FloatLayer:
+    """JSON has no inf or nan: a layer that over- or underflows outside its
+    singular cells cannot be written.  A vector cell is finite when all three
+    of its components are."""
     values = np.asarray(values, dtype=float)
-    _check_finite(name, np.isfinite(values), mask)
+    finite = np.isfinite(values)
+    if mask is not None:
+        finite = finite.reshape(mask.shape + (-1,)).all(axis=-1) | mask
+    if not finite.all():
+        raise ParameterError(f"layer {name!r} cannot be represented: it holds non-finite "
+                             "values outside singular cells")
     return _FloatLayer(values, mask)
 
 
 def _vector_layer(name, vx, vy, vz, mask=None) -> _FloatLayer:
-    triples = np.stack([np.asarray(vx, dtype=float),
-                        np.asarray(vy, dtype=float),
-                        np.asarray(vz, dtype=float)], axis=-1)
-    _check_finite(name, np.isfinite(triples).all(axis=-1), mask)
-    return _FloatLayer(triples, mask)
+    return _scalar_layer(name, np.stack([vx, vy, vz], axis=-1), mask)
 
 
 # grid layers: name -> layer built from the layer name and the command's
@@ -357,8 +351,7 @@ def _dumps(value) -> str:
 def _write_object(fh, obj: dict) -> None:
     """Write obj as _dumps writes it, one value at a time: float layers go
     through _write_floats, label grids through orjson (their names are
-    ASCII, so its text is json.dumps's) and the dicts that hold them are
-    walked likewise."""
+    ASCII, so its text is json.dumps's) and dicts are walked likewise."""
     fh.write("{")
     for i, key in enumerate(sorted(obj)):
         value = obj[key]
@@ -367,8 +360,7 @@ def _write_object(fh, obj: dict) -> None:
             _write_floats(fh, *value)
         elif isinstance(value, _LabelGrid):
             fh.write(_orjson().dumps(value.names).decode("ascii"))
-        elif isinstance(value, dict) and any(isinstance(v, (_FloatLayer, _LabelGrid))
-                                             for v in value.values()):
+        elif isinstance(value, dict):
             _write_object(fh, value)
         else:
             fh.write(_dumps(value))
@@ -561,7 +553,6 @@ def _cmd_force(args) -> int:
 
 
 _COMPONENTS = {"x": 0, "y": 1, "z": 2}
-_ROWS = (list, str, dict)  # len() works; the cells of str and dict rows are rejected
 _NUMBERS = (int, float)  # exact types: a bool is not a number
 
 
@@ -618,7 +609,7 @@ def _cmd_render(args) -> int:
     if not isinstance(layers, dict) or args.layer not in layers:
         raise ParameterError(f"no layer {args.layer!r} in {args.input}")
     rows = layers[args.layer]
-    if not isinstance(rows, list) or not all(isinstance(row, _ROWS) for row in rows):
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ParameterError(f"layer {args.layer!r} is not a list of rows")
 
     height = len(rows)

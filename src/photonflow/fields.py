@@ -104,13 +104,20 @@ class FieldSample:
 
 
 class _FieldFamily:
-    """The JSON object form shared by the field families.
+    """What the field families share: the JSON object form and the default
+    wavenumber bound.
 
-    Each family declares its ``family`` name and ``json_keys``, the
-    (JSON key, attribute) pairs in the order field_from_dict reads them.
+    Each family declares its ``family`` name, its frame size ``ndim`` and
+    ``json_keys``, the (JSON key, attribute) pairs in the order
+    field_from_dict reads them.
     The object holds ``family``, ``lambda_mm`` and then each key; a key
     whose attribute has a dataclass default may be left out.
     """
+
+    def max_wavenumber(self) -> float:
+        """The largest local wavenumber, which sets the shortest wavelength the
+        vortex search must resolve: k unless a family overrides it."""
+        return self.wave.k
 
     def to_dict(self) -> dict:
         out = {"family": self.family, "lambda_mm": self.wave.lambda_mm}
@@ -146,9 +153,6 @@ class PlaneWaveSpec(_FieldFamily):
     def ndim(self) -> int:
         return len(self.direction)
 
-    def max_wavenumber(self) -> float:
-        return self.wave.k
-
     def psi_grad(self, *coords):
         k = self.wave.k
         phase = sum(k * d * c for d, c in zip(self.direction, coords))
@@ -173,6 +177,7 @@ class GaussianPairSpec(_FieldFamily):
     a_mm: float
 
     family = "gaussian_pair"
+    ndim = 2
     json_keys = (("w0_mm", "w0_mm"), ("a_mm", "a_mm"))
 
     def __post_init__(self):
@@ -190,10 +195,6 @@ class GaussianPairSpec(_FieldFamily):
         object.__setattr__(self, "a_mm", a)
 
     @property
-    def ndim(self) -> int:
-        return 2
-
-    @property
     def rayleigh_mm(self) -> float:
         """zR = k w0^2 / 2."""
         return 0.5 * self.wave.k * self.w0_mm ** 2
@@ -206,9 +207,6 @@ class GaussianPairSpec(_FieldFamily):
         """1/R(z) = z/(z^2 + zR^2); zero on the waist plane."""
         z = np.asarray(z, dtype=float)
         return z / (z * z + self.rayleigh_mm ** 2)
-
-    def max_wavenumber(self) -> float:
-        return self.wave.k
 
     def psi_grad(self, x, z):
         x = np.asarray(x, dtype=float)
@@ -243,6 +241,7 @@ class BesselSpec(_FieldFamily):
     k_perp: float
 
     family = "bessel"
+    ndim = 3
     json_keys = (("ell", "ell"), ("k_perp_per_mm", "k_perp"))
 
     def __post_init__(self):
@@ -258,10 +257,6 @@ class BesselSpec(_FieldFamily):
                 f"k_perp must satisfy 0 < k_perp < k = {self.wave.k:.6g}, got {kp}")
         object.__setattr__(self, "k_perp", kp)
 
-    @property
-    def ndim(self) -> int:
-        return 3
-
     @cached_property  # once per spec, as _orders: psi_grad reads both on every call
     def k_z(self) -> float:
         k = self.wave.k
@@ -272,9 +267,6 @@ class BesselSpec(_FieldFamily):
         """The orders m - 1, m, m + 1 of J with m = |ell|."""
         m = float(abs(self.ell))  # an ell beyond int64 would make an object array jv rejects
         return np.array([m - 1.0, m, m + 1.0])
-
-    def max_wavenumber(self) -> float:
-        return self.wave.k
 
     def psi_grad(self, x, y, z):
         x = np.asarray(x, dtype=float)
@@ -309,6 +301,7 @@ class EvanescentSpec(_FieldFamily):
     kappa: float
 
     family = "evanescent"
+    ndim = 2
     json_keys = (("kappa_per_mm", "kappa"),)
 
     def __post_init__(self):
@@ -316,10 +309,6 @@ class EvanescentSpec(_FieldFamily):
         if kap <= 0.0:
             raise ParameterError(f"kappa must be > 0, got {kap}")
         object.__setattr__(self, "kappa", kap)
-
-    @property
-    def ndim(self) -> int:
-        return 2
 
     @property
     def k_z(self) -> float:
@@ -360,6 +349,7 @@ class TirTwoWaveSpec(_FieldFamily):
     amp2: float = 1.0
 
     family = "tir_two_wave"
+    ndim = 2
     json_keys = (("n", "n"), ("theta1_rad", "theta1"), ("theta2_rad", "theta2"),
                  ("amp1", "amp1"), ("amp2", "amp2"))
 
@@ -386,10 +376,6 @@ class TirTwoWaveSpec(_FieldFamily):
     @property
     def critical_angle(self) -> float:
         return math.asin(1.0 / self.n)
-
-    @property
-    def ndim(self) -> int:
-        return 2
 
     def max_wavenumber(self) -> float:
         return self.n * self.wave.k

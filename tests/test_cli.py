@@ -112,6 +112,7 @@ def test_coarse_anomaly_grid_exits_two(tir_file, tmp_path, capsys):
     (["--superluminal-guard", "-1"], "superluminal_guard must be >= 0, got -1.0"),
     (["--bound", "piecewise"],
      "piecewise bound (n k in glass, k in air) requires a two-wave TIR field"),
+    (["--superluminal-guard", "inf"], "superluminal_guard must be finite, got inf"),
 ])
 def test_anomaly_checks_its_options_before_the_vortex_search(bessel_file, tmp_path, capsys,
                                                               flags, message):
@@ -923,11 +924,15 @@ def test_render_vector_component_with_singular_cells(tmp_path):
     (5, "error: layer 'L' is not a list of rows"),
     ([5], "error: layer 'L' is not a list of rows"),
     ([[1, 2], 3], "error: layer 'L' is not a list of rows"),
+    # an object row's keys and a string row's characters are not cells
+    ([{"singular": 5}, [2.0]], "error: layer 'L' is not a list of rows"),
+    (["ab", [1.0, 2.0]], "error: layer 'L' is not a list of rows"),
 ])
 def test_render_rejects_cells_it_cannot_draw(tmp_path, capsys, rows, message):
     assert cli.run(["render", "--in", write_layer(tmp_path, rows), "--layer", "L",
                     "--out", str(tmp_path / "x.pgm")]) == 2
     assert capsys.readouterr().err == message + "\n"
+    assert not (tmp_path / "x.pgm").exists()
 
 
 @pytest.mark.parametrize("rows", [

@@ -297,6 +297,21 @@ def test_field_dict_round_trip(spec):
     assert pf.field_to_dict(rebuilt) == data
 
 
+# the largest local wavenumber sets the vortex search's resolution limit: k, except
+# k_z = hypot(k, kappa) for the evanescent wave and n k in TIR's glass
+@pytest.mark.parametrize("spec, ndim, bound", zip(ALL_SPECS, (2, 3, 2, 3, 2, 2), (
+    2.0 * TWO_PI,              # plane wave, lambda 0.5
+    2.0 * TWO_PI,
+    TWO_PI / 0.943e-3,         # gaussian pair
+    TWO_PI,                    # bessel, lambda 1
+    math.hypot(1.0, 0.75),     # evanescent, k = 1
+    1.5 * TWO_PI,              # tir, n = 1.5 and lambda 1
+)), ids=["plane_wave_2d", "plane_wave_3d", "gaussian_pair", "bessel", "evanescent", "tir"])
+def test_each_family_states_its_frame_size_and_largest_wavenumber(spec, ndim, bound):
+    assert spec.ndim == ndim
+    assert spec.max_wavenumber() == pytest.approx(bound, rel=1e-15)
+
+
 def test_field_from_dict_rejects_unknown_keys():
     data = pf.field_to_dict(ALL_SPECS[0])
     data["typo"] = 1

@@ -7,25 +7,32 @@ array around it.  The two-wave TIR field picks a side per node, so its
 blocks include both sides, one side only and the node at x = 0.0.  The
 last case has more than 16384 nodes, so its complex arrays pass 256 KiB,
 where numpy starts to reuse temporaries in place, and its blocks do not.
+Likewise a point of a batch of 1000, on a grid node or between nodes,
+equals the same point evaluated alone as a length-1 array.
 
 A traced bundle is one set of array evaluations per RK4 stage, and the same
 holds for its rows: row i of a bundle equals seed i traced in a bundle with
 any one other seed, whichever of the two stops first and for whatever cause.
 
-Valid or not, a `trace` or `fieldmap` command line ends in exit 0 or 2,
-never in exit 1.  The drawn `trace` command lines span every field family,
-mode and orientation, with seeds inside the domain, on its edge, outside it
-and on a field zero.  The drawn `fieldmap` command lines span every family,
-with specs that lose a key, gain one or take an extreme value, every layer,
-and grids that are malformed, too coarse, inverted, infinite, far out or
-off the field's frame.  A `render` of a drawn artifact ends the same way,
-whatever its layer holds: NaN and Infinity literals, numerals beyond a
-double, ragged rows, a string row, strings (a lone surrogate among them),
-objects, booleans, nulls and arrays nested past the decoder's recursion limit
-as cells, and vector cells with too few or non-numeric components.  It writes
-no PGM when it exits 2, and a header with the layer's width and height when
-it exits 0.  The suite turns RuntimeWarning and DeprecationWarning into
-errors, so such a warning inside the command is an exit 1 too.
+Valid or not, a `trace`, `fieldmap`, `stokes`, `force` or `anomaly`
+command line ends in exit 0 or 2, never in exit 1.  The drawn `trace`
+command lines span every field family, mode and orientation, with seeds
+inside the domain, on its edge, outside it and on a field zero.  The drawn
+`fieldmap` command lines span every family, with specs that lose a key,
+gain one or take an extreme value, every layer, and grids that are
+malformed, too coarse, inverted, infinite, far out or off the field's
+frame.  The drawn `stokes`, `force` and `anomaly` command lines take the
+same specs and grids, with each option of the command or without it: a
+polarization and a calcite shift, a polarizability that is malformed, zero
+or not finite, a bound model and a guard.  A `render` of a drawn artifact
+ends the same way, whatever its layer holds: NaN and Infinity literals,
+numerals beyond a double, ragged rows, a string row, strings (a lone
+surrogate among them), objects, booleans, nulls and arrays nested past the
+decoder's recursion limit as cells, and vector cells with too few or
+non-numeric components.  It writes no PGM when it exits 2, and a header
+with the layer's width and height when it exits 0.  The suite turns
+RuntimeWarning and DeprecationWarning into errors, so such a warning
+inside the command is an exit 1 too.
 
 A float layer's text is the text json.dumps gives its list form, and a trace
 CSV is the per-row repr join, for any finite floats, the boundaries of
@@ -115,6 +122,28 @@ def test_a_sub_rectangle_equals_its_slice_of_the_grid(case):
             got_psi, got_grads = spec.psi_grad(*coords)
             assert got_psi.shape == psi[sl].shape, sl
             assert as_bytes(got_psi, got_grads) == want, sl
+
+
+BATCH = 1000  # points per batch: complex arrays under 256 KiB (see TirTwoWaveSpec._glass)
+
+
+@pytest.mark.parametrize("case", range(len(TILE_CASES)),
+                         ids=[f"{s.family}-{s.ndim}d-{i}" for i, (s, _) in enumerate(TILE_CASES)])
+def test_a_point_of_a_batch_equals_the_point_alone(case):
+    spec, grid_text = TILE_CASES[case]
+    mesh = pf.GridSpec.from_string(grid_text).mesh(spec.ndim)
+    nodes = np.stack([np.broadcast_to(m, mesh[0].shape).ravel() for m in mesh])
+    rng = np.random.default_rng([13, case])
+    # half of the batch on grid nodes (axes, x = 0.0 and fixed coordinates among
+    # them), half anywhere in the grid's box
+    on_grid = nodes[:, rng.choice(nodes.shape[1], BATCH // 2, replace=False)]
+    anywhere = rng.uniform(nodes.min(axis=1), nodes.max(axis=1), (BATCH // 2, len(nodes))).T
+    points = np.concatenate([on_grid, anywhere], axis=1)
+    psi, grads = spec.psi_grad(*points)
+    for i in range(BATCH):
+        one = slice(i, i + 1)
+        alone = as_bytes(*spec.psi_grad(*points[:, one]))
+        assert alone == as_bytes(psi[one], [g[one] for g in grads]), points[:, i]
 
 
 def _tir(n, theta1, theta2, amp1, amp2):
@@ -305,33 +334,49 @@ def axis_clause(draw, name):
 
 
 @st.composite
-def fieldmap_argv(draw):
-    frame, spec = draw(field_spec_json())
-    # axes mostly in the frame; y on a planar field, q or a repeated axis exit 2
+def grid_text(draw, frame):
+    """The axis names and --grid text: axes mostly in the frame; y on a planar
+    field, q or a repeated axis exit 2."""
     names = draw(st.sampled_from([frame[:2], frame[::-1][:2]] * 4 + ["xy", "zq", "xx"]
                                  + [frame[:2], frame[::-1][:2]] * 4))
     clauses = [draw(axis_clause(name)) for name in names]
     clauses = draw(st.sampled_from([clauses] * 8 + [clauses[:1], clauses * 2,
                                                     [c + ",," for c in clauses]]
                                    + [clauses] * 9))
-    layers = draw(st.lists(st.sampled_from(cli.ALL_LAYERS), min_size=1, max_size=4))
-    if draw(st.booleans()) and draw(st.booleans()):  # a stokes-only or unknown layer, or ""
-        layers.insert(draw(st.integers(0, len(layers))),
-                      draw(st.sampled_from(["S1_pred", "bogus", ""])))
-    argv = ["fieldmap", "--field-json", json.dumps(spec), "--grid", ",".join(clauses),
-            "--layers", ",".join(layers), "--pol", draw(st.sampled_from(sorted(cli._POLS))),
-            "--bound", draw(st.sampled_from(["uniform", "piecewise", "uniform", "uniform"]))]
-    # off-axis coordinates of a 3D frame, rarely one outside the frame
+    return names, ",".join(clauses)
+
+
+@st.composite
+def fixed_flags(draw, frame, names):
+    """Off-axis coordinates of a 3D frame, rarely one outside the frame."""
     off = [n for n in frame if n not in names] * 3
     off = off + ["y", "q"] + off
     if draw(st.booleans()) and (len(frame) == 3 or draw(st.integers(0, 3)) == 3):
         fixed = draw(st.sampled_from(off))
         value = draw(st.sampled_from(["0.25", "-1", "3"] * 2 + ["inf", "nan", "a", ""]
                                      + ["0.25", "-1", "3"] * 2))
-        argv.append(f"--fixed={fixed}={value}" if value else f"--fixed={fixed}")
-    for flag, values in (("--superluminal-guard",
-                          st.sampled_from([0.0, 1e-5, 0.5, -1.0, math.inf, math.nan])),
-                         ("--delta-x-mm", st.sampled_from([1e-4, 0.0, -1e-3, 1e3]))):
+        return [f"--fixed={fixed}={value}" if value else f"--fixed={fixed}"]
+    return []
+
+
+POLS = st.sampled_from(sorted(cli._POLS))
+BOUNDS = st.sampled_from(["uniform", "piecewise", "uniform", "uniform"])
+GUARDS = st.sampled_from([0.0, 1e-5, 0.5, -1.0, math.inf, math.nan])
+DELTAS = st.sampled_from([1e-4, 0.0, -1e-3, 1e3])
+
+
+@st.composite
+def fieldmap_argv(draw):
+    frame, spec = draw(field_spec_json())
+    names, grid = draw(grid_text(frame))
+    layers = draw(st.lists(st.sampled_from(cli.ALL_LAYERS), min_size=1, max_size=4))
+    if draw(st.booleans()) and draw(st.booleans()):  # a stokes-only or unknown layer, or ""
+        layers.insert(draw(st.integers(0, len(layers))),
+                      draw(st.sampled_from(["S1_pred", "bogus", ""])))
+    argv = ["fieldmap", "--field-json", json.dumps(spec), "--grid", grid,
+            "--layers", ",".join(layers), "--pol", draw(POLS), "--bound", draw(BOUNDS)]
+    argv += draw(fixed_flags(frame, names))
+    for flag, values in (("--superluminal-guard", GUARDS), ("--delta-x-mm", DELTAS)):
         if draw(st.booleans()):
             argv.append(f"{flag}={draw(values)!r}")
     return argv
@@ -341,6 +386,42 @@ def fieldmap_argv(draw):
 @given(argv=fieldmap_argv())
 def test_a_fieldmap_command_exits_0_or_2(argv, tmp_path_factory):
     out = tmp_path_factory.getbasetemp() / "fieldmap-argv.json"
+    assert cli.run(argv + ["--out", str(out)]) in (0, 2)
+
+
+# ------------------------------------------------------- stokes, force and anomaly argv
+
+# each option of a command, drawn as one argument; a malformed, non-finite or
+# out-of-range value exits 2
+COMMAND_OPTIONS = {
+    "stokes": [DELTAS.map(lambda v: f"--delta-x-mm={v!r}"), POLS.map(lambda p: f"--pol={p}")],
+    "force": [st.sampled_from(["1e-3,1e-4"] * 3 + ["0,0", "-1,-1e300", "inf,0", "nan,1", "1",
+                                                   "a,b", "1,2,3"] + ["1e-3,1e-4"] * 3)
+              .map(lambda chi: f"--chi={chi}"),
+              st.just("--normalized")],
+    "anomaly": [BOUNDS.map(lambda b: f"--bound={b}"),
+                GUARDS.map(lambda g: f"--superluminal-guard={g!r}"),
+                st.just("--with-labels")],
+}
+
+
+@st.composite
+def grid_command_argv(draw, command):
+    """A stokes, force or anomaly command line over the specs and grids that
+    fieldmap_argv draws, with each of the command's options or without it."""
+    frame, spec = draw(field_spec_json())
+    names, grid = draw(grid_text(frame))
+    argv = [command, "--field-json", json.dumps(spec), "--grid", grid]
+    argv += draw(fixed_flags(frame, names))
+    return argv + [draw(option) for option in COMMAND_OPTIONS[command] if draw(st.booleans())]
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+@settings(max_examples=60)
+@given(data=st.data())
+def test_a_grid_command_exits_0_or_2(command, data, tmp_path_factory):
+    argv = data.draw(grid_command_argv(command), label="argv")
+    out = tmp_path_factory.getbasetemp() / f"{command}-argv.json"
     assert cli.run(argv + ["--out", str(out)]) in (0, 2)
 
 
