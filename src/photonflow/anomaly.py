@@ -83,8 +83,8 @@ def _loop_sums(d_col, d_row):
 def plaquette_winding(phases: np.ndarray) -> np.ndarray:
     """Raw winding (rad) of every grid plaquette of a 2D phase array.
 
-    Interior edges cancel exactly in floating point, so the sum over any
-    rectangular block equals the winding around the block's boundary.
+    Interior edges cancel to rounding, so the sum over any rectangular
+    block equals the winding around the block's boundary to rounding.
     Values are trustworthy where all four wrapped edge differences stay
     below pi/2; vortices_in_sample refines the rest, edge by edge.
     """
@@ -112,10 +112,10 @@ class AnomalyMap:
     """Per-sample labels against the local momentum-spectrum bound.
 
     labels holds codes into LABELS, shape (counts2, counts1); bound is
-    the local b (rad/mm); fast is the separate superoscillation flag
-    |Re p| > b, which is not part of the labeling.  superluminal means
-    re_p_z > b*(1 + guard) and backflow means re_p_z < 0, mutually
-    exclusive by construction.
+    the local b (rad/mm), a read-only broadcast to that shape; fast is
+    the separate superoscillation flag |Re p| > b, not part of the
+    labeling.  superluminal means re_p_z > b*(1 + guard) and backflow
+    means re_p_z < 0, mutually exclusive by construction.
     """
 
     grid: GridSpec
@@ -197,7 +197,7 @@ def vortices_in_sample(spec: FieldSpec, grid: GridSpec, sample: FieldSample, flo
     ok = ~(singular[:-1, :-1] | singular[:-1, 1:] | singular[1:, 1:] | singular[1:, :-1])
 
     def nodes(j, i):
-        return np.array(grid.frame_coords(spec.ndim, c1[i], c2[j]))
+        return np.array(np.broadcast_arrays(*grid.frame_coords(spec.ndim, c1[i], c2[j])))
 
     # refine, once, every rough edge of a plaquette that can be classified
     d_col, d_row = _edge_steps(ph)
@@ -244,10 +244,9 @@ def check_label_options(spec: FieldSpec, bound_model: str = "uniform",
 
 def _bound_array(spec, bound_model, grid):
     k = spec.wave.k
-    if bound_model == "uniform":
-        return np.full(tuple(reversed(grid.counts)), k)
-    x = grid.mesh(spec.ndim)[0]
-    return np.where(spec.in_glass(x), spec.n * k, k)
+    if bound_model == "piecewise":
+        k = np.where(spec.in_glass(grid.mesh(spec.ndim)[0]), spec.n * k, k)
+    return np.broadcast_to(k, tuple(reversed(grid.counts)))
 
 
 def classify_anomalies(spec: FieldSpec, grid: GridSpec, bound_model: str = "uniform",

@@ -392,10 +392,10 @@ def _cmd_fieldmap(args) -> int:
 
 
 def _cmd_stokes(args) -> int:
-    """Exact calcite readout next to its first-order prediction and the truth."""
+    """Exact calcite readout of the diagonal input, its first-order prediction and the truth."""
     spec = _load_field(args)
     grid = _grid_of(args)
-    cal = CalciteSpec(delta_x=args.delta_x_mm, pol=_POLS[args.pol]())
+    cal = CalciteSpec(delta_x=args.delta_x_mm)
     return _write_layers(args, spec, grid, _STOKES_LAYERS, {"delta_x_mm": cal.delta_x},
                          cal=cal)
 
@@ -680,7 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_flags(p)
     _add_grid_flags(p)
     p.add_argument("--delta-x-mm", type=float, default=1e-4)
-    p.add_argument("--pol", choices=sorted(_POLS), default="diag")
     p.add_argument("--out", required=True)
 
     p = subs.add_parser("trace", help="integrate momentum streamlines to CSV")

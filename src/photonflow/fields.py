@@ -431,8 +431,7 @@ class TirTwoWaveSpec(_FieldFamily):
         if x.ndim == z.ndim == 0:
             psi, gx, gz = (self._glass if self.in_glass(x) else self._air)(x, z)
             return psi, (gx, gz)
-        if x.shape != z.shape:
-            x, z = np.broadcast_arrays(x, z)
+        x, z = np.broadcast_arrays(x, z)
         glass = self.in_glass(x)
         # both sides before the outputs, so that their temporaries never coexist
         sides = [(m, side(x[m], z[m])) for m, side in ((glass, self._glass), (~glass, self._air))

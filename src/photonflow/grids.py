@@ -2,12 +2,12 @@
 
 A grid is two sampled axes named after frame coordinates ({x, y, z}),
 plus fixed values for any frame coordinate not on an axis (a 3D field
-sampled on a 2D slice).  Meshes are returned in the field's frame order
-with shape (counts2, counts1): the first grid axis varies along columns,
-the second along rows.  Orientation-sensitive consumers (vortex charge
-signs) therefore follow the right-handed (axis1, axis2) order as given.
-sample_grid evaluates a field on every node once; the map-making layers
-derive all of their observables from that one sample.
+sampled on a 2D slice).  Coordinates are open axes in the field's frame
+order: the first grid axis, shape (1, counts1), varies along columns, the
+second, (counts2, 1), along rows, and off-axis ones are floats; no dense
+mesh is built.  Orientation-sensitive consumers (vortex charge signs)
+follow the right-handed (axis1, axis2) order as given.  sample_grid
+evaluates a field on every node once, for all of the map-making layers.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ class GridSpec:
     def frame_coords(self, ndim: int, a1, a2) -> tuple:
         """Frame coordinates, in frame order, of axis values a1, a2 (numbers or arrays).
 
-        Off-axis coordinates take their fixed value, or 0, in the same shape.
+        Off-axis coordinates are floats: their fixed value, or 0.
         """
         names = frame_names(ndim)
         for name in self.axes:
@@ -120,12 +120,12 @@ class GridSpec:
                 raise ParameterError(
                     f"fixed coordinate {name!r} is not in this field's frame {names}")
         values = dict.fromkeys(names, 0.0) | dict(self.fixed) | dict(zip(self.axes, (a1, a2)))
-        shape = np.broadcast(a1, a2).shape
-        return tuple(v if n in self.axes else np.full(shape, v) for n, v in values.items())
+        return tuple(values.values())
 
     def mesh(self, ndim: int) -> tuple:
-        """Broadcast meshes for every frame coordinate, each (counts2, counts1)."""
-        return self.frame_coords(ndim, *np.meshgrid(self.coords(0), self.coords(1)))
+        """Open frame coordinates as np.meshgrid(..., sparse=True) gives them: axis 1
+        (1, counts1), axis 2 (counts2, 1), off-axis ones floats; they broadcast to the grid."""
+        return self.frame_coords(ndim, *np.meshgrid(self.coords(0), self.coords(1), sparse=True))
 
     def to_dict(self) -> dict:
         return {

@@ -74,8 +74,8 @@ def calcite_fields(spec: FieldSpec, cal: CalciteSpec, coords, psi):
     """Perturbed field components (E'_x, E'_y), element-wise.
 
     coords are the frame coordinates where psi was sampled (numbers for
-    one point, meshes for a grid); the x-component is evaluated again at
-    the position shifted along the first coordinate, for every family.
+    one point, GridSpec.mesh's open axes for a grid); the x-component is
+    evaluated again shifted along the first coordinate, for every family.
     Warns when the shift is no longer small against a Gaussian field's
     waist, since the first-order readout degrades there.
     """
@@ -141,10 +141,10 @@ def predicted_stokes(mom: ComplexMomentum, cal: CalciteSpec) -> StokesVector:
 def readout_momentum(s1, s3, cal: CalciteSpec):
     """Invert the pointer readout: (re_p_x, im_p_x) = (S'_3, S'_1)/delta_x.
 
-    Element-wise in the Stokes parameters.  The reconstructed value is
-    the momentum at the midpoint between the shifted and unshifted
-    components, x - delta_x/2; the readout is second-order accurate
-    there and only first-order accurate at x.
+    For the diagonal input e = (1, 1)/sqrt(2) only, element-wise in the Stokes
+    parameters.  The reconstructed value is the momentum at the midpoint between
+    the shifted and unshifted components, x - delta_x/2; the readout is
+    second-order accurate there and only first-order accurate at x.
     """
     if cal.delta_x == 0.0:
         raise DegeneratePointerError("delta_x = 0 cannot be inverted")

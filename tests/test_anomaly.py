@@ -51,8 +51,8 @@ def test_plaquette_winding_needs_a_2d_array_of_at_least_2x2(shape):
 
 
 def test_plaquette_sum_telescopes_to_boundary_winding():
-    # interior edges cancel in floating point, so the sum over all
-    # plaquettes must equal the winding around the outer boundary
+    # interior edges cancel to rounding, so the sum over all plaquettes
+    # must equal the winding around the outer boundary
     rng = np.random.RandomState(8)
     x = np.linspace(-1.0, 1.0, 30)
     y = np.linspace(-1.0, 1.0, 30)
@@ -372,6 +372,19 @@ def test_piecewise_bound_uses_glass_index(tir_field):
     # superluminal that the piecewise bound accepts
     uniform = pf.classify_anomalies(tir_field, grid, bound_model="uniform")
     assert uniform.counts["superluminal"] > amap.counts["superluminal"]
+
+
+@pytest.mark.parametrize("axes", [("x", "z"), ("z", "x")])
+@pytest.mark.parametrize("bound_model", ["uniform", "piecewise"])
+def test_the_bound_is_a_read_only_broadcast_to_the_grid(tir_field, axes, bound_model):
+    grid = pf.GridSpec(axes=axes, ranges=((-1.0, 1.0), (-0.5, 1.0)), counts=(9, 6))
+    amap = pf.classify_anomalies(tir_field, grid, bound_model=bound_model)
+    assert amap.bound.shape == amap.labels.shape == (6, 9)
+    assert not amap.bound.flags.writeable
+    k = tir_field.wave.k
+    x = np.broadcast_arrays(*grid.mesh(2))[0]
+    glass = 1.5 * k if bound_model == "piecewise" else k
+    assert np.array_equal(amap.bound, np.where(x < 0.0, glass, k))
 
 
 def test_classifier_validation(gaussian_pair, tir_field):

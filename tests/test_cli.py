@@ -391,6 +391,17 @@ def test_stokes_zero_delta_exits_two(pair_file, tmp_path, capsys):
                     "--delta-x-mm", "0", "--out", out]) == 2
 
 
+@pytest.mark.parametrize("pol", sorted(cli._POLS))
+def test_stokes_takes_no_polarization(pair_file, tmp_path, capsys, pol):
+    # the prediction and the readout hold for the diagonal input alone: with
+    # --pol x, im_px_readout was 1/delta_x in every cell, so no --pol is read
+    out = tmp_path / "stokes.json"
+    assert cli.run(["stokes", "--field", pair_file, "--grid", "x:-2:2:6,z:5:100:5",
+                    "--pol", pol, "--out", str(out)]) == 2
+    assert "unrecognized arguments: --pol" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------- trace
 
 

@@ -1,14 +1,20 @@
 """Properties that must hold bit for bit across evaluation paths.
 
-A grid's field is one array evaluation of its mesh.  Any sub-rectangle of
-that mesh, strided or contiguous, evaluated on its own must give exactly
-the matching slice of the whole: an element's value may not depend on the
-array around it.  The two-wave TIR field picks a side per node, so its
+A grid's field is one array evaluation of its open axes.  Any sub-rectangle
+of its dense nodes, strided or contiguous, evaluated on its own must give
+exactly the matching slice of the whole: an element's value may not depend
+on the array around it.  The two-wave TIR field picks a side per node, so its
 blocks include both sides, one side only and the node at x = 0.0.  The
 last case has more than 16384 nodes, so its complex arrays pass 256 KiB,
 where numpy starts to reuse temporaries in place, and its blocks do not.
 Likewise a point of a batch of 1000, on a grid node or between nodes,
-equals the same point evaluated alone as a length-1 array.
+equals the same point evaluated alone as a length-1 array.  A grid sample on
+open axes, and its calcite-shifted copy, equal the same evaluations on the
+dense nodes, and every family fills the whole grid on every axis pair, with
+and without a fixed coordinate.
+
+Physics holds on every grid: P_O / W equals re_p / k to rounding, and the
+winding of two adjacent blocks adds up to that of their union.
 
 A traced bundle is one set of array evaluations per RK4 stage, and the same
 holds for its rows: row i of a bundle equals seed i traced in a bundle with
@@ -23,8 +29,8 @@ gain one or take an extreme value, every layer, and grids that are
 malformed, too coarse, inverted, infinite, far out or off the field's
 frame.  The drawn `stokes`, `force` and `anomaly` command lines take the
 same specs and grids, with each option of the command or without it: a
-polarization and a calcite shift, a polarizability that is malformed, zero
-or not finite, a bound model and a guard.  A `render` of a drawn artifact
+calcite shift, a polarizability that is malformed, zero or not finite, a
+bound model and a guard.  A `render` of a drawn artifact
 ends the same way, whatever its layer holds: NaN and Infinity literals,
 numerals beyond a double, ragged rows, a string row, strings (a lone
 surrogate among them), objects, booleans, nulls and arrays nested past the
@@ -42,7 +48,7 @@ orjson's range and their neighbours included.
 import json
 import math
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -52,6 +58,8 @@ from hypothesis import strategies as st
 import photonflow as pf
 from conftest import TWO_PI, make_tir
 from photonflow import cli
+from photonflow.grids import frame_names, sample_grid
+from photonflow.observables import poynting_from_sample, singular_cells
 
 TILE_CASES = [
     (pf.PlaneWaveSpec(wave=pf.WaveParameters(0.5), direction=(0.6, 0.8)), "x:-2:2:33,z:0:3:27"),
@@ -108,8 +116,8 @@ def as_bytes(psi, grads):
 def test_a_sub_rectangle_equals_its_slice_of_the_grid(case):
     spec, grid_text = TILE_CASES[case]
     grid = pf.GridSpec.from_string(grid_text)
-    mesh = grid.mesh(spec.ndim)
-    psi, grads = spec.psi_grad(*mesh)
+    psi, grads = spec.psi_grad(*grid.mesh(spec.ndim))
+    nodes = np.broadcast_arrays(*grid.mesh(spec.ndim))
     shape = psi.shape
     rng = np.random.default_rng([11, case])
     blocks = random_blocks(rng, shape)
@@ -117,7 +125,7 @@ def test_a_sub_rectangle_equals_its_slice_of_the_grid(case):
         blocks += tir_blocks(grid, shape)
     for sl in blocks:
         want = as_bytes(psi[sl], [g[sl] for g in grads])
-        views = [m[sl] for m in mesh]  # strided wherever a step exceeds 1
+        views = [c[sl] for c in nodes]  # strided wherever a step exceeds 1
         for coords in (views, [np.ascontiguousarray(v) for v in views]):
             got_psi, got_grads = spec.psi_grad(*coords)
             assert got_psi.shape == psi[sl].shape, sl
@@ -132,7 +140,7 @@ BATCH = 1000  # points per batch: complex arrays under 256 KiB (see TirTwoWaveSp
 def test_a_point_of_a_batch_equals_the_point_alone(case):
     spec, grid_text = TILE_CASES[case]
     mesh = pf.GridSpec.from_string(grid_text).mesh(spec.ndim)
-    nodes = np.stack([np.broadcast_to(m, mesh[0].shape).ravel() for m in mesh])
+    nodes = np.stack([c.ravel() for c in np.broadcast_arrays(*mesh)])
     rng = np.random.default_rng([13, case])
     # half of the batch on grid nodes (axes, x = 0.0 and fixed coordinates among
     # them), half anywhere in the grid's box
@@ -144,6 +152,107 @@ def test_a_point_of_a_batch_equals_the_point_alone(case):
         one = slice(i, i + 1)
         alone = as_bytes(*spec.psi_grad(*points[:, one]))
         assert alone == as_bytes(psi[one], [g[one] for g in grads]), points[:, i]
+
+
+def test_a_grid_mesh_is_its_open_axes():
+    grid = pf.GridSpec.from_string("y:-1:1:5,x:0:2:7", (("z", 0.25),))
+    x, y, z = grid.mesh(3)
+    assert x.shape == (7, 1) and y.shape == (1, 5)
+    assert np.array_equal(x.ravel(), grid.coords(1)) and np.array_equal(y.ravel(), grid.coords(0))
+    assert type(z) is float and z == 0.25
+    assert type(pf.GridSpec.from_string("x:0:1:3,y:0:1:4").mesh(3)[2]) is float  # z defaults to 0
+
+
+# over 16384 nodes each, with a fixed coordinate where the frame has one; x
+# fixed makes the calcite shift a float
+OPEN_CASES = [(spec, text, ()) for spec, text in TILE_CASES] + [
+    (TILE_CASES[1][0], "z:-1:1:161,x:-1:1:121", (("y", 0.3),)),
+    (TILE_CASES[2][0], "z:-500:500:121,x:-4:4:161", ()),
+    (TILE_CASES[3][0], "x:-9:9:161,y:-9:9:121", (("z", 0.25),)),
+    (TILE_CASES[3][0], "y:-9:9:161,z:0:5:121", (("x", 0.5),)),
+    (TILE_CASES[4][0], "x:-3:3:161,z:0:5:121", ()),
+]
+
+
+@pytest.mark.parametrize("case", range(len(OPEN_CASES)),
+                         ids=[f"{c[0].family}-{c[0].ndim}d-{i}" for i, c in enumerate(OPEN_CASES)])
+def test_an_open_axes_sample_equals_the_dense_sample(case):
+    spec, grid_text, fixed = OPEN_CASES[case]
+    grid = pf.GridSpec.from_string(grid_text, fixed)
+    cal = pf.CalciteSpec(delta_x=1e-4 * spec.wave.lambda_mm)
+    sample = sample_grid(spec, grid)
+    shifted = pf.weakmeasure.calcite_fields(spec, cal, grid.mesh(spec.ndim), sample.psi)[0]
+    dense = np.broadcast_arrays(*grid.mesh(spec.ndim))
+    for coords in (dense, [np.ascontiguousarray(c) for c in dense]):
+        psi, grads = spec.psi_grad(*coords)
+        assert as_bytes(sample.psi, sample.grad_psi) == as_bytes(psi, grads)
+        ex = pf.weakmeasure.calcite_fields(spec, cal, coords, psi)[0]
+        assert ex.tobytes() == shifted.tobytes()
+
+
+FAMILY_SPECS = [spec for spec, _ in TILE_CASES[:6]]
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS, ids=[f"{s.family}-{s.ndim}d" for s in FAMILY_SPECS])
+def test_every_axis_pair_fills_the_grid(spec):
+    names = frame_names(spec.ndim)
+    cal = pf.CalciteSpec(delta_x=1e-4 * spec.wave.lambda_mm)
+    for axes in permutations(names, 2):
+        rest = [(name, 0.25) for name in names if name not in axes]
+        for fixed in {(), tuple(rest)}:
+            grid = pf.GridSpec(axes=axes, ranges=((-1.0, 1.0), (-0.5, 1.0)), counts=(5, 7),
+                               fixed=fixed)
+            sample = sample_grid(spec, grid)
+            assert sample.psi.shape == (7, 5), (axes, fixed)
+            assert sample.grad_psi.shape == (spec.ndim, 7, 5), (axes, fixed)
+            ex, _ = pf.weakmeasure.calcite_fields(spec, cal, grid.mesh(spec.ndim), sample.psi)
+            assert ex.shape == (7, 5), (axes, fixed)
+
+
+# ------------------------------------------------------------------ physics on grids
+
+
+@pytest.mark.parametrize("case", range(len(TILE_CASES)),
+                         ids=[f"{s.family}-{s.ndim}d-{i}" for i, (s, _) in enumerate(TILE_CASES)])
+def test_orbital_current_over_energy_density_is_re_p_over_k(case):
+    # on non-singular cells where W is a normal float, to 8 ulps of the
+    # layer's largest value (3.2 ulps at most on these grids)
+    spec, grid_text = TILE_CASES[case]
+    sample = sample_grid(spec, pf.GridSpec.from_string(grid_text))
+    floor, singular = singular_cells(sample.amplitude)
+    dec = poynting_from_sample(sample, pf.PolarizationState.linear_diag())
+    ok = ~singular & (dec.W >= np.finfo(float).tiny)
+    assert ok.sum() > 0.9 * ok.size
+    want = pf.embed3(pf.local_momentum(sample, floor).re_p / spec.wave.k, spec.ndim)[:, ok]
+    got = dec.P_O[:, ok] / dec.W[ok]
+    assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * np.abs(want).max()
+
+
+def loop_winding(ph):
+    """Winding (rad) of a phase block's boundary, counterclockwise in (axis1, axis2)."""
+    loop = np.concatenate([ph[0, :-1], ph[:-1, -1], ph[-1, :0:-1], ph[:0:-1, 0]])
+    return float(pf.wrap_angle(np.diff(np.append(loop, loop[0]))).sum())
+
+
+WINDING_TOL = 1e-12  # rad; sums over up to 11 x 11 plaquettes are off by 1.4e-14 at most
+
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2 ** 32 - 1), shape=st.tuples(st.integers(3, 12), st.integers(3, 12)),
+       axis=st.integers(0, 1), data=st.data())
+def test_winding_adds_up_over_adjacent_blocks(seed, shape, axis, data):
+    # two blocks share one line of nodes; any phases, so plaquettes of any charge
+    ph = np.random.default_rng(seed).uniform(-math.pi, math.pi, shape)
+    cut = data.draw(st.integers(1, shape[axis] - 2), label="cut")
+    first = np.take(ph, range(cut + 1), axis=axis)
+    second = np.take(ph, range(cut, shape[axis]), axis=axis)
+    wa, wb, wu = (float(pf.plaquette_winding(p).sum()) for p in (first, second, ph))
+    assert abs(wa + wb - wu) <= WINDING_TOL
+    for block, w in ((first, wa), (second, wb), (ph, wu)):
+        assert abs(w - loop_winding(block)) <= WINDING_TOL  # interior edges cancel
+    qa, qb, qu = (round(w / TWO_PI) for w in (wa, wb, wu))
+    assert qa + qb == qu
+    assert abs(wu - TWO_PI * qu) <= WINDING_TOL
 
 
 def _tir(n, theta1, theta2, amp1, amp2):
@@ -394,7 +503,7 @@ def test_a_fieldmap_command_exits_0_or_2(argv, tmp_path_factory):
 # each option of a command, drawn as one argument; a malformed, non-finite or
 # out-of-range value exits 2
 COMMAND_OPTIONS = {
-    "stokes": [DELTAS.map(lambda v: f"--delta-x-mm={v!r}"), POLS.map(lambda p: f"--pol={p}")],
+    "stokes": [DELTAS.map(lambda v: f"--delta-x-mm={v!r}")],
     "force": [st.sampled_from(["1e-3,1e-4"] * 3 + ["0,0", "-1,-1e300", "inf,0", "nan,1", "1",
                                                    "a,b", "1,2,3"] + ["1e-3,1e-4"] * 3)
               .map(lambda chi: f"--chi={chi}"),
