@@ -15,8 +15,11 @@ given in.  Each edge whose wrapped difference exceeds pi/2 is refined
 once, by bisection with one array field evaluation per level and grid
 direction; this resolves plaquettes that straddle a singularity
 asymmetrically, and the two plaquettes sharing an edge use one step.
-Plaquettes with a singular corner sample cannot be classified and are
-skipped; lay grids out so zeros fall in plaquette interiors, not on nodes.
+A refined step is its end nodes' phase difference plus a multiple of
+2 pi, so each loop sum is whole turns up to rounding (a record's
+residual) and no winding is rejected as non-integer.  Plaquettes with a
+singular corner sample cannot be classified and are skipped; lay grids
+out so zeros fall in plaquette interiors, not on nodes.
 
 Known limitation (anomaly-charge-split): an edge whose phase step is near
 2 pi wraps small and is not refined, so a charge-2 vortex close to a
@@ -99,7 +102,7 @@ class VortexRecord:
     """A phase singularity localized to one grid plaquette.
 
     position is the plaquette center in the field frame; charge is the
-    winding divided by 2 pi, rounded, with |residual| < 0.1 guaranteed.
+    winding in turns, rounded, and residual the rounding |turns - charge|.
     """
 
     position: tuple
@@ -187,9 +190,8 @@ def vortices_in_sample(spec: FieldSpec, grid: GridSpec, sample: FieldSample, flo
     Requires the grid to resolve the fastest local phase advance
     (spacing under an eighth of the shortest local wavelength).  Returns
     one VortexRecord per nonzero-winding plaquette, in row-major grid
-    order.  A plaquette whose refined winding is not within 0.1 of an
-    integer multiple of 2 pi raises ResolutionError instead of returning
-    a fabricated charge.
+    order.  Refined loop sums are whole turns up to rounding, which each
+    record keeps as its residual.
     """
     _check_resolution(spec, grid)
     ph = np.angle(sample.psi)
@@ -212,12 +214,6 @@ def vortices_in_sample(spec: FieldSpec, grid: GridSpec, sample: FieldSample, flo
     turns = _loop_sums(d_col, d_row) / (2.0 * math.pi)
     charge = np.rint(turns)
     residual = np.abs(turns - charge)
-    bad = ok & (residual >= 0.1)
-    if bad.any():
-        j, i = np.argwhere(bad)[0]
-        raise ResolutionError(
-            f"plaquette at ({c1[i]:.6g}, {c2[j]:.6g}) has non-integer winding "
-            f"{turns[j, i]:.4f} x 2pi; refine the grid")
     j, i = np.nonzero(ok & (np.abs(charge) >= 1))  # NaN windings (non-finite psi) give none
     centres = 0.5 * (nodes(j, i) + nodes(j + 1, i + 1))
     return [VortexRecord(position=tuple(p), charge=int(q), residual=float(r))

@@ -439,14 +439,10 @@ def _parse_seeds(rows, source: str) -> tuple:
     return tuple(seeds)
 
 
-def _read_seeds_file(path: str) -> tuple:
-    lines = _read_text(path, "seeds").split("\n")
-    return _parse_seeds([line for line in lines if not line.lstrip().startswith("#")], path)
-
-
 def _resolve_seeds(args, spec) -> tuple:
     if args.seeds:
-        return _read_seeds_file(args.seeds)
+        lines = _read_text(args.seeds, "seeds").split("\n")
+        return _parse_seeds([ln for ln in lines if not ln.lstrip().startswith("#")], args.seeds)
     if args.seeds_inline:
         return _parse_seeds(args.seeds_inline.split(";"), "--seeds-inline")
     if isinstance(spec, GaussianPairSpec):
@@ -459,35 +455,31 @@ def _resolve_seeds(args, spec) -> tuple:
 
 def _resolve_domain(args, spec, seeds, paraxial: bool) -> tuple:
     names = frame_names(spec.ndim)
-    overrides = {}
-    if args.domain:
-        for clause in args.domain.split(","):
-            parts = clause.split(":")
-            if len(parts) != 3:
-                raise ParameterError(f"domain clause must be name:lo:hi, got {clause!r}")
-            name, lo, hi = parts
-            if name not in names:
-                raise ParameterError(f"domain coordinate {name!r} not in frame {names}")
-            try:
-                overrides[name] = (float(lo), float(hi))
-            except ValueError:
-                raise ParameterError(f"malformed domain clause {clause!r}")
-    if not paraxial and set(overrides) != set(names):
+    domain = {}  # the padded seed box, then each --domain clause laid over it
+    for name, col in zip(names, np.asarray(seeds, dtype=float).T):
+        lo, hi = float(col.min()), float(col.max())
+        pad = max(1.0, hi - lo)  # Python max: an infinite seed keeps (inf, inf), not nan
+        domain[name] = ((lo, hi + args.z_end) if paraxial and name == names[-1]
+                        else (lo - pad, hi + pad))
+    given = set()
+    for clause in args.domain.split(",") if args.domain else ():
+        parts = clause.split(":")
+        if len(parts) != 3:
+            raise ParameterError(f"domain clause must be name:lo:hi, got {clause!r}")
+        name, lo, hi = parts
+        if name not in names:
+            raise ParameterError(f"domain coordinate {name!r} not in frame {names}")
+        if name in given:
+            raise ParameterError(f"duplicate domain coordinate {name!r}")
+        given.add(name)
+        try:
+            domain[name] = (float(lo), float(hi))
+        except ValueError:
+            raise ParameterError(f"malformed domain clause {clause!r}")
+    if not paraxial and len(given) != len(names):
         raise ParameterError(
             "arc-length tracing needs an explicit --domain covering every coordinate")
-    domain = []
-    arr = np.asarray(seeds, dtype=float)
-    for i, name in enumerate(names):
-        if name in overrides:
-            domain.append(overrides[name])
-            continue
-        lo, hi = float(arr[:, i].min()), float(arr[:, i].max())
-        if paraxial and name == names[-1]:
-            domain.append((lo, hi + args.z_end))
-        else:
-            pad = max(1.0, hi - lo)
-            domain.append((lo - pad, hi + pad))
-    return tuple(domain)
+    return tuple(domain.values())
 
 
 def _write_trace_csv(path: str, trajectories) -> None:

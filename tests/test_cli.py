@@ -739,6 +739,9 @@ def pair(w0, lambda_mm=1):
     (["fieldmap", "--field-json", '{"a":' * 100000 + "1" + "}" * 100000,
       "--grid", "x:0:1:4,z:0:1:4"], {},
      "field spec nests arrays or objects too deeply to decode"),
+    # a --domain coordinate given twice
+    (["trace", "--field-json", pair(1), "--seeds-inline", "0,0", "--mode", "arc",
+      "--domain", "x:-1:1,x:-2:2,z:0:1"], {}, "duplicate domain coordinate 'x'"),
 ])
 def test_rejected_input_exits_two_with_its_message(tmp_path, capsys, argv, files, message):
     for name, text in files.items():

@@ -14,7 +14,10 @@ dense nodes, and every family fills the whole grid on every axis pair, with
 and without a fixed coordinate.
 
 Physics holds on every grid: P_O / W equals re_p / k to rounding, and the
-winding of two adjacent blocks adds up to that of their union.
+winding of two adjacent blocks adds up to that of their union.  Each refined
+vortex winding is whole turns to rounding, on off-centre Bessel grids and on
+TIR grids across the interface, and a Bessel grid's vortex set moves with
+the grid when both axes shift by whole spacings.
 
 A traced bundle is one set of array evaluations per RK4 stage, and the same
 holds for its rows: row i of a bundle equals seed i traced in a bundle with
@@ -253,6 +256,80 @@ def test_winding_adds_up_over_adjacent_blocks(seed, shape, axis, data):
     qa, qb, qu = (round(w / TWO_PI) for w in (wa, wb, wu))
     assert qa + qb == qu
     assert abs(wu - TWO_PI * qu) <= WINDING_TOL
+
+
+def off_centre_grid(h, counts, lows, shift=(0, 0)):
+    """An (x, y) grid at z = 0 of spacing h from lows, moved by whole spacings."""
+    ranges = tuple((lo + s * h, lo + (s + n - 1) * h) for lo, n, s in zip(lows, counts, shift))
+    return pf.GridSpec(axes=("x", "y"), ranges=ranges, counts=counts, fixed=(("z", 0.0),))
+
+
+@st.composite
+def off_centre_bessel(draw, ells, counts):
+    """A Bessel field of a drawn charge and the (h, counts, lows) of a grid whose axis
+    sits 0.25-0.75 spacings from its nearest nodes, as test_anomaly's off_centre_grids,
+    but at any interior node of a grid of drawn counts."""
+    ell = draw(st.sampled_from(ells))
+    counts = (draw(counts), draw(counts))
+    h = draw(st.floats(0.01, 0.1))
+    lows = tuple(-(draw(st.integers(2, n - 3)) + draw(st.floats(0.25, 0.75))) * h
+                 for n in counts)
+    spec = pf.BesselSpec(wave=pf.WaveParameters(1.0), ell=ell, k_perp=0.05 * TWO_PI)
+    return spec, h, counts, lows
+
+
+@st.composite
+def tir_straddling(draw):
+    """make_tir() and a grid, in either axis order, whose x range crosses the interface
+    and whose z range crosses the row of glass vortices at z = 0.34 mm."""
+    h = draw(st.floats(0.01, 0.08))  # under an eighth of the glass wavelength, 1/1.5 mm
+    n_x, n_z = draw(st.integers(8, 80)), draw(st.integers(4, 40))
+    x_lo = -draw(st.floats(0.1, 0.95)) * (n_x - 1) * h  # the share of the range in glass
+    z_lo = 0.34 - draw(st.floats(0.05, 0.95)) * (n_z - 1) * h
+    boxes = {"x": ((x_lo, x_lo + (n_x - 1) * h), n_x), "z": ((z_lo, z_lo + (n_z - 1) * h), n_z)}
+    axes = draw(st.permutations(("x", "z")))
+    return make_tir(), pf.GridSpec(axes=tuple(axes), ranges=tuple(boxes[a][0] for a in axes),
+                                   counts=tuple(boxes[a][1] for a in axes))
+
+
+RESIDUAL_TOL = 1e-12  # turns
+
+
+@settings(max_examples=150)
+@given(case=st.one_of(
+    off_centre_bessel(range(-3, 4), st.integers(12, 24)).map(
+        lambda c: (c[0], off_centre_grid(*c[1:]))),
+    tir_straddling()))
+def test_a_refined_winding_is_whole_turns(case):
+    # a refined edge step is its end phases' difference plus a multiple of 2 pi,
+    # so the node phases cancel around a plaquette and leave whole turns
+    spec, grid = case
+    for record in pf.detect_vortices(spec, grid):
+        assert record.residual <= RESIDUAL_TOL, record
+
+
+@settings(max_examples=110)
+@given(case=off_centre_bessel((-2, -1, 1, 2), st.integers(16, 39)),
+       shift=st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
+def test_the_vortex_set_moves_with_the_grid(case, shift):
+    spec, h, counts, lows = case
+
+    def by_plaquette(s):
+        """Records of the grid moved by s on the plaquettes both grids share, as
+        {plaquette in the unmoved grid's numbering: (charge, position in spacings
+        from the moved grid's first node)}."""
+        out = {}
+        for record in pf.detect_vortices(spec, off_centre_grid(h, counts, lows, s)):
+            at = tuple((record.position[k] - lows[k]) / h - s[k] for k in (0, 1))
+            key = tuple(math.floor(u) + d for u, d in zip(at, s))
+            if all(max(0, d) <= i <= n - 2 + min(0, d) for i, n, d in zip(key, counts, shift)):
+                out[key] = (record.charge, at)
+        return out
+
+    still, moved = by_plaquette((0, 0)), by_plaquette(shift)
+    assert {k: q for k, (q, _) in still.items()} == {k: q for k, (q, _) in moved.items()}
+    for key, (_, at) in still.items():
+        assert np.subtract(at, moved[key][1]) == pytest.approx(shift, abs=1e-9)
 
 
 def _tir(n, theta1, theta2, amp1, amp2):
