@@ -17,13 +17,15 @@ Conventions used throughout the package:
   intensity-normalized so overall constants cancel
 
 Array inputs broadcast through the evaluation routines, so grids are
-evaluated vectorized.
+evaluated vectorized.  A single point is computed on numpy scalars (_axis),
+not 0-d arrays: numpy takes its array path on a 0-d array, at about ten
+times the cost of its scalar path, for the same bits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import cache, cached_property
 from typing import Union, get_args
 
@@ -40,6 +42,11 @@ def special():
     and the import is more than half of a fresh process's start-up."""
     from scipy import special
     return special
+
+
+def _axis(v):
+    """v as float64: a numpy scalar at 0-d, an array otherwise."""
+    return np.asarray(v, dtype=float)[()]
 
 
 def _require_finite(name, value):
@@ -64,7 +71,7 @@ class WaveParameters:
             raise ParameterError(f"lambda_mm must be > 0, got {lam}")
         object.__setattr__(self, "lambda_mm", lam)
 
-    @property
+    @cached_property  # once per wave: every point evaluation reads it
     def k(self) -> float:
         """Wavenumber 2*pi/lambda (rad/mm)."""
         return TWO_PI / self.lambda_mm
@@ -75,7 +82,6 @@ class WaveParameters:
         return self.k
 
 
-@dataclass(frozen=True)
 class FieldSample:
     """psi and its exact gradient at one point (evaluate) or on a grid.
 
@@ -87,13 +93,13 @@ class FieldSample:
     normalize without re-fetching the spec.
     """
 
-    psi: complex
-    grad_psi: np.ndarray
-    k: float
-    amplitude: float = field(init=False, repr=False, compare=False)  # |psi|
+    __slots__ = ("psi", "grad_psi", "k", "amplitude")  # not a dataclass: one per point evaluation
 
-    def __post_init__(self):  # once: the mask, momentum and energy density all read it
-        object.__setattr__(self, "amplitude", abs(self.psi))
+    def __init__(self, psi, grad_psi, k):
+        self.psi = psi
+        self.grad_psi = grad_psi
+        self.k = k
+        self.amplitude = abs(psi)  # once: the mask, momentum and energy density all read it
 
     @property
     def phase(self) -> float:
@@ -156,7 +162,7 @@ class PlaneWaveSpec(_FieldFamily):
     def psi_grad(self, *coords):
         k = self.wave.k
         phase = sum(k * d * c for d, c in zip(self.direction, coords))
-        psi = np.exp(1j * np.asarray(phase, dtype=float))
+        psi = np.exp(1j * _axis(phase))
         return psi, tuple(1j * k * d * psi for d in self.direction)
 
 
@@ -194,7 +200,7 @@ class GaussianPairSpec(_FieldFamily):
         object.__setattr__(self, "w0_mm", w0)
         object.__setattr__(self, "a_mm", a)
 
-    @property
+    @cached_property  # once per spec: psi_grad reads it on every call
     def rayleigh_mm(self) -> float:
         """zR = k w0^2 / 2."""
         return 0.5 * self.wave.k * self.w0_mm ** 2
@@ -209,8 +215,8 @@ class GaussianPairSpec(_FieldFamily):
         return z / (z * z + self.rayleigh_mm ** 2)
 
     def psi_grad(self, x, z):
-        x = np.asarray(x, dtype=float)
-        z = np.asarray(z, dtype=float)
+        x = _axis(x)
+        z = _axis(z)
         k = self.wave.k
         zr = self.rayleigh_mm
         q = z - 1j * zr
@@ -269,9 +275,7 @@ class BesselSpec(_FieldFamily):
         return np.array([m - 1.0, m, m + 1.0])
 
     def psi_grad(self, x, y, z):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        z = np.asarray(z, dtype=float)
+        z = _axis(z)  # x and y go to hypot and arctan2 as given: wrapping them cost more
         kp = self.k_perp
         kz = self.k_z
         r = np.hypot(x, y)
@@ -284,7 +288,8 @@ class BesselSpec(_FieldFamily):
         # J_{m-1} - J_{m+1} = 2 J'_m and J_{m-1} + J_{m+1} = (2m/s) J_m (DLMF 10.6.1)
         # give both transverse components with no 1/r, so the axis needs no branch
         dr = kp * ((j_lo - j_hi) / 2) * carrier                           # radial derivative
-        az = (1j * np.sign(self.ell) * kp) * ((j_lo + j_hi) / 2) * carrier  # (1/r) d/dphi
+        sign = (self.ell > 0) - (self.ell < 0)  # np.sign's int64 would make 1j * sign slow
+        az = (1j * sign * kp) * ((j_lo + j_hi) / 2) * carrier  # (1/r) d/dphi
         cos_p = np.cos(phi)
         sin_p = np.sin(phi)
         gx = cos_p * dr - sin_p * az
@@ -310,7 +315,7 @@ class EvanescentSpec(_FieldFamily):
             raise ParameterError(f"kappa must be > 0, got {kap}")
         object.__setattr__(self, "kappa", kap)
 
-    @property
+    @cached_property  # once per spec: psi_grad reads it twice on every call
     def k_z(self) -> float:
         return math.hypot(self.wave.k, self.kappa)
 
@@ -318,8 +323,8 @@ class EvanescentSpec(_FieldFamily):
         return self.k_z
 
     def psi_grad(self, x, z):
-        x = np.asarray(x, dtype=float)
-        z = np.asarray(z, dtype=float)
+        x = _axis(x)
+        z = _axis(z)
         psi = np.exp(1j * self.k_z * z - self.kappa * x)
         return psi, (-self.kappa * psi, 1j * self.k_z * psi)
 
@@ -426,8 +431,8 @@ class TirTwoWaveSpec(_FieldFamily):
         return psi, gx, gz
 
     def psi_grad(self, x, z):
-        x = np.asarray(x, dtype=float)
-        z = np.asarray(z, dtype=float)
+        x = _axis(x)
+        z = _axis(z)
         if x.ndim == z.ndim == 0:
             psi, gx, gz = (self._glass if self.in_glass(x) else self._air)(x, z)
             return psi, (gx, gz)
@@ -448,18 +453,23 @@ FieldSpec = Union[PlaneWaveSpec, GaussianPairSpec, BesselSpec, EvanescentSpec, T
 _FAMILIES = {cls.family: cls for cls in get_args(FieldSpec)}
 
 
+def _point_coords(spec: FieldSpec, point):
+    """point as a list of one float per frame axis."""
+    coords = np.asarray(point, dtype=float)
+    if coords.shape != (spec.ndim,):
+        raise ParameterError(
+            f"{type(spec).__name__} expects a point with {spec.ndim} coordinates, "
+            f"got shape {coords.shape}")
+    return coords.tolist()  # Python floats: unpacking an array makes a numpy scalar each
+
+
 def evaluate(spec: FieldSpec, point) -> FieldSample:
     """Evaluate psi and its exact gradient at a single point.
 
     The point must have as many coordinates as the field's frame:
     (x, z) for planar families, (x, y, z) for the Bessel family.
     """
-    coords = np.asarray(point, dtype=float)
-    if coords.shape != (spec.ndim,):
-        raise ParameterError(
-            f"{type(spec).__name__} expects a point with {spec.ndim} coordinates, "
-            f"got shape {coords.shape}")
-    psi, grads = spec.psi_grad(*coords)
+    psi, grads = spec.psi_grad(*_point_coords(spec, point))
     return FieldSample(psi=complex(psi), grad_psi=np.array(grads), k=spec.wave.k)
 
 

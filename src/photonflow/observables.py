@@ -53,13 +53,14 @@ def embed3(components, ndim: int) -> np.ndarray:
     Planar fields order their coordinates (x, z); the missing y slot is
     filled with zeros of matching shape, and the vector index leads.
     """
-    comps = list(components)
-    if ndim == 2:
-        zero = np.zeros_like(np.asarray(comps[0]))
-        comps = [comps[0], zero, comps[1]]
-    elif ndim != 3:
+    if ndim == 3:
+        return np.array(components)
+    if ndim != 2:
         raise ParameterError(f"expected 2 or 3 components, got {ndim}")
-    return np.array(comps)
+    comps = np.asarray(components)
+    out = np.zeros((3,) + comps.shape[1:], comps.dtype)
+    out[::2] = comps  # x and z; y stays +0.0
+    return out
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,7 @@ class PolarizationState:
         return (self.s1, self.s2, self.s3)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # a plain record: one is built per momentum evaluation
 class ComplexMomentum:
     """p = -i grad ln psi; p has one entry per coordinate on its leading axis."""
 
@@ -135,7 +136,7 @@ class ComplexMomentum:
         return self.p.imag
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PoyntingDecomposition:
     """Orbital/spin split of the Poynting vector plus the energy density."""
 
@@ -184,7 +185,9 @@ def poynting_from_sample(sample: FieldSample, pol: PolarizationState) -> Poyntin
     p_o = flux.imag * (1.0 / (2.0 * omega))
     grad_i = 2.0 * flux.real  # grad |psi|^2
     scale = pol.s3 / (4.0 * omega)
-    p_s = np.array([grad_i[1] * scale, -grad_i[0] * scale, np.zeros_like(grad_i[0])])
+    p_s = np.zeros_like(grad_i)  # slot z stays +0.0
+    p_s[0] = grad_i[1] * scale
+    p_s[1] = -grad_i[0] * scale
     return PoyntingDecomposition(P_O=p_o, P_S=p_s, W=energy_density(sample))
 
 

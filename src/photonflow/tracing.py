@@ -342,11 +342,13 @@ def _trace_bundle(spec, cfg: TraceConfig, which: str) -> list:
 
 
 def check_seeds(spec: FieldSpec, seeds) -> None:
-    """Raise ParameterError unless every seed has one coordinate per frame axis."""
+    """Raise ParameterError unless every seed has one finite coordinate per frame axis."""
     for seed in seeds:
         if len(seed) != spec.ndim:
             raise ParameterError(
                 f"seed {seed} has {len(seed)} coordinates but the field frame has {spec.ndim}")
+        if not all(math.isfinite(c) for c in seed):
+            raise ParameterError(f"seed {seed} has a non-finite coordinate")
 
 
 def trace_streamline(spec: FieldSpec, cfg: TraceConfig, which: str):

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegeneratePointerError, ParameterError, ParameterWarning, SingularPointError
-from .fields import FieldSpec, GaussianPairSpec, evaluate
+from .fields import FieldSpec, GaussianPairSpec, _point_coords
 from .observables import ComplexMomentum, PolarizationState, singular_cells
 
 
@@ -70,6 +70,16 @@ class StokesVector:
         return (self.s1, self.s2, self.s3)
 
 
+def _perturbed(spec: FieldSpec, cal: CalciteSpec, coords, psi):
+    # each public caller calls this directly, so stacklevel 3 names the line that called it
+    if isinstance(spec, GaussianPairSpec) and abs(cal.delta_x) > spec.w0_mm / 100.0:
+        warnings.warn(
+            f"delta_x = {cal.delta_x} mm exceeds w0/100 = {spec.w0_mm / 100.0} mm; "
+            "the first-order Stokes readout may be inaccurate", ParameterWarning, stacklevel=3)
+    psi_shift, _ = spec.psi_grad(coords[0] - cal.delta_x, *coords[1:])
+    return cal.pol.ex * psi_shift, cal.pol.ey * psi
+
+
 def calcite_fields(spec: FieldSpec, cal: CalciteSpec, coords, psi):
     """Perturbed field components (E'_x, E'_y), element-wise.
 
@@ -79,18 +89,13 @@ def calcite_fields(spec: FieldSpec, cal: CalciteSpec, coords, psi):
     Warns when the shift is no longer small against a Gaussian field's
     waist, since the first-order readout degrades there.
     """
-    if isinstance(spec, GaussianPairSpec) and abs(cal.delta_x) > spec.w0_mm / 100.0:
-        warnings.warn(
-            f"delta_x = {cal.delta_x} mm exceeds w0/100 = {spec.w0_mm / 100.0} mm; "
-            "the first-order Stokes readout may be inaccurate", ParameterWarning, stacklevel=2)
-    psi_shift, _ = spec.psi_grad(coords[0] - cal.delta_x, *coords[1:])
-    return cal.pol.ex * psi_shift, cal.pol.ey * psi
+    return _perturbed(spec, cal, coords, psi)
 
 
 def apply_calcite(spec: FieldSpec, cal: CalciteSpec, point):
     """Perturbed field components (E'_x, E'_y) at a point (see calcite_fields)."""
-    coords = np.asarray(point, dtype=float)
-    return calcite_fields(spec, cal, coords, evaluate(spec, coords).psi)
+    coords = _point_coords(spec, point)
+    return _perturbed(spec, cal, coords, complex(spec.psi_grad(*coords)[0]))
 
 
 def _normalized_stokes(ex, ey, intensity):

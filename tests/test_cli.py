@@ -742,6 +742,9 @@ def pair(w0, lambda_mm=1):
     # a --domain coordinate given twice
     (["trace", "--field-json", pair(1), "--seeds-inline", "0,0", "--mode", "arc",
       "--domain", "x:-1:1,x:-2:2,z:0:1"], {}, "duplicate domain coordinate 'x'"),
+    # a non-finite seed is named, not reported as the domain built around it
+    (PLANE_TRACE[:-1] + ["nan,0"], {}, "seed (nan, 0.0) has a non-finite coordinate"),
+    (PLANE_TRACE[:-1] + ["inf,0"], {}, "seed (inf, 0.0) has a non-finite coordinate"),
 ])
 def test_rejected_input_exits_two_with_its_message(tmp_path, capsys, argv, files, message):
     for name, text in files.items():

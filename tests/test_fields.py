@@ -1,6 +1,7 @@
 """Field families: closed forms, symmetries, serialization, validation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -411,6 +412,50 @@ def test_evaluate_rejects_wrong_dimension(gaussian_pair, bessel_ell2):
         pf.evaluate(gaussian_pair, (0.0, 0.0, 0.0))
     with pytest.raises(ParameterError):
         pf.evaluate(bessel_ell2, (0.0, 0.0))
+
+
+POINT_CALLS = {
+    "evaluate": pf.evaluate,
+    "poynting_decomposition": lambda spec, point: pf.poynting_decomposition(
+        spec, pf.PolarizationState.circular(), point),
+    "optical_force": lambda spec, point: pf.optical_force(
+        spec, pf.Polarizability(1e-3 + 1e-4j), point),
+    "apply_calcite": lambda spec, point: pf.apply_calcite(
+        spec, pf.CalciteSpec(delta_x=1e-5), point),
+}
+
+
+@pytest.mark.parametrize("call", POINT_CALLS.values(), ids=POINT_CALLS.keys())
+@pytest.mark.parametrize("spec, point, shape", [
+    (ALL_SPECS[2], (0.1, 0.2, 0.3), (3,)),
+    (ALL_SPECS[2], [0.1], (1,)),
+    (ALL_SPECS[2], ((0.1, 0.2), (0.3, 0.4)), (2, 2)),
+    (ALL_SPECS[2], np.zeros((1, 2)), (1, 2)),
+    (ALL_SPECS[3], (0.1, 0.2), (2,)),
+], ids=["three", "one", "nested", "row", "bessel-two"])
+def test_every_point_call_names_a_point_of_the_wrong_shape(call, spec, point, shape):
+    message = (f"^{type(spec).__name__} expects a point with {spec.ndim} coordinates, "
+               f"got shape {re.escape(str(shape))}$")
+    with pytest.raises(ParameterError, match=message):
+        call(spec, point)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
+def test_every_point_form_gives_the_same_bits(spec):
+    def bits(point):
+        sample = pf.evaluate(spec, point)
+        dec = POINT_CALLS["poynting_decomposition"](spec, point)
+        return [(type(v).__name__, np.asarray(v).tobytes())
+                for v in (sample.psi, sample.grad_psi, sample.amplitude, dec.P_O, dec.P_S, dec.W,
+                          *POINT_CALLS["optical_force"](spec, point),
+                          *POINT_CALLS["apply_calcite"](spec, point))]
+
+    for first in (0.37, -0.21):  # both sides of the TIR interface
+        point = (first, 0.9, 1.3)[:spec.ndim]
+        want = bits(point)
+        for form in (list(point), np.array(point), tuple(map(np.float64, point)),
+                     np.array(point)[None, :][0]):
+            assert bits(form) == want
 
 
 def test_field_sample_phase_raises_at_zero():

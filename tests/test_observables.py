@@ -308,6 +308,55 @@ def test_singular_cells_rejects_a_peak_that_is_not_finite(peak):
         singular_cells(np.array([[peak, 0.0], [peak, peak]]))
 
 
+def old_embed3(a, b):
+    """embed3's planar case as it was first written: the reference for its bits."""
+    return np.array([a, np.zeros_like(a), b])
+
+
+def old_spin_current(grad_i, scale):
+    """P_S as it was first written, from grad |psi|^2 and s3 / (4 omega)."""
+    return np.array([grad_i[1] * scale, -grad_i[0] * scale, np.zeros_like(grad_i[0])])
+
+
+def draw_values(rng, shape, dtype):
+    """Values over a wide exponent range with +-0.0, NaN and +-inf mixed in."""
+    def part():
+        v = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        special = rng.random(shape) < 0.3
+        return np.where(special, rng.choice([0.0, -0.0, math.nan, math.inf, -math.inf], shape), v)
+    if dtype is float:
+        return part()
+    out = np.empty(shape, complex)
+    out.real, out.imag = part(), part()
+    return out
+
+
+def same_bits(got, want):
+    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (5, 6)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_embed3_and_the_spin_current_keep_their_first_bits(shape, dtype):
+    rng = np.random.default_rng(2113)
+    pol = pf.PolarizationState.of(0.6, 0.8j)
+    with np.errstate(all="ignore"):
+        for _ in range(20):
+            a, b, c = (draw_values(rng, shape, dtype) for _ in range(3))
+            want = old_embed3(a, b)
+            assert same_bits(pf.embed3((a, b), 2), want)
+            assert same_bits(pf.embed3(np.stack([a, b]), 2), want)
+            if shape == ():  # numpy scalars, as a point's gradient unpacks
+                assert same_bits(pf.embed3((a[()], b[()]), 2), want)
+            for grad in ((a, b), (a, b, c)):
+                sample = pf.FieldSample(psi=draw_values(rng, shape, complex),
+                                        grad_psi=np.array(grad, dtype=complex), k=2.5)
+                flux = sample.psi.conjugate() * sample.grad_psi
+                grad_i = 2.0 * (old_embed3(*flux) if len(grad) == 2 else flux).real
+                got = pf.observables.poynting_from_sample(sample, pol).P_S
+                assert same_bits(got, old_spin_current(grad_i, pol.s3 / (4.0 * 2.5)))
+
+
 def test_embed3_shapes():
     v = pf.embed3((1.0, 2.0), 2)
     assert v.tolist() == [1.0, 0.0, 2.0]

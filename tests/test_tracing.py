@@ -551,6 +551,17 @@ def test_trace_rejects_bad_which_and_bad_seed(plane_wave, bessel_ell2):
         pf.trace_streamline(bessel_ell2, planar_seed, "re")
 
 
+@pytest.mark.parametrize("seeds", [((math.nan, 0.5),), ((0.0, 0.5), (0.0, math.inf)),
+                                   ((0.0, -math.inf),)])
+def test_a_non_finite_seed_is_named(plane_wave, seeds):
+    cfg = pf.TraceConfig(seeds=seeds, parameterization="arc-length", step=0.1, max_steps=10,
+                         domain=((-1.0, 1.0), (0.0, 1.0)))
+    bad = next(s for s in seeds if not all(map(math.isfinite, s)))
+    with pytest.raises(ParameterError, match=rf"^seed \({bad[0]!r}, {bad[1]!r}\) has a "
+                                             "non-finite coordinate$"):
+        pf.trace_streamline(plane_wave, cfg, "re")
+
+
 def test_helix_validation(helix_bessel, gaussian_pair):
     with pytest.raises(ParameterError):
         pf.trace_bessel_helix(gaussian_pair, r0=0.5, phi0=0.0, z_end=1.0)

@@ -98,8 +98,12 @@ def test_predicted_stokes_is_unit_norm():
 
 def test_large_shift_warns_on_gaussian(gaussian_pair):
     cal = pf.CalciteSpec(delta_x=0.01)  # w0/100 = 6.08e-3 mm
-    with pytest.warns(UserWarning, match="w0/100"):
+    with pytest.warns(UserWarning, match="w0/100") as record:
         pf.apply_calcite(gaussian_pair, cal, (0.0, 1.0))
+    with pytest.warns(UserWarning, match="w0/100") as grid_record:
+        pf.weakmeasure.calcite_fields(gaussian_pair, cal, (np.zeros((1, 3)), 1.0), np.ones((1, 3)))
+    # the caller's line, so that the default filter shows it once per call site
+    assert [r.filename for r in (*record, *grid_record)] == [__file__, __file__]
 
 
 def test_small_shift_does_not_warn(gaussian_pair):
