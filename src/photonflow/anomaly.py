@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ResolutionError
-from .fields import FieldSample, FieldSpec, TirTwoWaveSpec
+from .fields import FieldSample, FieldSpec, TirTwoWaveSpec, _require_finite
 from .grids import GridSpec, sample_grid
 from .observables import ComplexMomentum, _is_singular, local_momentum, singular_cells
 
@@ -228,8 +228,8 @@ def check_label_options(spec: FieldSpec, bound_model: str = "uniform",
     """
     if not superluminal_guard >= 0.0:
         raise ParameterError(f"superluminal_guard must be >= 0, got {superluminal_guard!r}")
-    if superluminal_guard == math.inf:  # the anomaly artifact records it, and JSON has no inf
-        raise ParameterError("superluminal_guard must be finite, got inf")
+    # the anomaly artifact records it, and JSON has no inf
+    _require_finite("superluminal_guard", superluminal_guard)
     if bound_model not in ("uniform", "piecewise"):
         raise ParameterError(
             f"bound_model must be 'uniform' or 'piecewise', got {bound_model!r}")

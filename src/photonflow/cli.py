@@ -40,13 +40,12 @@ import numpy as np
 from . import __version__
 from .anomaly import anomalies_in_sample, check_label_options, vortices_in_sample
 from .errors import ParameterError, ParameterWarning
-from .fields import FieldSpec, GaussianPairSpec, field_from_dict
+from .fields import FieldSpec, GaussianPairSpec, _require_interval, field_from_dict
 from .forces import Polarizability, force_from_sample, forces_from_momentum
 from .grids import GridSpec, frame_names, sample_grid
 from .observables import (PolarizationState, embed3, energy_density, local_momentum,
                           poynting_from_sample, singular_cells)
-from .tracing import (ARC_LENGTH, PARAXIAL, TraceConfig, check_domain, check_seeds,
-                      trace_streamline)
+from .tracing import ARC_LENGTH, PARAXIAL, TraceConfig, check_seeds, trace_streamline
 from .weakmeasure import (CalciteSpec, calcite_fields, predicted_parameters, readout_momentum,
                           stokes_parameters)
 
@@ -213,10 +212,6 @@ def _scalar_layer(name, values, mask=None) -> _FloatLayer:
     return _FloatLayer(values, mask)
 
 
-def _vector_layer(name, vx, vy, vz, mask=None) -> _FloatLayer:
-    return _scalar_layer(name, np.stack([vx, vy, vz], axis=-1), mask)
-
-
 # grid layers: name -> layer built from the layer name and the command's
 # library results (_derivations)
 _LAYERS = {
@@ -230,16 +225,16 @@ _LAYERS = {
     "S2": lambda n, d: _scalar_layer(n, d["stokes"][1], d["stokes"][3]),
     "S3": lambda n, d: _scalar_layer(n, d["stokes"][2], d["stokes"][3]),
     "W": lambda n, d: _scalar_layer(n, energy_density(d["sample"])),
-    "P_O": lambda n, d: _vector_layer(n, *d["poynting"].P_O),
-    "P_S": lambda n, d: _vector_layer(n, *d["poynting"].P_S),
+    "P_O": lambda n, d: _scalar_layer(n, np.moveaxis(d["poynting"].P_O, 0, -1)),
+    "P_S": lambda n, d: _scalar_layer(n, np.moveaxis(d["poynting"].P_S, 0, -1)),
     "label": lambda n, d: _LabelGrid(d["anomalies"].label_names().tolist()),
     "S1_pred": lambda n, d: _scalar_layer(n, d["prediction"][0], d["mask"]),
     "S2_pred": lambda n, d: _scalar_layer(n, d["prediction"][1], d["mask"]),
     "S3_pred": lambda n, d: _scalar_layer(n, d["prediction"][2], d["mask"]),
     "re_px_readout": lambda n, d: _scalar_layer(n, d["readout"][0], d["stokes"][3]),
     "im_px_readout": lambda n, d: _scalar_layer(n, d["readout"][1], d["stokes"][3]),
-    "F_grad": lambda n, d: _vector_layer(n, *d["force"][0], d["force"][2]),
-    "F_scat": lambda n, d: _vector_layer(n, *d["force"][1], d["force"][2]),
+    "F_grad": lambda n, d: _scalar_layer(n, np.moveaxis(d["force"][0], 0, -1), d["force"][2]),
+    "F_scat": lambda n, d: _scalar_layer(n, np.moveaxis(d["force"][1], 0, -1), d["force"][2]),
 }
 ALL_LAYERS = ("amp", "phase", "re_px", "re_pz", "im_px", "im_pz", "S1", "S2", "S3", "W",
               "P_O", "P_S", "label")
@@ -511,7 +506,8 @@ def _cmd_trace(args) -> int:
         raise ParameterError("no seeds given")
     check_seeds(spec, seeds)
     # checked here, before its z range sets the default step
-    domain = check_domain(_resolve_domain(args, spec, seeds, paraxial))
+    domain = tuple(_require_interval("domain bounds", b)
+                   for b in _resolve_domain(args, spec, seeds, paraxial))
     if args.step is not None:
         step = args.step
     elif paraxial:

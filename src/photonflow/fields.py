@@ -59,6 +59,14 @@ def _require_finite(name, value):
     return v
 
 
+def _require_interval(name, bounds):
+    """bounds as a (lo, hi) float pair; ParameterError unless both are finite and lo < hi."""
+    lo, hi = (float(b) for b in bounds)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ParameterError(f"{name} must be finite and ordered, got {(lo, hi)}")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class WaveParameters:
     """Vacuum wavelength and the quantities derived from it."""
@@ -193,17 +201,17 @@ class GaussianPairSpec(_FieldFamily):
             raise ParameterError(f"w0_mm must be > 0, got {w0}")
         if a < 0.0:
             raise ParameterError(f"a_mm must be >= 0, got {a}")
-        zr = 0.5 * self.wave.k * (w0 * w0)  # rayleigh_mm, by products that cannot raise
+        object.__setattr__(self, "w0_mm", w0)
+        object.__setattr__(self, "a_mm", a)
+        zr = self.rayleigh_mm
         if not (0.0 < zr < math.inf and 0.0 < zr * zr < math.inf):  # psi_grad squares zR
             raise ParameterError(f"w0_mm = {w0} gives the Rayleigh range zR = k w0^2/2 = {zr} "
                                  "mm; zR and zR^2 must be finite and > 0")
-        object.__setattr__(self, "w0_mm", w0)
-        object.__setattr__(self, "a_mm", a)
 
     @cached_property  # once per spec: psi_grad reads it on every call
     def rayleigh_mm(self) -> float:
-        """zR = k w0^2 / 2."""
-        return 0.5 * self.wave.k * self.w0_mm ** 2
+        """zR = k w0^2 / 2, by products: w0 ** 2 raises OverflowError where w0 * w0 is inf."""
+        return 0.5 * self.wave.k * (self.w0_mm * self.w0_mm)
 
     def width_mm(self, z):
         zr = self.rayleigh_mm

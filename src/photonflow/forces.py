@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ParameterError, ParameterWarning, SingularPointError
 from .fields import FieldSample, FieldSpec, evaluate
-from .observables import ComplexMomentum, _is_singular, embed3
+from .observables import ComplexMomentum, _is_singular, psi_conj_grad, embed3
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class Polarizability:
 
 def force_from_sample(sample: FieldSample, chi: Polarizability):
     """(F_grad, F_scat) 3-vectors from an already evaluated sample, element-wise."""
-    flux = embed3(sample.psi.conjugate() * sample.grad_psi, len(sample.grad_psi))
+    flux = psi_conj_grad(sample)
     return 0.5 * chi.chi.real * flux.real, 0.5 * chi.chi.imag * flux.imag
 
 

@@ -12,13 +12,12 @@ evaluates a field on every node once, for all of the map-making layers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
-from .fields import FieldSample
+from .fields import FieldSample, _require_finite, _require_interval
 
 AXIS_NAMES = ("x", "y", "z")
 
@@ -49,13 +48,10 @@ class GridSpec:
                 raise ParameterError(f"axis name must be one of {AXIS_NAMES}, got {name!r}")
         object.__setattr__(self, "axes", axes)
 
-        ranges = tuple((float(lo), float(hi)) for lo, hi in self.ranges)
+        ranges = tuple(self.ranges)
         if len(ranges) != 2:
             raise ParameterError("one (lo, hi) range per axis required")
-        for lo, hi in ranges:
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise ParameterError(f"ranges must be finite and ordered, got {(lo, hi)}")
-        object.__setattr__(self, "ranges", ranges)
+        object.__setattr__(self, "ranges", tuple(_require_interval("ranges", r) for r in ranges))
 
         counts = tuple(int(c) for c in self.counts)
         if len(counts) != 2 or any(c < 2 for c in counts):
@@ -68,8 +64,7 @@ class GridSpec:
                 raise ParameterError(f"fixed coordinate must be one of {AXIS_NAMES}, got {name!r}")
             if name in axes:
                 raise ParameterError(f"coordinate {name!r} is both an axis and fixed")
-            if not math.isfinite(value):
-                raise ParameterError(f"fixed {name} must be finite, got {value!r}")
+            _require_finite(f"fixed {name}", value)
         if len({name for name, _ in fixed}) != len(fixed):
             raise ParameterError("duplicate fixed coordinate")
         object.__setattr__(self, "fixed", fixed)

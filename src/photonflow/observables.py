@@ -178,10 +178,16 @@ def energy_density(sample: FieldSample):
     return 0.5 * amp * amp
 
 
+def psi_conj_grad(sample: FieldSample) -> np.ndarray:
+    """psi* grad psi as an (x, y, z) 3-vector, element-wise: the Poynting split
+    and the dipole force are its imaginary and real parts."""
+    return embed3(sample.psi.conjugate() * sample.grad_psi, len(sample.grad_psi))
+
+
 def poynting_from_sample(sample: FieldSample, pol: PolarizationState) -> PoyntingDecomposition:
     """Orbital/spin Poynting split and energy density of a sample, element-wise."""
     omega = sample.k  # c = 1
-    flux = embed3(sample.psi.conjugate() * sample.grad_psi, len(sample.grad_psi))
+    flux = psi_conj_grad(sample)
     p_o = flux.imag * (1.0 / (2.0 * omega))
     grad_i = 2.0 * flux.real  # grad |psi|^2
     scale = pol.s3 / (4.0 * omega)

@@ -46,23 +46,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SeedError, SingularPointError
-from .fields import BesselSpec, FieldSample, FieldSpec, evaluate, special
+from .errors import ParameterError, SeedError
+from .fields import BesselSpec, FieldSample, FieldSpec, _require_interval, evaluate, special
 from .observables import SINGULAR_REL_THRESHOLD, _is_singular, local_momentum
 
 PARAXIAL = "paraxial-z"
 ARC_LENGTH = "arc-length"
 
 _MAX_HALVINGS = 8
-
-
-def check_domain(domain) -> tuple:
-    """The domain as (lo, hi) float pairs; ParameterError unless each is finite and ordered."""
-    domain = tuple((float(lo), float(hi)) for lo, hi in domain)
-    for lo, hi in domain:
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ParameterError(f"domain bounds must be finite and ordered, got {(lo, hi)}")
-    return domain
 
 
 @dataclass(frozen=True)
@@ -93,7 +84,7 @@ class TraceConfig:
             raise ParameterError(f"max_steps must be >= 1, got {self.max_steps!r}")
         if not self.vortex_guard > 1.0:
             raise ParameterError(f"vortex_guard must be > 1, got {self.vortex_guard!r}")
-        domain = check_domain(self.domain)
+        domain = tuple(_require_interval("domain bounds", b) for b in self.domain)
         object.__setattr__(self, "domain", domain)
         seeds = tuple(tuple(float(c) for c in s) for s in self.seeds)
         if not seeds:
@@ -137,10 +128,10 @@ def _momentum_rate(spec, pos, which: str, paraxial: bool, p_max: float, amp_max:
         raise ParameterError(f"the field amplitude overflows at {tuple(pos.tolist())}: "
                              f"|psi| = {sample.amplitude!r}")
     amp_max = max(amp_max, sample.amplitude)
-    try:
-        p = local_momentum(sample, SINGULAR_REL_THRESHOLD * amp_max).p
-    except SingularPointError:
+    floor = SINGULAR_REL_THRESHOLD * amp_max
+    if _is_singular(sample.amplitude, floor):
         return None, None, amp_max
+    p = local_momentum(sample, floor).p
     if np.linalg.norm(p) > p_max:
         return p, None, amp_max
     # Orientation: re runs with the current; im descends the osmotic

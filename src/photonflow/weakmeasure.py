@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegeneratePointerError, ParameterError, ParameterWarning, SingularPointError
-from .fields import FieldSpec, GaussianPairSpec, _point_coords
+from .fields import FieldSpec, GaussianPairSpec, _point_coords, _require_finite
 from .observables import ComplexMomentum, PolarizationState, singular_cells
 
 
@@ -44,8 +44,7 @@ class CalciteSpec:
     pol: PolarizationState = field(default_factory=PolarizationState.linear_diag)
 
     def __post_init__(self):
-        if not math.isfinite(self.delta_x):
-            raise ParameterError(f"delta_x must be finite, got {self.delta_x!r}")
+        _require_finite("delta_x", self.delta_x)
 
 
 @dataclass(frozen=True)

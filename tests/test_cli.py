@@ -212,10 +212,12 @@ def test_row_builders_reject_non_finite_cells_outside_the_mask():
         '[["singular",1.0]]')
     with pytest.raises(pf.ParameterError, match="layer 'S1'"):
         cli._scalar_layer("S1", [[1.0, np.nan]], mask)
-    layer = cli._vector_layer("F_grad", [[np.nan, 1.0]], [[0.0, 2.0]], [[0.0, 3.0]], mask)
+    layer = cli._scalar_layer(
+        "F_grad", np.stack([[[np.nan, 1.0]], [[0.0, 2.0]], [[0.0, 3.0]]], axis=-1), mask)
     assert cli._float_text(*layer) == '[["singular",[1.0,2.0,3.0]]]'
     with pytest.raises(pf.ParameterError, match="layer 'F_grad'"):
-        cli._vector_layer("F_grad", [[0.0, 1.0]], [[0.0, -np.inf]], [[0.0, 3.0]], mask)
+        cli._scalar_layer(
+            "F_grad", np.stack([[[0.0, 1.0]], [[0.0, -np.inf]], [[0.0, 3.0]]], axis=-1), mask)
 
 
 # ------------------------------------------------------------------ fieldmap
@@ -1036,9 +1038,10 @@ def test_write_json_matches_the_streaming_encoder(tmp_path):
     obj = {
         "layers": {
             "scalar": cli._scalar_layer("s", [[-0.0, 1.0], [1e-05, 5e-324]], mask),
-            "vector": cli._vector_layer("v", [[1.7976931348623157e+308, 0.0], [2.0, -0.0]],
-                                        [[1e-05, 2.0], [3.0, 4.0]], [[5e-324, 1.0], [1.0, 1.0]],
-                                        mask),
+            "vector": cli._scalar_layer(
+                "v", np.stack([[[1.7976931348623157e+308, 0.0], [2.0, -0.0]],
+                               [[1e-05, 2.0], [3.0, 4.0]], [[5e-324, 1.0], [1.0, 1.0]]], axis=-1),
+                mask),
             "label": [["a", "b"], ["c", "d"]],
         },
         "ints": [0, -3, 2**53 + 1],
@@ -1065,10 +1068,11 @@ def test_write_json_writes_layers_block_by_block(tmp_path, monkeypatch):
     scalar = rng.standard_normal((9, 4)) * 10.0 ** rng.uniform(-12, 20, (9, 4))
     scalar[2, 1] = 1.5e-05
     vector = rng.standard_normal((5, 4, 3)) * 10.0 ** rng.uniform(-8, -3, (5, 4, 3))
+    components = np.ascontiguousarray(np.moveaxis(vector, -1, 0))  # the library's (3, ...) form
     mask = rng.random((9, 4)) < 0.3
     labels = [["normal", "backflow"], ["superluminal", "singular"]]
     obj = {"layers": {"s": cli._scalar_layer("s", scalar, mask),
-                      "v": cli._vector_layer("v", *np.moveaxis(vector, -1, 0), mask[:5]),
+                      "v": cli._scalar_layer("v", np.moveaxis(components, 0, -1), mask[:5]),
                       "label": cli._LabelGrid(labels)}}
     lists = {"layers": {
         "s": [["singular" if m else x for x, m in zip(r, mr)]
