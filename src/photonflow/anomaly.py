@@ -58,13 +58,16 @@ def phase_winding(phases) -> float:
     """Total winding (rad) of a closed loop of phase samples.
 
     The loop closes itself: the last-to-first step is included, so the
-    first sample must not be repeated at the end.  Every step must stay
-    below pi/2 in magnitude after wrapping; larger jumps mean the loop
-    is undersampled and the winding untrustworthy.
+    first sample must not be repeated at the end.  Every sample must be
+    finite, and every step must stay below pi/2 in magnitude after
+    wrapping; larger jumps mean the loop is undersampled and the winding
+    untrustworthy.
     """
     ph = np.asarray(phases, dtype=float).ravel()
     if ph.size < 3:
         raise ParameterError(f"a closed loop needs at least 3 samples, got {ph.size}")
+    for value in ph.tolist():  # a NaN step would pass the undersampling check
+        _require_finite("phase sample", value)
     steps = wrap_angle(np.diff(np.append(ph, ph[0])))
     worst = float(np.max(np.abs(steps)))
     if worst > _HALF_PI:

@@ -672,8 +672,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("trace", help="integrate momentum streamlines to CSV")
     _add_field_flags(p)
-    p.add_argument("--seeds", help="CSV file of seed positions, one per row")
-    p.add_argument("--seeds-inline", help="seeds as x,z;x,z or x,y,z;x,y,z")
+    seeds = p.add_mutually_exclusive_group()
+    seeds.add_argument("--seeds", help="CSV file of seed positions, one per row")
+    seeds.add_argument("--seeds-inline", help="seeds as x,z;x,z or x,y,z;x,y,z")
     p.add_argument("--mode", choices=("paraxial", "arc", "3d"), default="paraxial")
     p.add_argument("--which", choices=("re", "im"), default="re")
     p.add_argument("--domain", default="",

@@ -462,20 +462,23 @@ _FAMILIES = {cls.family: cls for cls in get_args(FieldSpec)}
 
 
 def _point_coords(spec: FieldSpec, point):
-    """point as a list of one float per frame axis."""
+    """point as a list of one finite float per frame axis."""
     coords = np.asarray(point, dtype=float)
     if coords.shape != (spec.ndim,):
         raise ParameterError(
             f"{type(spec).__name__} expects a point with {spec.ndim} coordinates, "
             f"got shape {coords.shape}")
-    return coords.tolist()  # Python floats: unpacking an array makes a numpy scalar each
+    coords = coords.tolist()  # Python floats: unpacking an array makes a numpy scalar each
+    if not all(map(math.isfinite, coords)):
+        raise ParameterError(f"point {tuple(coords)} has a non-finite coordinate")
+    return coords
 
 
 def evaluate(spec: FieldSpec, point) -> FieldSample:
     """Evaluate psi and its exact gradient at a single point.
 
-    The point must have as many coordinates as the field's frame:
-    (x, z) for planar families, (x, y, z) for the Bessel family.
+    The point must have as many coordinates as the field's frame, each
+    finite: (x, z) for planar families, (x, y, z) for the Bessel family.
     """
     psi, grads = spec.psi_grad(*_point_coords(spec, point))
     return FieldSample(psi=complex(psi), grad_psi=np.array(grads), k=spec.wave.k)

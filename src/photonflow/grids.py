@@ -53,6 +53,8 @@ class GridSpec:
             raise ParameterError("one (lo, hi) range per axis required")
         object.__setattr__(self, "ranges", tuple(_require_interval("ranges", r) for r in ranges))
 
+        if not all(float(c).is_integer() for c in self.counts):  # int() would truncate 2.9
+            raise ParameterError(f"sample counts must be whole numbers, got {self.counts!r}")
         counts = tuple(int(c) for c in self.counts)
         if len(counts) != 2 or any(c < 2 for c in counts):
             raise ParameterError(f"two sample counts >= 2 required, got {self.counts!r}")

@@ -44,6 +44,13 @@ def test_phase_winding_rejects_undersampled_loops():
         pf.phase_winding([0.0, 1.0])  # a loop needs at least 3 samples
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_phase_winding_rejects_a_non_finite_phase(bad):
+    # a NaN step compares false against pi/2, so it would pass the undersampling check
+    with pytest.raises(ParameterError, match=f"^phase sample must be finite, got {bad!r}$"):
+        pf.phase_winding([0.0, bad, 1.0])
+
+
 @pytest.mark.parametrize("shape", [(4,), (1, 4), (4, 1), (2, 2, 2)])
 def test_plaquette_winding_needs_a_2d_array_of_at_least_2x2(shape):
     with pytest.raises(ParameterError, match="need a 2D phase array"):

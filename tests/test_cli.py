@@ -459,6 +459,16 @@ def test_trace_seeds_file(pair_file, tmp_path):
     assert set(rows[:, 0].astype(int)) == {0, 1}
 
 
+def test_trace_takes_one_seed_source(pair_file, tmp_path, capsys):
+    seeds = tmp_path / "seeds.csv"
+    seeds.write_text("0.5,0.0\n")
+    out = tmp_path / "traj.csv"
+    assert cli.run(["trace", "--field", pair_file, "--seeds", str(seeds),
+                    "--seeds-inline", "5,0;6,0", "--out", str(out)]) == 2
+    assert "argument --seeds-inline: not allowed with argument --seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_trace_3d_helix_radius(tmp_path):
     spec = pf.BesselSpec(wave=pf.WaveParameters(1.0), ell=2, k_perp=0.8863766617893787)
     path = field_file(tmp_path, spec, "helix.json")

@@ -440,6 +440,14 @@ def test_every_point_call_names_a_point_of_the_wrong_shape(call, spec, point, sh
         call(spec, point)
 
 
+@pytest.mark.parametrize("call", POINT_CALLS.values(), ids=POINT_CALLS.keys())
+@pytest.mark.parametrize("point", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, math.nan)])
+def test_every_point_call_names_a_non_finite_point(call, point):
+    message = f"^point {re.escape(str(point))} has a non-finite coordinate$"
+    with pytest.raises(ParameterError, match=message):
+        call(ALL_SPECS[0], point)
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
 def test_every_point_form_gives_the_same_bits(spec):
     def bits(point):
@@ -473,6 +481,15 @@ def test_field_sample_phase_is_the_argument_of_psi():
 def test_grid_needs_one_range_per_axis():
     with pytest.raises(ParameterError, match=r"one \(lo, hi\) range per axis required"):
         pf.GridSpec(axes=("x", "z"), ranges=((0.0, 1.0),), counts=(2, 2))
+
+
+def test_grid_counts_are_whole_numbers():
+    ranges = ((0.0, 1.0), (0.0, 1.0))
+    with pytest.raises(ParameterError, match=r"^sample counts must be whole numbers, "
+                                             r"got \(2.9, 3\)$"):
+        pf.GridSpec(axes=("x", "z"), ranges=ranges, counts=(2.9, 3))
+    grid = pf.GridSpec(axes=("x", "z"), ranges=ranges, counts=(64.0, np.int64(3)))
+    assert grid.counts == (64, 3) and all(type(c) is int for c in grid.counts)
 
 
 def test_gaussian_waist_rule_admits_the_extremes_it_can_evaluate():

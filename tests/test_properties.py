@@ -43,11 +43,18 @@ with the layer's width and height when it exits 0.  The suite turns
 RuntimeWarning and DeprecationWarning into errors, so such a warning
 inside the command is an exit 1 too.
 
+NaN or an infinity drawn into a point of any point call, a traced seed, a
+grid bound or fixed value, a trace domain, a calcite shift or a superluminal
+guard, in the library or on a command line, is a ParameterError (exit 2)
+whose message names the value.
+
 A float layer's text is the text json.dumps gives its list form, and a trace
 CSV is the per-row repr join, for any finite floats, the boundaries of
 orjson's range and their neighbours included.
 """
 
+import contextlib
+import io
 import json
 import math
 from dataclasses import replace
@@ -609,6 +616,95 @@ def test_a_grid_command_exits_0_or_2(command, data, tmp_path_factory):
     argv = data.draw(grid_command_argv(command), label="argv")
     out = tmp_path_factory.getbasetemp() / f"{command}-argv.json"
     assert cli.run(argv + ["--out", str(out)]) in (0, 2)
+
+
+# ------------------------------------------------------------ non-finite inputs
+
+BAD_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf])
+POINT_CALLS = [
+    pf.evaluate,
+    lambda spec, point: pf.apply_calcite(spec, pf.CalciteSpec(delta_x=1e-5), point),
+    lambda spec, point: pf.poynting_decomposition(spec, pf.PolarizationState.circular(), point),
+    lambda spec, point: pf.optical_force(spec, pf.Polarizability(1e-3 + 1e-4j), point),
+]
+PLANE_FIELD = json.dumps({"family": "plane_wave", "lambda_mm": 1.0, "direction": [0.0, 1.0]})
+BESSEL_FIELD = json.dumps({"family": "bessel", "lambda_mm": 1.0, "ell": 1,
+                           "k_perp_per_mm": 0.5})
+
+
+def _with(values, i, bad):
+    return [bad if j == i else v for j, v in enumerate(values)]
+
+
+def _library_case(data, bad):
+    """A library call with bad drawn into one of its inputs."""
+    target = data.draw(st.sampled_from(["point", "seed", "fixed", "range", "delta_x"]))
+    if target == "point":
+        spec = data.draw(st.sampled_from(FAMILY_SPECS))
+        call = data.draw(st.sampled_from(POINT_CALLS))
+        point = _with([0.3, 0.2, 0.1][:spec.ndim], data.draw(st.integers(0, spec.ndim - 1)), bad)
+        return lambda: call(spec, point)
+    if target == "seed":
+        spec = FAMILY_SPECS[0]
+        seed = tuple(_with([0.1, 0.2], data.draw(st.integers(0, 1)), bad))
+        cfg = pf.TraceConfig(seeds=((0.0, 0.5), seed), parameterization="arc-length",
+                             step=0.1, max_steps=10, domain=((-1.0, 1.0), (0.0, 1.0)))
+        return lambda: pf.trace_streamline(spec, cfg, "re")
+    if target == "delta_x":
+        return lambda: pf.CalciteSpec(delta_x=bad)
+    fixed, ranges = [(("z", 0.5),)], [[0.0, 1.0], [-1.0, 1.0]]
+    if target == "fixed":
+        fixed = [(("z", bad),)]
+    else:
+        i = data.draw(st.integers(0, 1))
+        ranges[i] = _with(ranges[i], data.draw(st.integers(0, 1)), bad)
+    return lambda: pf.GridSpec(axes=("x", "y"), ranges=ranges, counts=(4, 5), fixed=fixed[0])
+
+
+def _cli_case(data, bad):
+    """A command line with bad drawn into one of its values."""
+    target = data.draw(st.sampled_from(["seed", "domain", "grid", "fixed", "delta_x", "guard"]))
+    if target == "seed":
+        seed = _with([0.0, 0.5], data.draw(st.integers(0, 1)), bad)
+        return ["trace", "--field-json", PLANE_FIELD,
+                f"--seeds-inline=0,0;{seed[0]!r},{seed[1]!r}"]
+    if target == "domain":
+        bounds = _with([-1.0, 1.0, 0.0, 2.0], data.draw(st.integers(0, 3)), bad)
+        return ["trace", "--field-json", PLANE_FIELD, "--seeds-inline=0,0.5", "--mode", "arc",
+                "--domain=x:{!r}:{!r},z:{!r}:{!r}".format(*bounds)]
+    command = data.draw(st.sampled_from(["fieldmap", "stokes", "force", "anomaly"]))
+    argv = [command, "--field-json", BESSEL_FIELD, "--fixed=z=0.5"]
+    bounds = [-1.0, 1.0, -1.0, 1.0]
+    if target == "grid":
+        bounds = _with(bounds, data.draw(st.integers(0, 3)), bad)
+    elif target == "fixed":
+        argv[-1] = f"--fixed=z={bad!r}"
+    elif target == "delta_x":
+        argv[0] = data.draw(st.sampled_from(["fieldmap", "stokes"]))
+        argv.append(f"--delta-x-mm={bad!r}")
+    else:
+        argv[0] = "anomaly"
+        argv.append(f"--superluminal-guard={bad!r}")
+    return argv + ["--grid=x:{!r}:{!r}:8,y:{!r}:{!r}:8".format(*bounds)]
+
+
+@settings(max_examples=200)
+@given(bad=BAD_FLOATS, data=st.data())
+def test_a_non_finite_input_is_named(bad, data, tmp_path_factory):
+    """NaN or an infinity in a point, a seed, a grid bound or fixed value, a trace
+    domain, a calcite shift or a superluminal guard is a ParameterError (exit 2)
+    that names the value, never a NaN result or exit 1."""
+    if data.draw(st.booleans(), label="through the CLI"):
+        argv = _cli_case(data, bad) + ["--out", str(tmp_path_factory.getbasetemp() / "nf.out")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli.run(argv) == 2
+        message = err.getvalue()
+    else:
+        with pytest.raises(pf.ParameterError) as exc:
+            _library_case(data, bad)()
+        message = str(exc.value)
+    assert repr(bad) in message
 
 
 # ------------------------------------------------------------ render artifacts
