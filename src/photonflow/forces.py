@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ParameterError, ParameterWarning, SingularPointError
 from .fields import FieldSample, FieldSpec, evaluate
-from .observables import ComplexMomentum, _is_singular, psi_conj_grad, embed3
+from .observables import ComplexMomentum, _is_singular, embed3, psi_conj_grad
 
 
 @dataclass(frozen=True)
