@@ -591,8 +591,8 @@ def _render_cells(layer: str, rows: list, width: int, component):
     return values, mask
 
 
-def _cmd_render(args) -> int:
-    obj = _decode(_read_text(args.input, "grid result"), "grid result")
+def _render_pgm(args, obj) -> bytes:
+    """The binary PGM of layer args.layer of a decoded artifact."""
     layers = obj.get("layers") if isinstance(obj, dict) else None
     if not isinstance(layers, dict) or args.layer not in layers:
         raise ParameterError(f"no layer {args.layer!r} in {args.input}")
@@ -623,9 +623,23 @@ def _cmd_render(args) -> int:
             pixels[mask] = 0
     # Row 0 of the data is the lowest second-axis coordinate; PGM viewers
     # draw row 0 at the top, so maps appear flipped vs. plot conventions.
-    header = f"P5\n{width} {height}\n255\n".encode("ascii")
+    return f"P5\n{width} {height}\n255\n".encode("ascii") + pixels.tobytes()
+
+
+def _cmd_render(args) -> int:
+    """orjson decodes the artifact's bytes.  Where it raises, or the render
+    would exit 2, json decodes the text again: every rejection is json's
+    reading, with json's message."""
+    lib = _orjson()
+    try:
+        with open(args.input, "rb") as fh:
+            pgm = _render_pgm(args, lib.loads(fh.read()))
+    except (OSError, lib.JSONDecodeError, ParameterError):
+        pgm = None  # outside the handler: its traceback would keep orjson's objects alive
+    if pgm is None:
+        pgm = _render_pgm(args, _decode(_read_text(args.input, "grid result"), "grid result"))
     with open(args.out, "wb") as fh:
-        fh.write(header + pixels.tobytes())
+        fh.write(pgm)
     return 0
 
 

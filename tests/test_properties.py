@@ -59,10 +59,11 @@ import json
 import math
 from dataclasses import replace
 from itertools import combinations, permutations
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import photonflow as pf
@@ -709,18 +710,29 @@ def test_a_non_finite_input_is_named(bad, data, tmp_path_factory):
 
 # ------------------------------------------------------------ render artifacts
 
+# integers beyond 64 bits, which orjson reads as floats and json as ints
+BIG_INTEGERS = st.sampled_from(["123456789012345678901234567890", str(2 ** 64), str(-2 ** 63 - 1),
+                                "-1" + "0" * 308])
 NUMERALS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
-                     st.integers(-2 ** 70, 2 ** 70).map(str))
+                     st.integers(-2 ** 70, 2 ** 70).map(str), BIG_INTEGERS)
 # literals json.loads reads as non-finite floats or as integers too large for one
 NON_FINITE = st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999", "-1e400", "1" + "0" * 400])
-# the last but one is a lone surrogate; the last nests past the decoder's recursion limit
+# nested past json's recursion limit; orjson reads it
+DEEP = "[" * 100000 + "]" * 100000
+# the last but one is a lone surrogate
 NOT_NUMBERS = st.sampled_from(['"abc"', '"2.5"', '""', "{}", '{"a":1.0}', "true", "false", "null",
-                               '"\\ud800"', "[" * 100000 + "]" * 100000])
+                               '"\\ud800"', DEEP])
 NUMBER_KINDS = st.sampled_from(["number"] * 12 + ["non-finite", "not-number"] + ["number"] * 12)
 # a value is a vector cell in a vector layer and a numeral in a scalar one
 CELL_KINDS = st.sampled_from(["value"] * 8 + ["singular", "vector", "numeral"] + ["value"] * 8)
 VECTOR_SIZES = st.sampled_from([3] * 6 + [0, 1, 2, 4] + [3] * 6)
 ROW_EDITS = st.sampled_from([None] * 8 + ["short", "long", "string"] + [None] * 8)
+# a key beside the drawn layer: nested past json's limit, a second "L" (json
+# and orjson both keep the last), a lone surrogate or a non-finite literal
+SIBLINGS = st.sampled_from([None] * 6 + ['"deep":' + DEEP, '"L":[[1.0,"singular"]]',
+                                         '"s":"\\ud800"', '"s":1e999'])
+# bytes that are no UTF-8 JSON text: a byte-order mark, or an invalid byte in a key
+BYTE_EDITS = st.sampled_from([None] * 8 + ["bom", "invalid"])
 
 
 @st.composite
@@ -742,8 +754,8 @@ def layer_cell(draw, vector):
 
 @st.composite
 def render_artifact(draw):
-    """Artifact text of one layer 'L', the --component to draw and the layer's
-    width and height."""
+    """Artifact bytes of one layer 'L', maybe beside another key of the layers
+    or of the artifact, and the --component to draw."""
     vector = draw(st.booleans())
     width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     rows = [[draw(layer_cell(vector)) for _ in range(width)] for _ in range(height)]
@@ -755,28 +767,74 @@ def render_artifact(draw):
     text = ["[" + ",".join(row) + "]" for row in rows]
     if edit == "string":
         text[i] = json.dumps("ab"[:width])
+    layers = ['"L":[' + ",".join(text) + "]"]
+    top = ['"layers":{}']
+    sibling = draw(SIBLINGS)
+    if sibling is not None:
+        keys = draw(st.sampled_from([layers, top]))
+        keys.insert(draw(st.integers(0, len(keys))), sibling)
     # mostly a component for a vector layer and none for a scalar one
     components = ["x", "y", "z"] * 2 + [None] + ["z", "y", "x"] * 2 if vector else [None, "y", None]
     component = draw(st.sampled_from(components))
-    artifact = '{"layers":{"L":[' + ",".join(text) + "]}}"
-    return artifact, component, len(rows[0]), height
+    artifact = ("{" + ",".join(top) + "}").replace('"layers":{}', '"layers":{' + ",".join(layers)
+                                                   + "}").encode("utf-8")
+    byte_edit = draw(BYTE_EDITS)
+    if byte_edit == "bom":
+        artifact = b"\xef\xbb\xbf" + artifact
+    elif byte_edit == "invalid":
+        artifact = artifact.replace(b'"layers"', b'"\xffx":0,"layers"')
+    return artifact, component
+
+
+def _render_outcome(path, out, component):
+    """(exit code, stderr, PGM bytes or None) of a render of path."""
+    out.unlink(missing_ok=True)
+    argv = ["render", "--in", str(path), "--layer", "L", "--out", str(out)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.run(argv + (["--component", component] if component else []))
+    return code, err.getvalue(), out.read_bytes() if out.exists() else None
+
+
+class _NoOrjson:
+    """Stands in for orjson in cli: every decode fails, so render takes json's path."""
+    JSONDecodeError = ValueError
+
+    @staticmethod
+    def loads(data):
+        raise ValueError("json's path only")
+
+
+TOO_DEEP = "error: grid result nests arrays or objects too deeply to decode\n"
 
 
 @settings(max_examples=200)
 @given(case=render_artifact())
-def test_a_render_command_exits_0_or_2(case, tmp_path_factory):
-    artifact, component, width, height = case
+@example(case=(b'{"layers":{"L":[[123456789012345678901234567890,1.0]]}}', None))
+@example(case=(b'{"layers":{"L":[[1.0,2.0]],"L":[[3.0]]},"layers":{"L":[[1.0,2.0]]}}', None))
+@example(case=(b'\xef\xbb\xbf{"layers":{"L":[[1.0,2.0]]}}', None))
+@example(case=(b'{"layers":{"L":[[1.0,"\xff"]]}}', None))
+@example(case=(('{"deep":' + DEEP + ',"layers":{"L":[[1.0,2.0]]}}').encode("ascii"), None))
+@example(case=(('{"layers":{"L":[[[1.0,2.0,' + DEEP + ']]]}}').encode("ascii"), "y"))
+@example(case=(('{"layers":{"L":[[[1.0,2.0,' + DEEP + ']]]}}').encode("ascii"), "z"))
+def test_a_render_decodes_as_json_decodes(case, tmp_path_factory):
+    """Exit code, stderr and PGM bytes equal those of the json.loads path.  The
+    one documented exception: orjson reads a value nested past json's recursion
+    limit, so where json rejects the file for it and the drawn layer is valid,
+    the render draws the layer as though the deep value were []."""
+    artifact, component = case
     base = tmp_path_factory.getbasetemp()
     path, out = base / "render-artifact.json", base / "render-artifact.pgm"
-    path.write_text(artifact, encoding="utf-8")
-    out.unlink(missing_ok=True)
-    argv = ["render", "--in", str(path), "--layer", "L", "--out", str(out)]
-    code = cli.run(argv + (["--component", component] if component else []))
-    assert code in (0, 2)
-    if code == 2:
-        assert not out.exists()
-    else:
-        assert out.read_bytes().startswith(f"P5\n{width} {height}\n255\n".encode("ascii"))
+    path.write_bytes(artifact)
+    got = _render_outcome(path, out, component)
+    assert got[0] in (0, 2)
+    assert (got[0] == 0) == (got[2] is not None)
+    with mock.patch.object(cli, "_orjson", lambda: _NoOrjson):
+        want = _render_outcome(path, out, component)
+        if got[0] == 0 and want[1] == TOO_DEEP:
+            path.write_bytes(artifact.replace(DEEP.encode("ascii"), b"[]"))
+            want = _render_outcome(path, out, component)
+    assert got == want
 
 
 # ------------------------------------------------------------ float text
