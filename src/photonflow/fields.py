@@ -444,6 +444,8 @@ class TirTwoWaveSpec(_FieldFamily):
         if x.ndim == z.ndim == 0:
             psi, gx, gz = (self._glass if self.in_glass(x) else self._air)(x, z)
             return psi, (gx, gz)
+        if x.ndim == z.ndim == 2 and x.shape[0] == 1 and z.shape[1] == 1:
+            return self._psi_grad_open(x, z)
         x, z = np.broadcast_arrays(x, z)
         glass = self.in_glass(x)
         # both sides before the outputs, so that their temporaries never coexist
@@ -453,6 +455,33 @@ class TirTwoWaveSpec(_FieldFamily):
         for mask, values in sides:
             for out, value in zip(outs, values):
                 out[mask] = value
+        return outs[0], outs[1:]
+
+    def _psi_grad_open(self, x, z):
+        """psi_grad on a grid's open axes, x a (1, n1) row and z an (n2, 1) column.
+
+        The glass columns x[:, cols] are evaluated against the z column, which
+        gives each node the bits of the dense evaluation.  The air side stays
+        on its dense nodes: its one exp of -kappa x + i k_z z, split into an
+        x and a z factor, would change bits."""
+        glass = self.in_glass(x[0])
+        air = ~glass
+        shape = (z.shape[0], x.shape[1])
+        sides = []  # (columns, values); both before the outputs, as in psi_grad
+        if glass.any():
+            sides.append((glass, self._glass(x[:, glass], z)))
+        if air.any():
+            xa, za = (np.broadcast_to(c, (shape[0], np.count_nonzero(air))).ravel()
+                      for c in (x[:, air], z))
+            sides.append((air, [v.reshape(shape[0], -1) for v in self._air(xa, za)]))
+            del xa, za
+        if len(sides) == 1:  # one side fills the grid
+            psi, gx, gz = sides[0][1]
+            return psi, (gx, gz)
+        outs = tuple(np.empty(shape, dtype=complex) for _ in range(3))
+        for cols, values in sides:
+            for out, value in zip(outs, values):
+                out[:, cols] = value
         return outs[0], outs[1:]
 
 

@@ -11,7 +11,10 @@ Likewise a point of a batch of 1000, on a grid node or between nodes,
 equals the same point evaluated alone as a length-1 array.  A grid sample on
 open axes, and its calcite-shifted copy, equal the same evaluations on the
 dense nodes, and every family fills the whole grid on every axis pair, with
-and without a fixed coordinate.
+and without a fixed coordinate.  The TIR field evaluates its glass side on
+the open axes, so seeded all-glass, all-air, straddling (with a node at
+x = 0.0, which is air) and two-node grids, and criterion 05's 800x800 grid,
+are compared with the dense evaluation too.
 
 Physics holds on every grid: P_O / W equals re_p / k to rounding, and the
 winding of two adjacent blocks adds up to that of their union.  Each refined
@@ -35,11 +38,16 @@ same specs and grids, with each option of the command or without it: a
 calcite shift, a polarizability that is malformed, zero or not finite, a
 bound model and a guard.  A `render` of a drawn artifact
 ends the same way, whatever its layer holds: NaN and Infinity literals,
-numerals beyond a double, ragged rows, a string row, strings (a lone
-surrogate among them), objects, booleans, nulls and arrays nested past the
-decoder's recursion limit as cells, and vector cells with too few or
-non-numeric components.  It writes no PGM when it exits 2, and a header
-with the layer's width and height when it exits 0.  The suite turns
+numerals beyond a double or beyond 64 bits, ragged rows, a string row,
+strings (a lone surrogate among them), objects, booleans, nulls and arrays
+nested past json's recursion limit as cells, and vector cells with too few
+or non-numeric components; beside the layer may lie a deep array, a second
+"L", a lone surrogate or a non-finite literal, and the file may open with a
+byte-order mark or hold a byte that is not UTF-8.  render decodes with
+orjson and falls back to json.loads, and its exit code, stderr and PGM bytes
+equal those of the json.loads path, but for the one documented case of a
+valid layer beside a value nested past json's limit.  It writes no PGM when
+it exits 2.  The suite turns
 RuntimeWarning and DeprecationWarning into errors, so such a warning
 inside the command is an exit 1 too.
 
@@ -199,6 +207,50 @@ def test_an_open_axes_sample_equals_the_dense_sample(case):
         assert as_bytes(sample.psi, sample.grad_psi) == as_bytes(psi, grads)
         ex = pf.weakmeasure.calcite_fields(spec, cal, coords, psi)[0]
         assert ex.tobytes() == shifted.tobytes()
+
+
+def tir_grid(rng, kind):
+    """A seeded (x, z) TIR grid: all glass, all air from x = 0.0, straddling
+    x = 0 with a node at exactly 0.0 (air), or with two nodes on each axis."""
+    n1, n2 = (int(c) for c in rng.integers(2, 90, 2))
+    half = rng.uniform(0.05, 4.0)
+    x = {"glass": (-half - rng.uniform(0.0, 2.0), -rng.uniform(1e-9, 0.1)),
+         "air": (0.0, half), "two-node": (-half, rng.uniform(0.0, 4.0))}.get(kind)
+    if kind == "zero":  # a power-of-two spacing: node i0 lands on 0.0 exactly
+        step, i0 = 2.0 ** -int(rng.integers(1, 7)), int(rng.integers(1, n1 - 1)) if n1 > 2 else 1
+        n1 = max(n1, 3)
+        x = (-i0 * step, (n1 - 1 - i0) * step)
+    if kind == "two-node":
+        n1 = n2 = 2
+    z0 = rng.uniform(-5.0, 5.0)
+    return pf.GridSpec(axes=("x", "z"), ranges=(x, (z0, z0 + rng.uniform(0.05, 6.0))),
+                       counts=(n1, n2))
+
+
+def tir_spec(rng):
+    n = rng.uniform(1.05, 3.0)
+    tc = math.asin(1.0 / n)
+    th1, th2 = rng.uniform(tc + 1e-3, 0.5 * math.pi - 1e-3, 2)
+    return pf.TirTwoWaveSpec(wave=pf.WaveParameters(rng.uniform(0.3, 3.0)), n=n, theta1=th1,
+                             theta2=th2, amp1=rng.uniform(-2.0, 2.0), amp2=rng.uniform(-2.0, 2.0))
+
+
+@pytest.mark.parametrize("kind", ["glass", "air", "zero", "two-node", "criterion-05"])
+def test_a_tir_sample_on_open_axes_equals_the_dense_evaluation(kind):
+    """The glass side runs on the open axes (its x columns against the z
+    column), the air side on its dense nodes; every node keeps the bits of the
+    dense evaluation, whose side is picked node by node."""
+    rng = np.random.default_rng([25, len(kind)])
+    if kind == "criterion-05":
+        cases = [(make_tir(), pf.GridSpec.from_string("x:-2.0:2.0:800,z:0.0:4.0:800"))]
+    else:
+        cases = [(tir_spec(rng), tir_grid(rng, kind)) for _ in range(25)]
+    for spec, grid in cases:
+        if kind == "zero":
+            assert 0.0 in grid.coords(0) and not spec.in_glass(0.0)
+        sample = sample_grid(spec, grid)
+        psi, grads = spec.psi_grad(*np.broadcast_arrays(*grid.mesh(2)))
+        assert as_bytes(sample.psi, sample.grad_psi) == as_bytes(psi, grads), grid
 
 
 FAMILY_SPECS = [spec for spec, _ in TILE_CASES[:6]]
