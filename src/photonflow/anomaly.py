@@ -47,11 +47,19 @@ LABEL_CODES = {name: code for code, name in enumerate(LABELS)}
 
 _HALF_PI = 0.5 * math.pi
 _MAX_BISECTIONS = 32
+_BLOCK_CELLS = 1 << 15  # cells per block of rows where a whole-grid temporary is avoided
 
 
 def wrap_angle(delta):
     """Map angle differences to the principal branch (-pi, pi]."""
-    return math.pi - np.mod(math.pi - np.asarray(delta), 2.0 * math.pi)
+    return _wrapped(np.array(delta, dtype=float))[()]
+
+
+def _wrapped(d):
+    """wrap_angle of the float array d, computed in d: no temporary of its size."""
+    np.subtract(math.pi, d, out=d)
+    np.mod(d, 2.0 * math.pi, out=d)
+    return np.subtract(math.pi, d, out=d)
 
 
 def phase_winding(phases) -> float:
@@ -78,12 +86,15 @@ def phase_winding(phases) -> float:
 
 def _edge_steps(ph):
     """Wrapped phase steps along rows (d_col) and along columns (d_row)."""
-    return wrap_angle(np.diff(ph, axis=1)), wrap_angle(np.diff(ph, axis=0))
+    return _wrapped(np.diff(ph, axis=1)), _wrapped(np.diff(ph, axis=0))
 
 
 def _loop_sums(d_col, d_row):
     """Each plaquette's counterclockwise sum of its four edge steps."""
-    return d_col[:-1, :] + d_row[:, 1:] - d_col[1:, :] - d_row[:, :-1]
+    sums = d_col[:-1, :] + d_row[:, 1:]
+    sums -= d_col[1:, :]  # in place: one plaquette-sized array, not three
+    sums -= d_row[:, :-1]
+    return sums
 
 
 def plaquette_winding(phases: np.ndarray) -> np.ndarray:
@@ -209,18 +220,22 @@ def vortices_in_sample(spec: FieldSpec, grid: GridSpec, sample: FieldSample, flo
     used_col = np.pad(ok, ((0, 1), (0, 0))) | np.pad(ok, ((1, 0), (0, 0)))
     used_row = np.pad(ok, ((0, 0), (0, 1))) | np.pad(ok, ((0, 0), (1, 0)))
     for steps, used, dj, di in ((d_col, used_col, 0, 1), (d_row, used_row, 1, 0)):
-        rough = used & (np.abs(steps) > _HALF_PI)
+        rough = used & ((steps > _HALF_PI) | (steps < -_HALF_PI))  # |step| > pi/2; NaN is not
         j, i = np.nonzero(rough)
         steps[rough] = _refined_steps(spec, floor, nodes(j, i), nodes(j + dj, i + di),
                                       ph[j, i], ph[j + dj, i + di])
+    del ph, steps
 
-    turns = _loop_sums(d_col, d_row) / (2.0 * math.pi)
+    turns = _loop_sums(d_col, d_row)
+    del d_col, d_row
+    turns /= 2.0 * math.pi
     charge = np.rint(turns)
-    residual = np.abs(turns - charge)
-    j, i = np.nonzero(ok & (np.abs(charge) >= 1))  # NaN windings (non-finite psi) give none
+    # |charge| >= 1, and only the records' residuals; NaN windings (non-finite psi) give none
+    j, i = np.nonzero(ok & ((charge >= 1.0) | (charge <= -1.0)))
+    charge, turns = charge[j, i], turns[j, i]
     centres = 0.5 * (nodes(j, i) + nodes(j + 1, i + 1))
     return [VortexRecord(position=tuple(p), charge=int(q), residual=float(r))
-            for p, q, r in zip(centres.T.tolist(), charge[j, i], residual[j, i])]
+            for p, q, r in zip(centres.T.tolist(), charge, np.abs(turns - charge))]
 
 
 def check_label_options(spec: FieldSpec, bound_model: str = "uniform",
@@ -241,11 +256,12 @@ def check_label_options(spec: FieldSpec, bound_model: str = "uniform",
             "piecewise bound (n k in glass, k in air) requires a two-wave TIR field")
 
 
-def _bound_array(spec, bound_model, grid):
+def _bound(spec, bound_model, grid):
+    """The local spectrum bound, compact: a float, or an array that broadcasts to the grid."""
     k = spec.wave.k
     if bound_model == "piecewise":
         k = np.where(spec.in_glass(grid.mesh(spec.ndim)[0]), spec.n * k, k)
-    return np.broadcast_to(k, tuple(reversed(grid.counts)))
+    return k
 
 
 def classify_anomalies(spec: FieldSpec, grid: GridSpec, bound_model: str = "uniform",
@@ -273,15 +289,25 @@ def anomalies_in_sample(spec: FieldSpec, grid: GridSpec, singular: np.ndarray,
     mask are labeled singular.
     """
     check_label_options(spec, bound_model, superluminal_guard)
-    bound = _bound_array(spec, bound_model, grid)
+    bound = _bound(spec, bound_model, grid)
     re_p = momentum.re_p
     re_pz = re_p[-1]
-    re_p_mag = np.sqrt(np.sum(re_p * re_p, axis=0))
 
     labels = np.zeros(singular.shape, dtype=np.int8)
     labels[re_pz < 0.0] = LABEL_CODES["backflow"]
     labels[re_pz > bound * (1.0 + superluminal_guard)] = LABEL_CODES["superluminal"]
     labels[singular] = LABEL_CODES["singular"]
-    fast = (re_p_mag > bound) & ~singular
-    return AnomalyMap(grid=grid, labels=labels, bound=bound, fast=fast,
+    # |Re p| > b a block of rows at a time, adding the squares component by
+    # component as a sum over the leading axis adds them
+    fast = np.empty(singular.shape, dtype=bool)
+    bound_grid = np.broadcast_to(bound, singular.shape)
+    step = max(1, _BLOCK_CELLS // singular.shape[-1])
+    for r in range(0, len(fast), step):
+        rows = slice(r, r + step)
+        re_p_mag = re_p[0, rows] * re_p[0, rows]
+        for c in re_p[1:, rows]:
+            re_p_mag += c * c
+        np.greater(np.sqrt(re_p_mag, out=re_p_mag), bound_grid[rows], out=fast[rows])
+    fast &= ~singular
+    return AnomalyMap(grid=grid, labels=labels, bound=bound_grid, fast=fast,
                       guard=float(superluminal_guard))

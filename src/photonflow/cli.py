@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .anomaly import anomalies_in_sample, check_label_options, vortices_in_sample
+from .anomaly import LABELS, anomalies_in_sample, check_label_options, vortices_in_sample
 from .errors import ParameterError, ParameterWarning
 from .fields import FieldSpec, GaussianPairSpec, _require_interval, field_from_dict
 from .forces import Polarizability, force_from_sample, forces_from_momentum
@@ -74,8 +74,11 @@ class _FloatLayer(NamedTuple):
 
 
 class _LabelGrid(NamedTuple):
-    """A grid of names from anomaly.LABELS, as nested lists."""
-    names: list
+    """A grid of anomaly.LABELS codes, written as nested lists of their names."""
+    codes: np.ndarray
+
+
+_LABEL_NAMES = np.array(LABELS, dtype=object)
 
 
 def _byte_class(chars: bytes) -> np.ndarray:
@@ -186,16 +189,31 @@ def _float_text(values, mask=None) -> str:
     return text
 
 
-def _write_floats(fh, values, mask=None) -> None:
-    """Write _float_text(values, mask) one block of rows at a time, so that
-    no whole-layer text and no whole-layer temporary is held."""
+def _write_rows(fh, values, text) -> None:
+    """Write the list of the rows of values one block of rows at a time, so
+    that no whole-layer text and no whole-layer temporary is held.  text(i, j)
+    is the text of the list of rows i to j."""
     rows = max(1, _BLOCK * len(values) // max(1, values.size))
     fh.write("[")
     for i in range(0, len(values), rows):
         if i:
             fh.write(",")
-        fh.write(_float_text(values[i:i + rows], None if mask is None else mask[i:i + rows])[1:-1])
+        fh.write(text(i, i + rows)[1:-1])
     fh.write("]")
+
+
+def _write_floats(fh, values, mask=None) -> None:
+    """Write _float_text(values, mask) one block of rows at a time."""
+    _write_rows(fh, values, lambda i, j: _float_text(values[i:j],
+                                                     None if mask is None else mask[i:j]))
+
+
+def _write_labels(fh, codes) -> None:
+    """Write the names of the label codes one block of rows at a time.  orjson
+    writes them: the names are ASCII, so its text is json.dumps's."""
+    def text(i, j):
+        return _orjson().dumps(_LABEL_NAMES[codes[i:j]].tolist()).decode("ascii")
+    _write_rows(fh, codes, text)
 
 
 def _scalar_layer(name, values, mask=None) -> _FloatLayer:
@@ -227,7 +245,7 @@ _LAYERS = {
     "W": lambda n, d: _scalar_layer(n, energy_density(d["sample"])),
     "P_O": lambda n, d: _scalar_layer(n, np.moveaxis(d["poynting"].P_O, 0, -1)),
     "P_S": lambda n, d: _scalar_layer(n, np.moveaxis(d["poynting"].P_S, 0, -1)),
-    "label": lambda n, d: _LabelGrid(d["anomalies"].label_names().tolist()),
+    "label": lambda n, d: _LabelGrid(d["anomalies"].labels),
     "S1_pred": lambda n, d: _scalar_layer(n, d["prediction"][0], d["mask"]),
     "S2_pred": lambda n, d: _scalar_layer(n, d["prediction"][1], d["mask"]),
     "S3_pred": lambda n, d: _scalar_layer(n, d["prediction"][2], d["mask"]),
@@ -345,8 +363,8 @@ def _dumps(value) -> str:
 
 def _write_object(fh, obj: dict) -> None:
     """Write obj as _dumps writes it, one value at a time: float layers go
-    through _write_floats, label grids through orjson (their names are
-    ASCII, so its text is json.dumps's) and dicts are walked likewise."""
+    through _write_floats, label grids through _write_labels and dicts are
+    walked likewise."""
     fh.write("{")
     for i, key in enumerate(sorted(obj)):
         value = obj[key]
@@ -354,7 +372,7 @@ def _write_object(fh, obj: dict) -> None:
         if isinstance(value, _FloatLayer):
             _write_floats(fh, *value)
         elif isinstance(value, _LabelGrid):
-            fh.write(_orjson().dumps(value.names).decode("ascii"))
+            _write_labels(fh, value.codes)
         elif isinstance(value, dict):
             _write_object(fh, value)
         else:
@@ -415,7 +433,8 @@ def _cmd_anomaly(args) -> int:
         "provenance": _provenance(spec, args),
     }
     if args.with_labels:
-        out["labels"] = _LabelGrid(amap.label_names().tolist())
+        out["labels"] = _LabelGrid(amap.labels)
+    del derived, amap  # the grid sample and momentum, before the artifact is written
     _write_json(args.out, out)
     return 0
 

@@ -156,19 +156,17 @@ def local_momentum(sample: FieldSample, amp_floor: float = 0.0) -> ComplexMoment
     (typically the floor from singular_cells).  At or below it the
     momentum is undefined: a point sample raises SingularPointError
     rather than returning divergent numbers, and on an array sample those
-    cells are divided by psi = 1, so callers mask them (singular_cells).
+    cells keep -i grad(psi), undivided, so callers mask them (singular_cells).
     """
     amp = sample.amplitude
     singular = _is_singular(amp, amp_floor)
-    if isinstance(amp, float):
-        if singular:
-            raise SingularPointError(
-                f"amplitude {amp!r} at/below singularity floor {amp_floor!r}")
-        psi = sample.psi
-    else:
-        psi = np.where(singular, 1.0, sample.psi)
+    if isinstance(amp, float) and singular:
+        raise SingularPointError(f"amplitude {amp!r} at/below singularity floor {amp_floor!r}")
     p = -1j * sample.grad_psi
-    p /= psi  # in place: on a grid, p is the largest array a command holds
+    if isinstance(amp, float):
+        p /= sample.psi
+    else:  # in place: on a grid, p is the largest array a command holds
+        np.divide(p, sample.psi, out=p, where=~singular)
     return ComplexMomentum(p=p, k=sample.k)
 
 

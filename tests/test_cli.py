@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -560,6 +561,28 @@ def test_anomaly_with_labels_layer(tmp_path, evanescent):
     assert data["fast_cells"] == 1200
 
 
+# tracemalloc's peak of a criterion-05 `anomaly --with-labels` job, in bytes per
+# grid cell: 96 when measured, the grid evaluation's six complex arrays (each
+# side's values, then the three outputs); the vortex search, momentum, labels
+# and artifact write each hold less on top of the sample.  It was 124 before
+# they dropped their whole-grid temporaries.
+ANOMALY_BYTES_PER_CELL = 100
+
+
+def test_the_criterion_05_anomaly_job_stays_in_its_memory_budget(tir_file, tmp_path):
+    argv = ["anomaly", "--field", tir_file, "--bound", "piecewise", "--with-labels",
+            "--out", str(tmp_path / "anomaly.json"), "--grid"]
+    assert cli.run(argv + ["x:-2.0:2.0:64,z:0.0:4.0:64"]) == 0  # imports and caches first
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        assert cli.run(argv + ["x:-2.0:2.0:400,z:0.0:4.0:400"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - held) / 400 ** 2 < ANOMALY_BYTES_PER_CELL
+
+
 def test_micron_wavelength_field_needs_finer_anomaly_grid(pair_file, tmp_path, capsys):
     # vortex detection requires the grid to resolve the phase winding;
     # a mm-scale grid over a micron wavelength cannot
@@ -1080,10 +1103,11 @@ def test_write_json_writes_layers_block_by_block(tmp_path, monkeypatch):
     vector = rng.standard_normal((5, 4, 3)) * 10.0 ** rng.uniform(-8, -3, (5, 4, 3))
     components = np.ascontiguousarray(np.moveaxis(vector, -1, 0))  # the library's (3, ...) form
     mask = rng.random((9, 4)) < 0.3
-    labels = [["normal", "backflow"], ["superluminal", "singular"]]
+    codes = rng.integers(0, len(pf.LABELS), (9, 4)).astype(np.int8)
+    labels = [[pf.LABELS[c] for c in row] for row in codes.tolist()]
     obj = {"layers": {"s": cli._scalar_layer("s", scalar, mask),
                       "v": cli._scalar_layer("v", np.moveaxis(components, 0, -1), mask[:5]),
-                      "label": cli._LabelGrid(labels)}}
+                      "label": cli._LabelGrid(codes)}}
     lists = {"layers": {
         "s": [["singular" if m else x for x, m in zip(r, mr)]
               for r, mr in zip(scalar.tolist(), mask.tolist())],
