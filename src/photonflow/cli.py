@@ -493,6 +493,8 @@ def _resolve_domain(args, spec, seeds, paraxial: bool) -> tuple:
     if not paraxial and len(given) != len(names):
         raise ParameterError(
             "arc-length tracing needs an explicit --domain covering every coordinate")
+    if paraxial and names[-1] not in given and not 0.0 < args.z_end < math.inf:
+        raise ParameterError(f"--z-end must be finite and > 0, got {args.z_end!r}")
     return tuple(domain.values())
 
 

@@ -79,7 +79,7 @@ class TraceConfig:
                 f"parameterization must be {PARAXIAL!r} or {ARC_LENGTH!r}, "
                 f"got {self.parameterization!r}")
         if not (math.isfinite(self.step) and self.step > 0.0):
-            raise ParameterError(f"step must be > 0, got {self.step!r}")
+            raise ParameterError(f"step must be finite and > 0, got {self.step!r}")
         if self.max_steps < 1:
             raise ParameterError(f"max_steps must be >= 1, got {self.max_steps!r}")
         if not self.vortex_guard > 1.0:
@@ -370,9 +370,9 @@ def trace_bessel_helix(spec: BesselSpec, r0: float, phi0: float, z_end: float,
     if not isinstance(spec, BesselSpec):
         raise ParameterError(f"expected a BesselSpec, got {type(spec).__name__}")
     if not (math.isfinite(r0) and r0 > 0.0):
-        raise SeedError(f"r0 must be > 0, got {r0!r}")
+        raise SeedError(f"r0 must be finite and > 0, got {r0!r}")
     if not (math.isfinite(z_end) and z_end > 0.0):
-        raise ParameterError(f"z_end must be > 0, got {z_end!r}")
+        raise ParameterError(f"z_end must be finite and > 0, got {z_end!r}")
     m = abs(spec.ell)
     x0 = spec.k_perp * r0
     n_zeros = int(x0 / math.pi) + 2

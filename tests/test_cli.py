@@ -780,6 +780,14 @@ def pair(w0, lambda_mm=1):
     # a non-finite seed is named, not reported as the domain built around it
     (PLANE_TRACE[:-1] + ["nan,0"], {}, "seed (nan, 0.0) has a non-finite coordinate"),
     (PLANE_TRACE[:-1] + ["inf,0"], {}, "seed (inf, 0.0) has a non-finite coordinate"),
+    # a --z-end that sets the z range is named, not reported as the range it gives
+    (PLANE_TRACE + ["--z-end=nan"], {}, "--z-end must be finite and > 0, got nan"),
+    (PLANE_TRACE + ["--z-end=-5"], {}, "--z-end must be finite and > 0, got -5.0"),
+    (PLANE_TRACE + ["--z-end=inf"], {}, "--z-end must be finite and > 0, got inf"),
+    (PLANE_TRACE + ["--z-end=0"], {}, "--z-end must be finite and > 0, got 0.0"),
+    # an infinite or NaN step is not "> 0" alone
+    (PLANE_TRACE + ["--step=inf"], {}, "step must be finite and > 0, got inf"),
+    (PLANE_TRACE + ["--step=nan"], {}, "step must be finite and > 0, got nan"),
 ])
 def test_rejected_input_exits_two_with_its_message(tmp_path, capsys, argv, files, message):
     for name, text in files.items():
@@ -788,6 +796,11 @@ def test_rejected_input_exits_two_with_its_message(tmp_path, capsys, argv, files
     assert cli.run(argv + ["--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_z_end_is_unread_where_the_domain_sets_z(tmp_path):
+    out = str(tmp_path / "t.csv")
+    assert cli.run(PLANE_TRACE + ["--z-end=nan", "--domain=z:0:1", "--out", out]) == 0
 
 
 # ------------------------------------------------- validation, grid sampling

@@ -1,6 +1,7 @@
 """Streamline tracer: straight lines, helices, stopping causes."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -560,6 +561,19 @@ def test_a_non_finite_seed_is_named(plane_wave, seeds):
     with pytest.raises(ParameterError, match=rf"^seed \({bad[0]!r}, {bad[1]!r}\) has a "
                                              "non-finite coordinate$"):
         pf.trace_streamline(plane_wave, cfg, "re")
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0])
+def test_a_step_radius_or_length_must_be_finite_and_positive(helix_bessel, bad):
+    """inf satisfies "> 0": each message names the whole rule."""
+    got = re.escape(repr(bad))
+    with pytest.raises(ParameterError, match=rf"^step must be finite and > 0, got {got}$"):
+        pf.TraceConfig(seeds=((0.0, 0.5),), parameterization="paraxial-z", step=bad,
+                       max_steps=10, domain=((-1.0, 1.0), (0.0, 1.0)))
+    with pytest.raises(SeedError, match=rf"^r0 must be finite and > 0, got {got}$"):
+        pf.trace_bessel_helix(helix_bessel, r0=bad, phi0=0.0, z_end=1.0)
+    with pytest.raises(ParameterError, match=rf"^z_end must be finite and > 0, got {got}$"):
+        pf.trace_bessel_helix(helix_bessel, r0=0.5, phi0=0.0, z_end=bad)
 
 
 def test_helix_validation(helix_bessel, gaussian_pair):
