@@ -60,8 +60,14 @@ _POLS = {
 
 @cache
 def _orjson():
-    """orjson, imported on the first artifact write, as fields.special is."""
+    """orjson, imported on the first artifact write or read, as fields.special is.
+
+    orjson's first decode allocates the parse buffer (8 MiB) it keeps for the
+    life of the process.  It is made here, while the process is small, so that
+    malloc maps it on its own; made by a later render, after grid arrays were
+    freed, it would stay in the heap among them."""
     import orjson
+    orjson.loads(b"0")
     return orjson
 
 
