@@ -869,7 +869,7 @@ TOO_DEEP = "error: grid result nests arrays or objects too deeply to decode\n"
 @example(case=(('{"deep":' + DEEP + ',"layers":{"L":[[1.0,2.0]]}}').encode("ascii"), None))
 @example(case=(('{"layers":{"L":[[[1.0,2.0,' + DEEP + ']]]}}').encode("ascii"), "y"))
 @example(case=(('{"layers":{"L":[[[1.0,2.0,' + DEEP + ']]]}}').encode("ascii"), "z"))
-def test_a_render_decodes_as_json_decodes(case, tmp_path_factory):
+def test_a_render_command_exits_0_or_2(case, tmp_path_factory):
     """Exit code, stderr and PGM bytes equal those of the json.loads path.  The
     one documented exception: orjson reads a value nested past json's recursion
     limit, so where json rejects the file for it and the drawn layer is valid,
