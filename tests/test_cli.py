@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import photonflow as pf
-from photonflow import cli
+from photonflow import artifacts, cli
 
 from conftest import TIR_THETA1, TIR_THETA2, TWO_PI
 
@@ -209,15 +209,15 @@ def test_layers_of_an_overflowing_grid_exit_two_without_a_warning(tmp_path, caps
 
 def test_row_builders_reject_non_finite_cells_outside_the_mask():
     mask = np.array([[True, False]])
-    assert cli._float_text(*cli._scalar_layer("S1", [[np.inf, 1.0]], mask)) == (
+    assert artifacts._float_text(*artifacts._scalar_layer("S1", [[np.inf, 1.0]], mask)) == (
         '[["singular",1.0]]')
     with pytest.raises(pf.ParameterError, match="layer 'S1'"):
-        cli._scalar_layer("S1", [[1.0, np.nan]], mask)
-    layer = cli._scalar_layer(
+        artifacts._scalar_layer("S1", [[1.0, np.nan]], mask)
+    layer = artifacts._scalar_layer(
         "F_grad", np.stack([[[np.nan, 1.0]], [[0.0, 2.0]], [[0.0, 3.0]]], axis=-1), mask)
-    assert cli._float_text(*layer) == '[["singular",[1.0,2.0,3.0]]]'
+    assert artifacts._float_text(*layer) == '[["singular",[1.0,2.0,3.0]]]'
     with pytest.raises(pf.ParameterError, match="layer 'F_grad'"):
-        cli._scalar_layer(
+        artifacts._scalar_layer(
             "F_grad", np.stack([[[0.0, 1.0]], [[0.0, -np.inf]], [[0.0, 3.0]]], axis=-1), mask)
 
 
@@ -1083,8 +1083,8 @@ def test_write_json_matches_the_streaming_encoder(tmp_path):
     mask = np.array([[False, True], [False, False]])
     obj = {
         "layers": {
-            "scalar": cli._scalar_layer("s", [[-0.0, 1.0], [1e-05, 5e-324]], mask),
-            "vector": cli._scalar_layer(
+            "scalar": artifacts._scalar_layer("s", [[-0.0, 1.0], [1e-05, 5e-324]], mask),
+            "vector": artifacts._scalar_layer(
                 "v", np.stack([[[1.7976931348623157e+308, 0.0], [2.0, -0.0]],
                                [[1e-05, 2.0], [3.0, 4.0]], [[5e-324, 1.0], [1.0, 1.0]]], axis=-1),
                 mask),
@@ -1098,7 +1098,7 @@ def test_write_json_matches_the_streaming_encoder(tmp_path):
                                   vector=[[[1.7976931348623157e+308, 1e-05, 5e-324], "singular"],
                                           [[2.0, 3.0, 1.0], [-0.0, 4.0, 1.0]]]))
     path = tmp_path / "o.json"
-    cli._write_json(str(path), obj)
+    artifacts._write_json(str(path), obj)
     sink = io.StringIO()
     json.dump(lists, sink, sort_keys=True, separators=(",", ":"), allow_nan=False)
     blob = path.read_bytes()
@@ -1109,7 +1109,7 @@ def test_write_json_matches_the_streaming_encoder(tmp_path):
 
 
 def test_write_json_writes_layers_block_by_block(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_BLOCK", 7)  # blocks of one to three rows
+    monkeypatch.setattr(artifacts, "_BLOCK", 7)  # blocks of one to three rows
     rng = np.random.default_rng(5)
     scalar = rng.standard_normal((9, 4)) * 10.0 ** rng.uniform(-12, 20, (9, 4))
     scalar[2, 1] = 1.5e-05
@@ -1118,9 +1118,9 @@ def test_write_json_writes_layers_block_by_block(tmp_path, monkeypatch):
     mask = rng.random((9, 4)) < 0.3
     codes = rng.integers(0, len(pf.LABELS), (9, 4)).astype(np.int8)
     labels = [[pf.LABELS[c] for c in row] for row in codes.tolist()]
-    obj = {"layers": {"s": cli._scalar_layer("s", scalar, mask),
-                      "v": cli._scalar_layer("v", np.moveaxis(components, 0, -1), mask[:5]),
-                      "label": cli._LabelGrid(codes)}}
+    obj = {"layers": {"s": artifacts._scalar_layer("s", scalar, mask),
+                      "v": artifacts._scalar_layer("v", np.moveaxis(components, 0, -1), mask[:5]),
+                      "label": artifacts._LabelGrid(codes)}}
     lists = {"layers": {
         "s": [["singular" if m else x for x, m in zip(r, mr)]
               for r, mr in zip(scalar.tolist(), mask.tolist())],
@@ -1128,7 +1128,7 @@ def test_write_json_writes_layers_block_by_block(tmp_path, monkeypatch):
               for r, mr in zip(vector.tolist(), mask[:5].tolist())],
         "label": labels}}
     path = tmp_path / "o.json"
-    cli._write_json(str(path), obj)
+    artifacts._write_json(str(path), obj)
     assert path.read_text(encoding="utf-8") == json.dumps(
         lists, sort_keys=True, separators=(",", ":")) + "\n"
 

@@ -76,7 +76,7 @@ from hypothesis import strategies as st
 
 import photonflow as pf
 from conftest import TWO_PI, make_tir
-from photonflow import cli
+from photonflow import artifacts, cli
 from photonflow.grids import frame_names, sample_grid
 from photonflow.observables import poynting_from_sample, singular_cells
 
@@ -849,7 +849,7 @@ def _render_outcome(path, out, component):
 
 
 class _NoOrjson:
-    """Stands in for orjson in cli: every decode fails, so render takes json's path."""
+    """Stands in for orjson in artifacts: every decode fails, so render takes json's path."""
     JSONDecodeError = ValueError
 
     @staticmethod
@@ -881,7 +881,7 @@ def test_a_render_command_exits_0_or_2(case, tmp_path_factory):
     got = _render_outcome(path, out, component)
     assert got[0] in (0, 2)
     assert (got[0] == 0) == (got[2] is not None)
-    with mock.patch.object(cli, "_orjson", lambda: _NoOrjson):
+    with mock.patch.object(artifacts, "_orjson", lambda: _NoOrjson):
         want = _render_outcome(path, out, component)
         if got[0] == 0 and want[1] == TOO_DEEP:
             path.write_bytes(artifact.replace(DEEP.encode("ascii"), b"[]"))
@@ -940,8 +940,8 @@ def list_form(values, mask):
 @given(layer=float_layer())
 def test_float_text_is_the_text_of_json_dumps(layer):
     values, mask = layer
-    assert cli._float_text(values, mask) == json.dumps(list_form(values, mask),
-                                                       separators=(",", ":"))
+    assert artifacts._float_text(values, mask) == json.dumps(list_form(values, mask),
+                                                             separators=(",", ":"))
 
 
 # a trace's momenta may be infinite or NaN
@@ -975,5 +975,5 @@ def test_trace_csv_is_the_per_row_repr_join(trajs, tmp_path_factory):
             [traj.params, pf.embed3(traj.points.T, ndim).T, momenta.real, momenta.imag])
         lines += [",".join([str(tid)] + [repr(v) for v in row]) for row in rows.tolist()]
     out = tmp_path_factory.getbasetemp() / "trace-rows.csv"
-    cli._write_trace_csv(str(out), trajs)
+    artifacts._write_trace_csv(str(out), trajs)
     assert out.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
