@@ -1,5 +1,10 @@
 """Artifact files: the JSON of grid layers, the trace CSV and the PGM raster.
 
+_scalar_layer and _label_layer build the one layer type, _Layer, and
+_write_json writes a dict of them one block of rows at a time.
+_write_trace_csv writes trajectories, _read_text and _decode read input
+files, and _render gives the PGM of one layer of an artifact.
+
 Output discipline: JSON is compact with sorted keys, floats are written
 as Python's shortest round-trip repr writes them, CSV floats likewise, PGM
 is binary P5; no timestamps or environment data enter any output, so
@@ -20,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from functools import cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,22 +47,6 @@ def _orjson():
     return orjson
 
 
-class _FloatLayer(NamedTuple):
-    """A float layer as written: its values and the singular mask of its
-    cells, or None.  A vector layer's values end in an [x, y, z] axis that
-    its mask lacks."""
-    values: np.ndarray
-    mask: np.ndarray | None
-
-
-class _LabelGrid(NamedTuple):
-    """A grid of anomaly.LABELS codes, written as nested lists of their names."""
-    codes: np.ndarray
-
-
-_LABEL_NAMES = np.array(LABELS, dtype=object)
-
-
 def _byte_class(chars: bytes) -> np.ndarray:
     """A lookup table: True at the byte values in chars."""
     table = np.zeros(256, dtype=bool)
@@ -69,7 +58,7 @@ _DIGIT = _byte_class(b"0123456789")
 _TOKEN_END = _byte_class(b",]")
 _TOKEN_START = _byte_class(b"[,-")  # the byte before a number's first digit
 _E, _MINUS, _DOT, _ZERO = b"e-.0"
-_BLOCK = 1 << 14  # floats per _float_text call when a layer is written
+_BLOCK = 1 << 14  # floats or labels per block of rows when a layer is written
 
 
 def _exponent_points(buf) -> list:
@@ -166,35 +155,19 @@ def _float_text(values, mask=None) -> str:
     return text
 
 
-def _write_rows(fh, values, text) -> None:
-    """Write the list of the rows of values one block of rows at a time, so
-    that no whole-layer text and no whole-layer temporary is held.  text(i, j)
-    is the text of the list of rows i to j."""
-    rows = max(1, _BLOCK * len(values) // max(1, values.size))
-    fh.write("[")
-    for i in range(0, len(values), rows):
-        if i:
-            fh.write(",")
-        fh.write(text(i, i + rows)[1:-1])
-    fh.write("]")
+class _Layer(NamedTuple):
+    """A grid layer as written: its number of rows, the number of floats or
+    labels in a row, and text(i, j), the JSON text of the list of rows i to j."""
+    rows: int
+    row_size: int
+    text: Callable[[int, int], str]
 
 
-def _write_floats(fh, values, mask=None) -> None:
-    """Write _float_text(values, mask) one block of rows at a time."""
-    _write_rows(fh, values, lambda i, j: _float_text(values[i:j],
-                                                     None if mask is None else mask[i:j]))
+def _scalar_layer(name, values, mask=None) -> _Layer:
+    """A float layer, with "singular" on the cells of mask.  A vector layer's
+    values end in an [x, y, z] axis that its mask lacks.
 
-
-def _write_labels(fh, codes) -> None:
-    """Write the names of the label codes one block of rows at a time.  orjson
-    writes them: the names are ASCII, so its text is json.dumps's."""
-    def text(i, j):
-        return _orjson().dumps(_LABEL_NAMES[codes[i:j]].tolist()).decode("ascii")
-    _write_rows(fh, codes, text)
-
-
-def _scalar_layer(name, values, mask=None) -> _FloatLayer:
-    """JSON has no inf or nan: a layer that over- or underflows outside its
+    JSON has no inf or nan: a layer that over- or underflows outside its
     singular cells cannot be written.  A vector cell is finite when all three
     of its components are."""
     values = np.asarray(values, dtype=float)
@@ -204,7 +177,18 @@ def _scalar_layer(name, values, mask=None) -> _FloatLayer:
     if not finite.all():
         raise ParameterError(f"layer {name!r} cannot be represented: it holds non-finite "
                              "values outside singular cells")
-    return _FloatLayer(values, mask)
+    return _Layer(len(values), values[:1].size,
+                  lambda i, j: _float_text(values[i:j], None if mask is None else mask[i:j]))
+
+
+_LABEL_NAMES = np.array(LABELS, dtype=object)
+
+
+def _label_layer(codes) -> _Layer:
+    """A grid of anomaly.LABELS codes, written as nested lists of their names.
+    orjson writes them: the names are ASCII, so its text is json.dumps's."""
+    return _Layer(len(codes), codes[:1].size,
+                  lambda i, j: _orjson().dumps(_LABEL_NAMES[codes[i:j]].tolist()).decode("ascii"))
 
 
 def _read_text(path: str, what: str) -> str:
@@ -231,17 +215,19 @@ def _dumps(value) -> str:
 
 
 def _write_object(fh, obj: dict) -> None:
-    """Write obj as _dumps writes it, one value at a time: float layers go
-    through _write_floats, label grids through _write_labels and dicts are
-    walked likewise."""
+    """Write obj as _dumps writes it, one value at a time: a layer one block
+    of rows at a time, so that no whole-layer text and no whole-layer
+    temporary is held, and dicts are walked likewise."""
     fh.write("{")
     for i, key in enumerate(sorted(obj)):
         value = obj[key]
         fh.write(f"{',' if i else ''}{_dumps(key)}:")
-        if isinstance(value, _FloatLayer):
-            _write_floats(fh, *value)
-        elif isinstance(value, _LabelGrid):
-            _write_labels(fh, value.codes)
+        if isinstance(value, _Layer):
+            step = max(1, _BLOCK // max(1, value.row_size))  # whole rows, at least one
+            fh.write("[")
+            for r in range(0, value.rows, step):
+                fh.write(f"{',' if r else ''}{value.text(r, r + step)[1:-1]}")
+            fh.write("]")
         elif isinstance(value, dict):
             _write_object(fh, value)
         else:
@@ -319,22 +305,22 @@ def _render_cells(layer: str, rows: list, width: int, component):
     return values, mask
 
 
-def _render_pgm(args, obj) -> bytes:
-    """The binary PGM of layer args.layer of a decoded artifact."""
+def _render_pgm(obj, path: str, layer: str, component) -> bytes:
+    """The binary PGM of the named layer of the artifact decoded from path."""
     layers = obj.get("layers") if isinstance(obj, dict) else None
-    if not isinstance(layers, dict) or args.layer not in layers:
-        raise ParameterError(f"no layer {args.layer!r} in {args.input}")
-    rows = layers[args.layer]
+    if not isinstance(layers, dict) or layer not in layers:
+        raise ParameterError(f"no layer {layer!r} in {path}")
+    rows = layers[layer]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise ParameterError(f"layer {args.layer!r} is not a list of rows")
+        raise ParameterError(f"layer {layer!r} is not a list of rows")
 
     height = len(rows)
     width = len(rows[0]) if height else 0
     if height < 1 or width < 1:
-        raise ParameterError(f"layer {args.layer!r} is empty")
-    values, mask = _render_cells(args.layer, rows, width, args.component)
+        raise ParameterError(f"layer {layer!r} is empty")
+    values, mask = _render_cells(layer, rows, width, component)
     if not np.isfinite(values).all():
-        raise _non_finite(args.layer)
+        raise _non_finite(layer)
 
     live = values[~mask]
     pixels = np.zeros((height, width), dtype=np.uint8)
@@ -354,16 +340,17 @@ def _render_pgm(args, obj) -> bytes:
     return f"P5\n{width} {height}\n255\n".encode("ascii") + pixels.tobytes()
 
 
-def _render(args) -> bytes:
-    """orjson decodes the artifact's bytes.  Where it raises, or the render
-    would exit 2, json decodes the text again: every rejection is json's
-    reading, with json's message."""
+def _render(path: str, layer: str, component) -> bytes:
+    """The binary PGM of a layer of the artifact at path.  orjson decodes the
+    file's bytes.  Where it raises, or the render would exit 2, json decodes
+    the text again: every rejection is json's reading, with json's message."""
     lib = _orjson()
     try:
-        with open(args.input, "rb") as fh:
-            pgm = _render_pgm(args, lib.loads(fh.read()))
+        with open(path, "rb") as fh:
+            pgm = _render_pgm(lib.loads(fh.read()), path, layer, component)
     except (OSError, lib.JSONDecodeError, ParameterError):
         pgm = None  # outside the handler: its traceback would keep orjson's objects alive
     if pgm is None:
-        pgm = _render_pgm(args, _decode(_read_text(args.input, "grid result"), "grid result"))
+        pgm = _render_pgm(_decode(_read_text(path, "grid result"), "grid result"), path, layer,
+                          component)
     return pgm

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .anomaly import anomalies_in_sample, check_label_options, vortices_in_sample
-from .artifacts import (_COMPONENTS, _LabelGrid, _decode, _read_text, _render, _scalar_layer,
+from .artifacts import (_COMPONENTS, _decode, _label_layer, _read_text, _render, _scalar_layer,
                         _write_json, _write_trace_csv)
 from .errors import ParameterError, ParameterWarning
 from .fields import FieldSpec, GaussianPairSpec, _require_interval, field_from_dict
@@ -63,7 +63,7 @@ _LAYERS = {
     "W": lambda n, d: _scalar_layer(n, energy_density(d["sample"])),
     "P_O": lambda n, d: _scalar_layer(n, np.moveaxis(d["poynting"].P_O, 0, -1)),
     "P_S": lambda n, d: _scalar_layer(n, np.moveaxis(d["poynting"].P_S, 0, -1)),
-    "label": lambda n, d: _LabelGrid(d["anomalies"].labels),
+    "label": lambda n, d: _label_layer(d["anomalies"].labels),
     "S1_pred": lambda n, d: _scalar_layer(n, d["prediction"][0], d["mask"]),
     "S2_pred": lambda n, d: _scalar_layer(n, d["prediction"][1], d["mask"]),
     "S3_pred": lambda n, d: _scalar_layer(n, d["prediction"][2], d["mask"]),
@@ -202,7 +202,7 @@ def _cmd_anomaly(args) -> int:
         "provenance": _provenance(spec, args),
     }
     if args.with_labels:
-        out["labels"] = _LabelGrid(amap.labels)
+        out["labels"] = _label_layer(amap.labels)
     del derived, amap  # the grid sample and momentum, before the artifact is written
     _write_json(args.out, out)
     return 0
@@ -318,7 +318,7 @@ def _cmd_force(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    pgm = _render(args)
+    pgm = _render(args.input, args.layer, args.component)
     with open(args.out, "wb") as fh:
         fh.write(pgm)
     return 0

@@ -209,13 +209,13 @@ def test_layers_of_an_overflowing_grid_exit_two_without_a_warning(tmp_path, caps
 
 def test_row_builders_reject_non_finite_cells_outside_the_mask():
     mask = np.array([[True, False]])
-    assert artifacts._float_text(*artifacts._scalar_layer("S1", [[np.inf, 1.0]], mask)) == (
+    assert artifacts._scalar_layer("S1", [[np.inf, 1.0]], mask).text(0, 1) == (
         '[["singular",1.0]]')
     with pytest.raises(pf.ParameterError, match="layer 'S1'"):
         artifacts._scalar_layer("S1", [[1.0, np.nan]], mask)
     layer = artifacts._scalar_layer(
         "F_grad", np.stack([[[np.nan, 1.0]], [[0.0, 2.0]], [[0.0, 3.0]]], axis=-1), mask)
-    assert artifacts._float_text(*layer) == '[["singular",[1.0,2.0,3.0]]]'
+    assert layer.text(0, 1) == '[["singular",[1.0,2.0,3.0]]]'
     with pytest.raises(pf.ParameterError, match="layer 'F_grad'"):
         artifacts._scalar_layer(
             "F_grad", np.stack([[[0.0, 1.0]], [[0.0, -np.inf]], [[0.0, 3.0]]], axis=-1), mask)
@@ -1106,31 +1106,6 @@ def test_write_json_matches_the_streaming_encoder(tmp_path):
     for text in (b'"singular"', b"-0.0", b"1e-05", b"5e-324", b"1.7976931348623157e+308",
                  b"9007199254740993", b"\\u00e9"):
         assert text in blob
-
-
-def test_write_json_writes_layers_block_by_block(tmp_path, monkeypatch):
-    monkeypatch.setattr(artifacts, "_BLOCK", 7)  # blocks of one to three rows
-    rng = np.random.default_rng(5)
-    scalar = rng.standard_normal((9, 4)) * 10.0 ** rng.uniform(-12, 20, (9, 4))
-    scalar[2, 1] = 1.5e-05
-    vector = rng.standard_normal((5, 4, 3)) * 10.0 ** rng.uniform(-8, -3, (5, 4, 3))
-    components = np.ascontiguousarray(np.moveaxis(vector, -1, 0))  # the library's (3, ...) form
-    mask = rng.random((9, 4)) < 0.3
-    codes = rng.integers(0, len(pf.LABELS), (9, 4)).astype(np.int8)
-    labels = [[pf.LABELS[c] for c in row] for row in codes.tolist()]
-    obj = {"layers": {"s": artifacts._scalar_layer("s", scalar, mask),
-                      "v": artifacts._scalar_layer("v", np.moveaxis(components, 0, -1), mask[:5]),
-                      "label": artifacts._LabelGrid(codes)}}
-    lists = {"layers": {
-        "s": [["singular" if m else x for x, m in zip(r, mr)]
-              for r, mr in zip(scalar.tolist(), mask.tolist())],
-        "v": [["singular" if m else x for x, m in zip(r, mr)]
-              for r, mr in zip(vector.tolist(), mask[:5].tolist())],
-        "label": labels}}
-    path = tmp_path / "o.json"
-    artifacts._write_json(str(path), obj)
-    assert path.read_text(encoding="utf-8") == json.dumps(
-        lists, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_the_cached_parser_carries_nothing_from_one_run_to_the_next(tmp_path, capsys):

@@ -58,7 +58,8 @@ whose message names the value.
 
 A float layer's text is the text json.dumps gives its list form, and a trace
 CSV is the per-row repr join, for any finite floats, the boundaries of
-orjson's range and their neighbours included.
+orjson's range and their neighbours included.  So is a JSON artifact whose
+float and label layers are written in blocks of any size.
 """
 
 import contextlib
@@ -73,6 +74,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import photonflow as pf
 from conftest import TWO_PI, make_tir
@@ -914,11 +916,11 @@ def _float_array(draw, shape, elements=CELL_FLOATS):
 
 
 @st.composite
-def float_layer(draw):
-    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
-    shape = draw(st.sampled_from([(n,), (m, n), (m, n, 3)]))
+def float_layer(draw, rows=st.integers(1, 4), ranks=(1, 2, 3), masked=st.booleans()):
+    m, n = draw(rows), draw(st.integers(1, 6))
+    shape = draw(st.sampled_from([[(n,), (m, n), (m, n, 3)][r - 1] for r in ranks]))
     values = _float_array(draw, shape)
-    if not draw(st.booleans()):
+    if not draw(masked):
         return values, None
     mask = np.array(draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n)))
     mask = mask[:n] if len(shape) == 1 else mask.reshape(m, n)
@@ -942,6 +944,32 @@ def test_float_text_is_the_text_of_json_dumps(layer):
     values, mask = layer
     assert artifacts._float_text(values, mask) == json.dumps(list_form(values, mask),
                                                              separators=(",", ":"))
+
+
+LABEL_CODES = hnp.arrays(np.int8, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+                         elements=st.integers(0, len(pf.LABELS) - 1))
+
+
+@settings(max_examples=200)
+@given(block=st.integers(1, 64),
+       scalar=float_layer(rows=st.integers(1, 12), ranks=(2,), masked=st.just(True)),
+       vector=float_layer(rows=st.integers(1, 12), ranks=(3,), masked=st.just(True)),
+       codes=LABEL_CODES)
+def test_write_json_writes_layers_block_by_block(block, scalar, vector, codes, tmp_path_factory):
+    """Blocks of `block` floats or labels, whole rows and at least one row
+    each, give the text json.dumps gives the layers' list form."""
+    values, mask = vector
+    components = np.ascontiguousarray(np.moveaxis(values, -1, 0))  # the library's (3, ...) form
+    obj = {"layers": {"s": artifacts._scalar_layer("s", *scalar),
+                      "v": artifacts._scalar_layer("v", np.moveaxis(components, 0, -1), mask),
+                      "label": artifacts._label_layer(codes)}}
+    lists = {"layers": {"s": list_form(*scalar), "v": list_form(values, mask),
+                        "label": [[pf.LABELS[c] for c in row] for row in codes.tolist()]}}
+    path = tmp_path_factory.getbasetemp() / "blocks.json"
+    with mock.patch.object(artifacts, "_BLOCK", block):
+        artifacts._write_json(str(path), obj)
+    assert path.read_text(encoding="utf-8") == json.dumps(
+        lists, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # a trace's momenta may be infinite or NaN
