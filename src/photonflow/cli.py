@@ -37,7 +37,6 @@ from .tracing import ARC_LENGTH, PARAXIAL, TraceConfig, check_seeds, trace_strea
 from .weakmeasure import (CalciteSpec, calcite_fields, predicted_parameters, readout_momentum,
                           stokes_parameters)
 
-
 _POLS = {
     "diag": PolarizationState.linear_diag,
     "x": PolarizationState.linear_x,

@@ -1165,12 +1165,15 @@ def test_python_m_photonflow_runs_the_cli():
 COLD_START = """
 import json, sys
 import photonflow, photonflow.cli
+orjson = ["orjson" in sys.modules]
 code = photonflow.cli.run(["fieldmap", "--field-json", sys.argv[1], "--grid", "x:0:1:8,z:0:1:8",
                            "--layers", "amp,re_px", "--out", sys.argv[2]])
+orjson.append("orjson" in sys.modules)
 cold = [name for name in ("scipy", "scipy.special") if name in sys.modules]
 sample = photonflow.evaluate(photonflow.field_from_dict(json.loads(sys.argv[3])), (0.3, 0.2, 0.1))
 print(json.dumps([code, cold, "scipy.special" in sys.modules,
-                  [z.hex() for v in (sample.psi, *sample.grad_psi) for z in (v.real, v.imag)]]))
+                  [z.hex() for v in (sample.psi, *sample.grad_psi) for z in (v.real, v.imag)],
+                  orjson]))
 """
 
 
@@ -1180,8 +1183,9 @@ def test_scipy_special_loads_on_the_first_bessel_evaluation(tmp_path):
                            str(tmp_path / "map.json"), BESSEL],
                           capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
-    code, cold, loaded, bits = json.loads(proc.stdout.splitlines()[-1])
+    code, cold, loaded, bits, orjson = json.loads(proc.stdout.splitlines()[-1])
     assert (code, cold, loaded) == (0, [], True)
+    assert orjson == [False, True]  # imported, and its parse buffer made, on the first write
     sample = pf.evaluate(pf.field_from_dict(json.loads(BESSEL)), (0.3, 0.2, 0.1))
     assert bits == [z.hex() for v in (sample.psi, *sample.grad_psi) for z in (v.real, v.imag)]
 
