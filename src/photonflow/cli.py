@@ -24,7 +24,7 @@ from functools import cache
 import numpy as np
 
 from . import __version__
-from .anomaly import anomalies_in_sample, check_label_options, vortices_in_sample
+from .anomaly import _check_resolution, anomalies_in_sample, check_label_options, vortices_in_sample
 from .artifacts import (_COMPONENTS, _decode, _label_layer, _read_text, _render, _scalar_layer,
                         _write_json, _write_trace_csv)
 from .errors import ParameterError, ParameterWarning
@@ -34,8 +34,8 @@ from .grids import GridSpec, frame_names, sample_grid
 from .observables import (PolarizationState, energy_density, local_momentum,
                           poynting_from_sample, singular_cells)
 from .tracing import ARC_LENGTH, PARAXIAL, TraceConfig, check_seeds, trace_streamline
-from .weakmeasure import (CalciteSpec, calcite_fields, predicted_parameters, readout_momentum,
-                          stokes_parameters)
+from .weakmeasure import (CalciteSpec, _check_invertible, calcite_fields, predicted_parameters,
+                          readout_momentum, stokes_parameters)
 
 _POLS = {
     "diag": PolarizationState.linear_diag,
@@ -169,6 +169,7 @@ def _cmd_fieldmap(args) -> int:
         if name not in ALL_LAYERS:
             raise ParameterError(f"unknown layer {name!r}; expected one of {ALL_LAYERS}")
     cal = CalciteSpec(delta_x=args.delta_x_mm, pol=_POLS[args.pol]())
+    check_label_options(spec, args.bound, args.superluminal_guard)
     return _write_layers(args, spec, grid, names, {}, cal=cal)
 
 
@@ -177,6 +178,7 @@ def _cmd_stokes(args) -> int:
     spec = _load_field(args)
     grid = _grid_of(args)
     cal = CalciteSpec(delta_x=args.delta_x_mm)
+    _check_invertible(cal)
     return _write_layers(args, spec, grid, _STOKES_LAYERS, {"delta_x_mm": cal.delta_x},
                          cal=cal)
 
@@ -185,6 +187,7 @@ def _cmd_anomaly(args) -> int:
     spec = _load_field(args)
     grid = _grid_of(args)
     check_label_options(spec, args.bound, args.superluminal_guard)
+    _check_resolution(spec, grid)
     derived = _derivations(spec, grid, args)
     vortices = derived["vortices"]
     amap = derived["anomalies"]

@@ -352,6 +352,12 @@ class TirTwoWaveSpec(_FieldFamily):
     with k_z,i = n k sin(theta_i), k_x,i = n k cos(theta_i) and
     kappa_i = sqrt(k_z,i^2 - k^2).  1 + r_i = t_i makes psi and its
     x-derivative continuous across x = 0.
+
+    On arrays psi_grad takes x along one axis (a grid's x axis in either
+    position, or a bundle's columns; any other x is flattened first) and runs
+    each side on its x entries against z as given, so on a grid the glass side
+    exponentiates the x and z axes apart and the air side (_air) runs on its
+    dense nodes.  Every node keeps the bits of the dense evaluation.
     """
 
     wave: WaveParameters
@@ -430,6 +436,7 @@ class TirTwoWaveSpec(_FieldFamily):
         return psi, gx, gz
 
     def _air(self, x, z):
+        # one exp per node: split into an x and a z factor, as in _glass, it would change bits
         psi = gx = gz = 0j
         for amp, _, kz, kappa, _, t in self._partial_waves:
             term = np.exp(-kappa * x + 1j * kz * z) * (amp * t)
@@ -444,45 +451,28 @@ class TirTwoWaveSpec(_FieldFamily):
         if x.ndim == z.ndim == 0:
             psi, gx, gz = (self._glass if self.in_glass(x) else self._air)(x, z)
             return psi, (gx, gz)
-        if x.ndim == z.ndim == 2 and x.shape[0] == 1 and z.shape[1] == 1:
-            return self._psi_grad_open(x, z)
-        x, z = np.broadcast_arrays(x, z)
-        glass = self.in_glass(x)
-        # both sides before the outputs, so that their temporaries never coexist
-        sides = [(m, side(x[m], z[m])) for m, side in ((glass, self._glass), (~glass, self._air))
-                 if m.any()]
-        outs = tuple(np.empty(x.shape, dtype=complex) for _ in range(3))
-        for mask, values in sides:
-            for out, value in zip(outs, values):
-                out[mask] = value
-        return outs[0], outs[1:]
-
-    def _psi_grad_open(self, x, z):
-        """psi_grad on a grid's open axes, x a (1, n1) row and z an (n2, 1) column.
-
-        The glass columns x[:, cols] are evaluated against the z column, which
-        gives each node the bits of the dense evaluation.  The air side stays
-        on its dense nodes: its one exp of -kappa x + i k_z z, split into an
-        x and a z factor, would change bits."""
-        glass = self.in_glass(x[0])
-        air = ~glass
-        shape = (z.shape[0], x.shape[1])
-        sides = []  # (columns, values); both before the outputs, as in psi_grad
-        if glass.any():
-            sides.append((glass, self._glass(x[:, glass], z)))
-        if air.any():
-            xa, za = (np.broadcast_to(c, (shape[0], np.count_nonzero(air))).ravel()
-                      for c in (x[:, air], z))
-            sides.append((air, [v.reshape(shape[0], -1) for v in self._air(xa, za)]))
-            del xa, za
-        if len(sides) == 1:  # one side fills the grid
-            psi, gx, gz = sides[0][1]
-            return psi, (gx, gz)
-        outs = tuple(np.empty(shape, dtype=complex) for _ in range(3))
-        for cols, values in sides:
-            for out, value in zip(outs, values):
-                out[:, cols] = value
-        return outs[0], outs[1:]
+        shape = np.broadcast(x, z).shape
+        along = [i for i, n in enumerate(x.shape) if n > 1]  # the axes x varies along
+        if len(along) != 1 or x.ndim != z.ndim:  # x of one entry, or dense: one flat axis
+            x, z = (np.broadcast_to(c, shape).ravel() for c in (x, z))
+            along = [0]
+        lead = (slice(None),) * along[0]
+        glass = self.in_glass(x.ravel())
+        count = np.count_nonzero(glass)
+        sides = []  # both before the outputs, so that their temporaries never coexist
+        for m, side, used in ((glass, self._glass, count), (~glass, self._air, glass.size - count)):
+            if used:  # x's entries on this side, against z's too where z varies along x
+                at = lead + (m,)
+                sides.append((at, side(x[at], z[at] if z.shape[along[0]] > 1 else z)))
+        if len(sides) == 1:  # one side fills the array
+            values = sides[0][1]
+        else:
+            values = [np.empty(np.broadcast(x, z).shape, dtype=complex) for _ in range(3)]
+            for at, side_values in sides:
+                for out, value in zip(values, side_values):
+                    out[at] = value
+        psi, gx, gz = (v.reshape(shape) for v in values)
+        return psi, (gx, gz)
 
 
 FieldSpec = Union[PlaneWaveSpec, GaussianPairSpec, BesselSpec, EvanescentSpec, TirTwoWaveSpec]

@@ -150,9 +150,14 @@ def readout_momentum(s1, s3, cal: CalciteSpec):
     the shifted and unshifted components, x - delta_x/2; the readout is
     second-order accurate there and only first-order accurate at x.
     """
+    _check_invertible(cal)
+    return (s3 / cal.delta_x, s1 / cal.delta_x)
+
+
+def _check_invertible(cal: CalciteSpec) -> None:
+    """Raise DegeneratePointerError unless readout_momentum can divide by cal.delta_x."""
     if cal.delta_x == 0.0:
         raise DegeneratePointerError("delta_x = 0 cannot be inverted")
-    return (s3 / cal.delta_x, s1 / cal.delta_x)
 
 
 def momentum_from_stokes(s: StokesVector, cal: CalciteSpec):

@@ -109,16 +109,28 @@ def test_coarse_anomaly_grid_exits_two(tir_file, tmp_path, capsys):
     assert "resolve" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags, message", [
-    (["--superluminal-guard", "-1"], "superluminal_guard must be >= 0, got -1.0"),
-    (["--bound", "piecewise"],
+def _refuse_to_sample(spec, grid):
+    raise AssertionError("the grid was sampled before the options were checked")
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("fieldmap", ["--layers", "amp", "--superluminal-guard", "-1"],
+     "superluminal_guard must be >= 0, got -1.0"),
+    ("fieldmap", ["--bound", "piecewise"],
      "piecewise bound (n k in glass, k in air) requires a two-wave TIR field"),
-    (["--superluminal-guard", "inf"], "superluminal_guard must be finite, got inf"),
+    ("stokes", ["--delta-x-mm", "0"], "delta_x = 0 cannot be inverted"),
+    ("anomaly", [], "grid spacing 0.5 mm cannot resolve winding; "
+                    "need < 0.125 mm (shortest local wavelength / 8)"),
+    ("anomaly", ["--superluminal-guard", "-1"], "superluminal_guard must be >= 0, got -1.0"),
+    ("anomaly", ["--bound", "piecewise"],
+     "piecewise bound (n k in glass, k in air) requires a two-wave TIR field"),
+    ("anomaly", ["--superluminal-guard", "inf"], "superluminal_guard must be finite, got inf"),
 ])
-def test_anomaly_checks_its_options_before_the_vortex_search(bessel_file, tmp_path, capsys,
-                                                              flags, message):
-    # the 0.5 mm grid cannot resolve the winding: the options are checked first
-    code = cli.run(["anomaly", "--field", bessel_file, "--grid", "x:-1:1:5,y:-1:1:5",
+def test_a_grid_command_checks_its_options_before_it_samples(bessel_file, tmp_path, capsys,
+                                                             monkeypatch, command, flags, message):
+    # the 0.5 mm grid cannot resolve the winding: anomaly checks its options first
+    monkeypatch.setattr(cli, "sample_grid", _refuse_to_sample)
+    code = cli.run([command, "--field", bessel_file, "--grid", "x:-1:1:5,y:-1:1:5",
                     "--fixed", "z=0", *flags, "--out", str(tmp_path / "a.json")])
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -14,7 +14,8 @@ dense nodes, and every family fills the whole grid on every axis pair, with
 and without a fixed coordinate.  The TIR field evaluates its glass side on
 the open axes, so seeded all-glass, all-air, straddling (with a node at
 x = 0.0, which is air) and two-node grids, and criterion 05's 800x800 grid,
-are compared with the dense evaluation too.
+each x first and z first, are compared with the dense evaluation too, as is
+an x of one entry against a z array and the other way round.
 
 Physics holds on every grid: P_O / W equals re_p / k to rounding, and the
 winding of two adjacent blocks adds up to that of their union.  Each refined
@@ -212,8 +213,9 @@ def test_an_open_axes_sample_equals_the_dense_sample(case):
 
 
 def tir_grid(rng, kind):
-    """A seeded (x, z) TIR grid: all glass, all air from x = 0.0, straddling
-    x = 0 with a node at exactly 0.0 (air), or with two nodes on each axis."""
+    """A seeded TIR grid, x first or z first: all glass, all air from x = 0.0,
+    straddling x = 0 with a node at exactly 0.0 (air), or with two nodes on
+    each axis."""
     n1, n2 = (int(c) for c in rng.integers(2, 90, 2))
     half = rng.uniform(0.05, 4.0)
     x = {"glass": (-half - rng.uniform(0.0, 2.0), -rng.uniform(1e-9, 0.1)),
@@ -225,8 +227,10 @@ def tir_grid(rng, kind):
     if kind == "two-node":
         n1 = n2 = 2
     z0 = rng.uniform(-5.0, 5.0)
-    return pf.GridSpec(axes=("x", "z"), ranges=(x, (z0, z0 + rng.uniform(0.05, 6.0))),
-                       counts=(n1, n2))
+    axes = (("x", x, n1), ("z", (z0, z0 + rng.uniform(0.05, 6.0)), n2))
+    if rng.integers(2):
+        axes = axes[::-1]
+    return pf.GridSpec(*zip(*axes))
 
 
 def tir_spec(rng):
@@ -239,20 +243,42 @@ def tir_spec(rng):
 
 @pytest.mark.parametrize("kind", ["glass", "air", "zero", "two-node", "criterion-05"])
 def test_a_tir_sample_on_open_axes_equals_the_dense_evaluation(kind):
-    """The glass side runs on the open axes (its x columns against the z
-    column), the air side on its dense nodes; every node keeps the bits of the
-    dense evaluation, whose side is picked node by node."""
+    """The glass side runs on the open axes (its x entries against the z
+    axis), the air side on its dense nodes, with x first or z first; every
+    node keeps the bits of the dense evaluation, whose side is picked node by
+    node."""
     rng = np.random.default_rng([25, len(kind)])
     if kind == "criterion-05":
-        cases = [(make_tir(), pf.GridSpec.from_string("x:-2.0:2.0:800,z:0.0:4.0:800"))]
+        cases = [(make_tir(), pf.GridSpec.from_string(text))
+                 for text in ("x:-2.0:2.0:800,z:0.0:4.0:800", "z:0.0:4.0:800,x:-2.0:2.0:800")]
     else:
         cases = [(tir_spec(rng), tir_grid(rng, kind)) for _ in range(25)]
+    assert {grid.axes for _, grid in cases} == {("x", "z"), ("z", "x")}
     for spec, grid in cases:
         if kind == "zero":
-            assert 0.0 in grid.coords(0) and not spec.in_glass(0.0)
+            assert 0.0 in grid.coords(grid.axes.index("x")) and not spec.in_glass(0.0)
         sample = sample_grid(spec, grid)
         psi, grads = spec.psi_grad(*np.broadcast_arrays(*grid.mesh(2)))
         assert as_bytes(sample.psi, sample.grad_psi) == as_bytes(psi, grads), grid
+
+
+@pytest.mark.parametrize("one", ["x", "z"])
+def test_a_tir_call_with_one_entry_on_one_axis_equals_the_dense_evaluation(one):
+    """An x of one entry (a float or a length-1 array) against a z array, or
+    the other way round, gives the bits of the same points as equal-length
+    arrays."""
+    rng = np.random.default_rng([25, ord(one)])
+    for i in range(25):
+        spec = tir_spec(rng)
+        line = rng.uniform(-2.0, 2.0, int(rng.integers(2, 40)))
+        entry = rng.uniform(-2.0, 2.0, 1)
+        if i % 2:
+            entry = float(entry[0])
+        coords = (entry, line) if one == "x" else (line, entry)
+        psi, grads = spec.psi_grad(*coords)
+        want_psi, want_grads = spec.psi_grad(*np.broadcast_arrays(*coords))
+        assert psi.shape == want_psi.shape == line.shape
+        assert as_bytes(psi, grads) == as_bytes(want_psi, want_grads), coords
 
 
 FAMILY_SPECS = [spec for spec, _ in TILE_CASES[:6]]
