@@ -19,7 +19,11 @@ A refined step is its end nodes' phase difference plus a multiple of
 2 pi, so each loop sum is whole turns up to rounding (a record's
 residual) and no winding is rejected as non-integer.  Plaquettes with a
 singular corner sample cannot be classified and are skipped; lay grids
-out so zeros fall in plaquette interiors, not on nodes.
+out so zeros fall in plaquette interiors, not on nodes.  The CLI's anomaly
+job keeps only psi, label codes and fast flags (18 B per cell) of its grid's
+blocks of rows; the singular floor needs the peak, so a second pass marks
+singular cells and searches each block with the next row as its halo.  Both
+blocks refine an edge on their border, to the same step.
 
 Known limitation (anomaly-charge-split): an edge whose phase step is near
 2 pi wraps small and is not refined, so a charge-2 vortex close to a
@@ -39,7 +43,7 @@ import numpy as np
 
 from .errors import ParameterError, ResolutionError
 from .fields import FieldSample, FieldSpec, TirTwoWaveSpec, _require_finite
-from .grids import GridSpec, sample_grid
+from .grids import GridSpec, _row_blocks, _row_slices, sample_grid
 from .observables import ComplexMomentum, _is_singular, local_momentum, singular_cells
 
 LABELS = ("normal", "backflow", "superluminal", "singular")
@@ -47,7 +51,6 @@ LABEL_CODES = {name: code for code, name in enumerate(LABELS)}
 
 _HALF_PI = 0.5 * math.pi
 _MAX_BISECTIONS = 32
-_BLOCK_CELLS = 1 << 15  # cells per block of rows where a whole-grid temporary is avoided
 
 
 def wrap_angle(delta):
@@ -208,8 +211,13 @@ def vortices_in_sample(spec: FieldSpec, grid: GridSpec, sample: FieldSample, flo
     record keeps as its residual.
     """
     _check_resolution(spec, grid)
-    ph = np.angle(sample.psi)
-    c1, c2 = grid.coords(0), grid.coords(1)
+    return _vortex_rows(spec, grid, sample.psi, singular, floor)
+
+
+def _vortex_rows(spec, grid, psi, singular, floor, r0=0):
+    """vortices_in_sample of the node rows r0 to r0 + len(psi) - 1, given their psi and mask."""
+    ph = np.angle(psi)
+    c1, c2 = grid.coords(0), grid.coords(1)[r0:]
     ok = ~(singular[:-1, :-1] | singular[:-1, 1:] | singular[1:, 1:] | singular[1:, :-1])
 
     def nodes(j, i):
@@ -289,25 +297,54 @@ def anomalies_in_sample(spec: FieldSpec, grid: GridSpec, singular: np.ndarray,
     mask are labeled singular.
     """
     check_label_options(spec, bound_model, superluminal_guard)
-    bound = _bound(spec, bound_model, grid)
-    re_p = momentum.re_p
-    re_pz = re_p[-1]
-
-    labels = np.zeros(singular.shape, dtype=np.int8)
-    labels[re_pz < 0.0] = LABEL_CODES["backflow"]
-    labels[re_pz > bound * (1.0 + superluminal_guard)] = LABEL_CODES["superluminal"]
+    bound = np.broadcast_to(_bound(spec, bound_model, grid), singular.shape)
+    labels, fast = (np.zeros(singular.shape, dtype=t) for t in (np.int8, bool))
+    for rows in _row_slices(grid):
+        _label_rows(momentum.re_p[:, rows], bound[rows], superluminal_guard, labels[rows],
+                    fast[rows])
     labels[singular] = LABEL_CODES["singular"]
-    # |Re p| > b a block of rows at a time, adding the squares component by
-    # component as a sum over the leading axis adds them
-    fast = np.empty(singular.shape, dtype=bool)
-    bound_grid = np.broadcast_to(bound, singular.shape)
-    step = max(1, _BLOCK_CELLS // singular.shape[-1])
-    for r in range(0, len(fast), step):
-        rows = slice(r, r + step)
-        re_p_mag = re_p[0, rows] * re_p[0, rows]
-        for c in re_p[1:, rows]:
-            re_p_mag += c * c
-        np.greater(np.sqrt(re_p_mag, out=re_p_mag), bound_grid[rows], out=fast[rows])
     fast &= ~singular
-    return AnomalyMap(grid=grid, labels=labels, bound=bound_grid, fast=fast,
+    return AnomalyMap(grid=grid, labels=labels, bound=bound, fast=fast,
                       guard=float(superluminal_guard))
+
+
+def _label_rows(re_p, bound, guard, labels, fast):
+    """Rows' codes but "singular" into labels (zeros on entry), and |Re p| > bound into fast."""
+    re_pz = re_p[-1]
+    labels[re_pz < 0.0] = LABEL_CODES["backflow"]
+    labels[re_pz > bound * (1.0 + guard)] = LABEL_CODES["superluminal"]
+    # the squares added component by component, as a sum over the leading axis adds them
+    re_p_mag = re_p[0] * re_p[0]
+    for c in re_p[1:]:
+        re_p_mag += c * c
+    np.greater(np.sqrt(re_p_mag, out=re_p_mag), bound, out=fast)
+
+
+def _vortices_and_anomalies(spec, grid, bound_model, superluminal_guard) -> tuple:
+    """The vortices and AnomalyMap of the grid's sample, from its row blocks (module
+    docstring).  Pass 1 labels each block with no singular floor, which can only
+    change cells that pass 2 marks singular, so every result keeps its bits."""
+    check_label_options(spec, bound_model, superluminal_guard)
+    _check_resolution(spec, grid)
+    psi, labels, fast = (np.zeros(grid.counts[::-1], dtype=t) for t in (complex, np.int8, bool))
+    bound = np.broadcast_to(_bound(spec, bound_model, grid), psi.shape)
+    peak = 0.0
+    for rows, psi_rows, grads in _row_blocks(spec, grid):
+        psi[rows] = psi_rows
+        sample = FieldSample(psi[rows], np.stack(grads), spec.wave.k)
+        peak = np.maximum(peak, sample.amplitude.max())  # NaN stays NaN, as in np.max
+        with np.errstate(over="ignore", invalid="ignore"):  # only on cells the floor masks
+            re_p = local_momentum(sample, 0.0).re_p
+        _label_rows(re_p, bound[rows], superluminal_guard, labels[rows], fast[rows])
+        del psi_rows, grads, sample, re_p  # before the next block is evaluated
+    floor = singular_cells(peak)[0]  # its checks of the peak: finite and above 0.0
+    vortices = []
+    for rows in _row_slices(grid):
+        halo = slice(rows.start, rows.stop + 1)
+        singular = _is_singular(np.abs(psi[halo]), floor)
+        own = singular[:rows.stop - rows.start]  # the block's rows, without the halo
+        labels[rows][own] = LABEL_CODES["singular"]
+        fast[rows] &= ~own
+        vortices += _vortex_rows(spec, grid, psi[halo], singular, floor, rows.start)
+    return vortices, AnomalyMap(grid=grid, labels=labels, bound=bound, fast=fast,
+                                guard=float(superluminal_guard))

@@ -24,7 +24,7 @@ from functools import cache
 import numpy as np
 
 from . import __version__
-from .anomaly import _check_resolution, anomalies_in_sample, check_label_options, vortices_in_sample
+from .anomaly import _vortices_and_anomalies, anomalies_in_sample, check_label_options
 from .artifacts import (_COMPONENTS, _decode, _label_layer, _read_text, _render, _scalar_layer,
                         _write_json, _write_trace_csv)
 from .errors import ParameterError, ParameterWarning
@@ -107,7 +107,6 @@ def _derivations(spec, grid, args, cal=None, chi=None) -> _Derived:
         # (F_grad, F_scat, mask): F/W is undefined on singular cells, F is not
         "force": lambda d: ((*forces_from_momentum(d["momentum"], chi), d["mask"])
                             if args.normalized else (*force_from_sample(sample, chi), None)),
-        "vortices": lambda d: vortices_in_sample(spec, grid, sample, *d["singular"]),
         "anomalies": lambda d: anomalies_in_sample(spec, grid, d["mask"], d["momentum"],
                                                    args.bound, args.superluminal_guard),
     })
@@ -186,11 +185,7 @@ def _cmd_stokes(args) -> int:
 def _cmd_anomaly(args) -> int:
     spec = _load_field(args)
     grid = _grid_of(args)
-    check_label_options(spec, args.bound, args.superluminal_guard)
-    _check_resolution(spec, grid)
-    derived = _derivations(spec, grid, args)
-    vortices = derived["vortices"]
-    amap = derived["anomalies"]
+    vortices, amap = _vortices_and_anomalies(spec, grid, args.bound, args.superluminal_guard)
     out = {
         "grid": grid.to_dict(),
         "bound_model": args.bound,
@@ -205,7 +200,7 @@ def _cmd_anomaly(args) -> int:
     }
     if args.with_labels:
         out["labels"] = _label_layer(amap.labels)
-    del derived, amap  # the grid sample and momentum, before the artifact is written
+    del amap  # the label codes and fast flags, before the artifact is written
     _write_json(args.out, out)
     return 0
 

@@ -462,6 +462,10 @@ class TirTwoWaveSpec(_FieldFamily):
         sides = []  # both before the outputs, so that their temporaries never coexist
         for m, side, used in ((glass, self._glass, count), (~glass, self._air, glass.size - count)):
             if used:  # x's entries on this side, against z's too where z varies along x
+                if x.ndim > 1:  # a grid's x axis: each side is one run, written through a slice
+                    first = int(m.argmax())
+                    if m[first:first + used].all():
+                        m = slice(first, first + used)
                 at = lead + (m,)
                 sides.append((at, side(x[at], z[at] if z.shape[along[0]] > 1 else z)))
         if len(sides) == 1:  # one side fills the array

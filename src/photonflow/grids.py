@@ -7,7 +7,8 @@ order: the first grid axis, shape (1, counts1), varies along columns, the
 second, (counts2, 1), along rows, and off-axis ones are floats; no dense
 mesh is built.  Orientation-sensitive consumers (vortex charge signs)
 follow the right-handed (axis1, axis2) order as given.  sample_grid
-evaluates a field on every node once, for all of the map-making layers.
+evaluates a field on every node once, for all of the map-making layers, a
+block of whole rows at a time into one buffer; the anomaly job reads the blocks.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .errors import ParameterError
 from .fields import FieldSample, _require_finite, _require_interval
 
 AXIS_NAMES = ("x", "y", "z")
+_BLOCK_CELLS = 1 << 15  # cells per block of whole rows in which a grid is evaluated
 
 
 def frame_names(ndim: int) -> tuple:
@@ -133,12 +135,34 @@ class GridSpec:
         }
 
 
+def _row_slices(grid: GridSpec) -> list:
+    """The grid's rows in consecutive slices of about _BLOCK_CELLS cells."""
+    n1, n2 = grid.counts
+    step = max(1, _BLOCK_CELLS // n1)
+    return [slice(r, min(r + step, n2)) for r in range(0, n2, step)]
+
+
+def _row_blocks(spec, grid: GridSpec):
+    """(rows, psi, grads) for each of _row_slices: the field on those rows of the
+    (counts2, 1) frame coordinate, with the other coordinates as they are."""
+    mesh = grid.mesh(spec.ndim)
+    at = frame_names(spec.ndim).index(grid.axes[1])
+    for rows in _row_slices(grid):
+        coords = (*mesh[:at], mesh[at][rows], *mesh[at + 1:])
+        with np.errstate(over="ignore", invalid="ignore"):  # the peak amplitude is checked
+            psi, grads = spec.psi_grad(*coords)
+        yield rows, psi, grads
+        del psi, grads  # before the next block is evaluated
+
+
 def sample_grid(spec, grid: GridSpec) -> FieldSample:
     """psi and its exact gradient on every node of the grid.
 
     psi has shape (counts2, counts1); grad_psi stacks the frame
-    components on a leading axis, shape (ndim, counts2, counts1).
+    components on a leading axis, shape (ndim, counts2, counts1), in one buffer.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # raised by singular_cells instead
-        psi, grads = spec.psi_grad(*grid.mesh(spec.ndim))
-    return FieldSample(psi=psi, grad_psi=np.stack(grads), k=spec.wave.k)
+    buf = np.empty((1 + spec.ndim, grid.counts[1], grid.counts[0]), dtype=complex)
+    for rows, psi, grads in _row_blocks(spec, grid):
+        for out, value in zip(buf, (psi, *grads)):
+            out[rows] = value
+    return FieldSample(psi=buf[0], grad_psi=buf[1:], k=spec.wave.k)

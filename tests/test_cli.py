@@ -128,8 +128,12 @@ def _refuse_to_sample(spec, grid):
 ])
 def test_a_grid_command_checks_its_options_before_it_samples(bessel_file, tmp_path, capsys,
                                                              monkeypatch, command, flags, message):
-    # the 0.5 mm grid cannot resolve the winding: anomaly checks its options first
-    monkeypatch.setattr(cli, "sample_grid", _refuse_to_sample)
+    # the 0.5 mm grid cannot resolve the winding: anomaly checks its options first.
+    # Sampling raises, by the whole-grid sample or by the block iterator that it
+    # and the anomaly job read
+    for module, name in ((cli, "sample_grid"), (pf.grids, "_row_blocks"),
+                         (pf.anomaly, "_row_blocks")):
+        monkeypatch.setattr(module, name, _refuse_to_sample)
     code = cli.run([command, "--field", bessel_file, "--grid", "x:-1:1:5,y:-1:1:5",
                     "--fixed", "z=0", *flags, "--out", str(tmp_path / "a.json")])
     assert code == 2
@@ -216,6 +220,32 @@ def test_layers_of_an_overflowing_grid_exit_two_without_a_warning(tmp_path, caps
     assert cli.run(argv[:1] + ["--field-json", EVANESCENT_45, "--grid", "x:-19:1:32,z:0:1:8"]
                    + argv[1:] + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+# two-wave TIR amplitudes whose waves overflow where they add up, to inf or, where
+# one inf cancels another, to nan
+TIR_HUGE = json.dumps({"family": "tir_two_wave", "lambda_mm": 1.0, "n": 1.5,
+                       "theta1_rad": TIR_THETA1, "theta2_rad": TIR_THETA2,
+                       "amp1": 1e308, "amp2": -1e308})
+
+
+@pytest.mark.parametrize("command", [["anomaly"], ["fieldmap", "--layers", "re_px,phase"]],
+                         ids=["anomaly", "fieldmap"])
+@pytest.mark.parametrize("field, grid, peak", [
+    # finite rows, then a last row that holds nan: a peak that dropped nan would pass
+    (TIR_HUGE, "z:0:1:17,x:-0.4375:-0.125:6", "overflows: its peak is nan"),
+    # an evanescent amplitude falls along x, so it overflows in the first rows only
+    (EVANESCENT_45, "z:0:0.1:8,x:-16:-15:64", "overflows: its peak is inf"),
+    (EVANESCENT_45, "z:0:0.1:8,x:17:18:64", "underflows: its peak is 0.0"),  # every cell
+], ids=["tir-nan-last-row", "evanescent-first-rows", "evanescent-underflow"])
+def test_a_grid_that_overflows_in_one_block_exits_two(tmp_path, capsys, monkeypatch, command,
+                                                       field, grid, peak):
+    monkeypatch.setattr(pf.grids, "_BLOCK_CELLS", 1)  # a block per row
+    out = tmp_path / "o.json"
+    assert cli.run(command[:1] + ["--field-json", field, "--grid", grid] + command[1:]
+                   + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: the field amplitude {peak}\n"
     assert not out.exists()
 
 
@@ -574,25 +604,29 @@ def test_anomaly_with_labels_layer(tmp_path, evanescent):
 
 
 # tracemalloc's peak of a criterion-05 `anomaly --with-labels` job, in bytes per
-# grid cell: 96 when measured, the grid evaluation's six complex arrays (each
-# side's values, then the three outputs); the vortex search, momentum, labels
-# and artifact write each hold less on top of the sample.  It was 124 before
-# they dropped their whole-grid temporaries.
-ANOMALY_BYTES_PER_CELL = 100
+# grid cell, by grid size.  The job keeps psi, the label codes and the fast flags
+# of the whole grid (18 B per cell) and evaluates and labels it a block of about
+# 2^15 cells at a time, so a block's temporaries, about 4.3 MB, add less per cell
+# on a larger grid: 45.7 B per cell at 400^2 and 24.8 at 800^2 when measured, in
+# either axis order.  The bounds leave a margin of about a fifth and a quarter.
+# It was 96 with a whole-grid sample, momentum and labels, and 124 before those
+# dropped their whole-grid temporaries.
+ANOMALY_BYTES_PER_CELL = {400: 55, 800: 32}
 
 
 def test_the_criterion_05_anomaly_job_stays_in_its_memory_budget(tir_file, tmp_path):
     argv = ["anomaly", "--field", tir_file, "--bound", "piecewise", "--with-labels",
             "--out", str(tmp_path / "anomaly.json"), "--grid"]
     assert cli.run(argv + ["x:-2.0:2.0:64,z:0.0:4.0:64"]) == 0  # imports and caches first
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        assert cli.run(argv + ["x:-2.0:2.0:400,z:0.0:4.0:400"]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (peak - held) / 400 ** 2 < ANOMALY_BYTES_PER_CELL
+    for n, bound in ANOMALY_BYTES_PER_CELL.items():
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            assert cli.run(argv + [f"x:-2.0:2.0:{n},z:0.0:4.0:{n}"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - held) / n ** 2 < bound, n
 
 
 def test_micron_wavelength_field_needs_finer_anomaly_grid(pair_file, tmp_path, capsys):
@@ -833,9 +867,11 @@ def test_non_finite_parameters_exit_two(tir_file, tmp_path, capsys, argv):
     assert "must be finite" in capsys.readouterr().err
 
 
-# local_momentum and singular_cells calls on the grid sample of each command
-# below: a raw force map needs no momentum, and every command derives each at
-# most once (singular_cells also rejects a peak that over- or underflows)
+# nodes passed to local_momentum, in grids' worth, and calls of singular_cells by
+# each command below: a raw force map needs no momentum, and every command derives
+# each at most once (singular_cells also rejects a peak that over- or underflows).
+# The anomaly job takes each block's momentum once, and singular_cells of the
+# peak amplitude of its blocks.
 DERIVED = {"anomaly --with-labels": (1, 1), "fieldmap --layers amp,re_px,P_O,label": (1, 1),
            "force": (0, 1), "stokes": (1, 1), "force --normalized": (1, 1)}
 
@@ -848,13 +884,16 @@ DERIVED = {"anomaly --with-labels": (1, 1), "fieldmap --layers amp,re_px,P_O,lab
     (["force", "--normalized"], 1),
 ])
 def test_each_command_samples_its_grid_once(tir_file, tmp_path, monkeypatch, argv, evals):
-    calls = []
+    grid = pf.GridSpec.from_string("x:-2:0:81,z:0.1:0.6:21")
+    monkeypatch.setattr(pf.grids, "_BLOCK_CELLS", 5 * 81)  # blocks of 5, 5, 5, 5 and 1 rows
+    assert len(pf.grids._row_slices(grid)) == 5
+    nodes = []
     psi_grad = pf.TirTwoWaveSpec.psi_grad
 
     def counting(self, *coords):
-        # grid samples only: the vortex search's refinement batches are 1-D
-        if np.broadcast(*coords).shape == (21, 81):
-            calls.append(coords)
+        # grid nodes only: the vortex search's refinement batches are 1-D
+        if np.ndim(coords[0]) == 2:
+            nodes.extend(zip(*(c.ravel().tolist() for c in np.broadcast_arrays(*coords))))
         return psi_grad(self, *coords)
 
     monkeypatch.setattr(pf.TirTwoWaveSpec, "psi_grad", counting)
@@ -862,7 +901,7 @@ def test_each_command_samples_its_grid_once(tir_file, tmp_path, monkeypatch, arg
 
     def counted(name, fn):
         def wrapper(*args):
-            derived[name] += 1
+            derived[name] += args[0].psi.size if name == "local_momentum" else 1
             return fn(*args)
         return wrapper
 
@@ -874,8 +913,11 @@ def test_each_command_samples_its_grid_once(tir_file, tmp_path, monkeypatch, arg
     out = str(tmp_path / "o.json")
     assert cli.run(argv[:1] + ["--field", tir_file, "--grid", "x:-2:0:81,z:0.1:0.6:21"]
                    + argv[1:] + ["--out", out]) == 0
-    assert len(calls) == evals
-    assert (derived["local_momentum"], derived["singular_cells"]) == DERIVED[" ".join(argv)]
+    on_grid = set(zip(*(c.ravel().tolist() for c in np.broadcast_arrays(*grid.mesh(2)))))
+    assert len(nodes) == evals * len(on_grid)
+    assert sorted(node for node in nodes if node in on_grid) == sorted(on_grid)  # each once
+    assert (derived["local_momentum"] / len(on_grid), derived["singular_cells"]) == (
+        DERIVED[" ".join(argv)])
 
 
 # -------------------------------------------------------------------- render

@@ -15,13 +15,19 @@ and without a fixed coordinate.  The TIR field evaluates its glass side on
 the open axes, so seeded all-glass, all-air, straddling (with a node at
 x = 0.0, which is air) and two-node grids, and criterion 05's 800x800 grid,
 each x first and z first, are compared with the dense evaluation too, as is
-an x of one entry against a z array and the other way round.
+an x of one entry against a z array and the other way round, and an x axis
+whose glass and air entries interleave.  A grid sampled a block of rows at a
+time, for every family, any grid and any block height down to one row, equals
+one evaluation of the whole grid.
 
 Physics holds on every grid: P_O / W equals re_p / k to rounding, and the
-winding of two adjacent blocks adds up to that of their union.  Each refined
-vortex winding is whole turns to rounding, on off-centre Bessel grids and on
-TIR grids across the interface, and a Bessel grid's vortex set moves with
-the grid when both axes shift by whole spacings.
+winding of two adjacent blocks adds up to that of their union.  The anomaly
+job, in row blocks of any height with a one-row halo, gives the records,
+residuals, labels, counts and fast cells of the whole sample, on TIR grids in
+either axis order, on a Bessel vortex between a block and its halo row and on
+a Gaussian pair.  Each refined vortex winding is whole turns to rounding, on
+off-centre Bessel grids and on TIR grids across the interface, and a Bessel
+grid's vortex set moves with the grid when both axes shift by whole spacings.
 
 A traced bundle is one set of array evaluations per RK4 stage, and the same
 holds for its rows: row i of a bundle equals seed i traced in a bundle with
@@ -80,8 +86,9 @@ from hypothesis.extra import numpy as hnp
 import photonflow as pf
 from conftest import TWO_PI, make_tir
 from photonflow import artifacts, cli
+from photonflow.anomaly import _vortices_and_anomalies, anomalies_in_sample, vortices_in_sample
 from photonflow.grids import frame_names, sample_grid
-from photonflow.observables import poynting_from_sample, singular_cells
+from photonflow.observables import local_momentum, poynting_from_sample, singular_cells
 
 TILE_CASES = [
     (pf.PlaneWaveSpec(wave=pf.WaveParameters(0.5), direction=(0.6, 0.8)), "x:-2:2:33,z:0:3:27"),
@@ -281,6 +288,20 @@ def test_a_tir_call_with_one_entry_on_one_axis_equals_the_dense_evaluation(one):
         assert as_bytes(psi, grads) == as_bytes(want_psi, want_grads), coords
 
 
+def test_a_tir_call_on_an_unsorted_axis_equals_the_dense_evaluation():
+    """A grid's x axis puts each side in one run of entries, which psi_grad writes
+    through a slice; an x column or row whose sides interleave keeps the mask."""
+    rng = np.random.default_rng([25, 2])
+    for i in range(25):
+        spec = tir_spec(rng)
+        x = rng.permutation(np.concatenate([rng.uniform(-2.0, -0.01, 4), rng.uniform(0.0, 2.0, 4)]))
+        z = rng.uniform(-2.0, 2.0, int(rng.integers(2, 9)))
+        coords = (x[:, None], z[None, :]) if i % 2 else (x[None, :], z[:, None])
+        psi, grads = spec.psi_grad(*coords)
+        want_psi, want_grads = spec.psi_grad(*np.broadcast_arrays(*coords))
+        assert as_bytes(psi, grads) == as_bytes(want_psi, want_grads), coords
+
+
 FAMILY_SPECS = [spec for spec, _ in TILE_CASES[:6]]
 
 
@@ -298,6 +319,32 @@ def test_every_axis_pair_fills_the_grid(spec):
             assert sample.grad_psi.shape == (spec.ndim, 7, 5), (axes, fixed)
             ex, _ = pf.weakmeasure.calcite_fields(spec, cal, grid.mesh(spec.ndim), sample.psi)
             assert ex.shape == (7, 5), (axes, fixed)
+
+
+SAMPLED_GRIDS = 300  # seeded grids per family
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS, ids=[f"{s.family}-{s.ndim}d" for s in FAMILY_SPECS])
+def test_a_grid_sampled_in_row_blocks_equals_its_whole_evaluation(spec):
+    """sample_grid evaluates a block of whole rows at a time into one buffer; for
+    any axis pair, range, count and block height, 1-row blocks among them, psi and
+    the gradient keep the bits of one evaluation of the whole grid."""
+    rng = np.random.default_rng([15, len(spec.family), spec.ndim])
+    names = frame_names(spec.ndim)
+    heights = set()
+    for _ in range(SAMPLED_GRIDS):
+        axes = tuple(str(a) for a in rng.permutation(names)[:2])
+        ranges = [tuple(sorted(rng.uniform(-3.0, 3.0, 2))) for _ in axes]
+        counts = [int(c) for c in rng.integers(2, 40, 2)]
+        fixed = tuple((name, float(rng.uniform(-3.0, 3.0))) for name in names if name not in axes)
+        grid = pf.GridSpec(axes=axes, ranges=ranges, counts=counts, fixed=fixed)
+        height = int(rng.integers(1, counts[1] + 1))
+        heights.add(height == 1)
+        psi, grads = spec.psi_grad(*grid.mesh(spec.ndim))
+        with mock.patch.object(pf.grids, "_BLOCK_CELLS", height * counts[0]):
+            sample = sample_grid(spec, grid)
+        assert as_bytes(sample.psi, sample.grad_psi) == as_bytes(psi, grads), (grid, height)
+    assert heights == {True, False}
 
 
 # ------------------------------------------------------------------ physics on grids
@@ -418,6 +465,81 @@ def test_the_vortex_set_moves_with_the_grid(case, shift):
     assert {k: q for k, (q, _) in still.items()} == {k: q for k, (q, _) in moved.items()}
     for key, (_, at) in still.items():
         assert np.subtract(at, moved[key][1]) == pytest.approx(shift, abs=1e-9)
+
+
+@st.composite
+def bessel_on_a_halo_row(draw):
+    """An off-centre Bessel grid and a block height that puts the vortex's plaquette
+    in a block's last plaquette row, between the block's last row and its halo row."""
+    spec, h, counts, lows = draw(off_centre_bessel((-2, -1, 1, 2), st.integers(12, 30)))
+    halo = math.floor(-lows[1] / h) + 1  # the node row above the axis
+    height = draw(st.sampled_from([d for d in range(1, halo + 1) if halo % d == 0]))
+    return spec, off_centre_grid(h, counts, lows), "uniform", height
+
+
+@st.composite
+def gaussian_pair_grid(draw):
+    """A Gaussian pair on a grid under the lambda/8 spacing that reaches past its
+    Rayleigh range (0.79 mm), where it runs superluminal, and far enough off axis
+    to hold singular cells."""
+    spec = pf.GaussianPairSpec(wave=pf.WaveParameters(1.0), w0_mm=0.5, a_mm=1.0)
+    n_x, n_z = draw(st.integers(8, 40)), draw(st.integers(8, 40))
+    h = draw(st.floats(0.02, 0.12))
+    x0, z0 = draw(st.floats(-7.0, 1.0)), draw(st.floats(-1.0, 5.0))
+    grid = pf.GridSpec(axes=("x", "z"), ranges=((x0, x0 + (n_x - 1) * h), (z0, z0 + (n_z - 1) * h)),
+                       counts=(n_x, n_z))
+    return spec, grid, "uniform", draw(st.integers(1, n_z))
+
+
+# waves 0.05 and 0.5 rad past the critical angle: backflow next to the glass vortices
+BACKFLOW_TIR = pf.TirTwoWaveSpec(wave=pf.WaveParameters(1.0), n=1.5,
+                                 theta1=math.asin(1.0 / 1.5) + 0.05,
+                                 theta2=math.asin(1.0 / 1.5) + 0.5, amp1=1.0, amp2=0.9)
+
+
+@st.composite
+def tir_glass_vortices(draw):
+    """make_tir() or BACKFLOW_TIR on a grid, in either axis order, across the
+    interface and across the row of glass vortices near z = 0.36 mm that both have."""
+    h = draw(st.floats(0.03, 0.08))  # under an eighth of the glass wavelength, 1/1.5 mm
+    n_x, n_z = draw(st.integers(20, 50)), draw(st.integers(6, 30))
+    x_lo = -draw(st.floats(0.5, 0.95)) * (n_x - 1) * h
+    z_lo = 0.36 - draw(st.floats(0.05, 0.95)) * (n_z - 1) * h
+    boxes = {"x": ((x_lo, x_lo + (n_x - 1) * h), n_x), "z": ((z_lo, z_lo + (n_z - 1) * h), n_z)}
+    axes = tuple(draw(st.permutations(("x", "z"))))
+    grid = pf.GridSpec(axes=axes, ranges=tuple(boxes[a][0] for a in axes),
+                       counts=tuple(boxes[a][1] for a in axes))
+    return (draw(st.sampled_from([make_tir(), BACKFLOW_TIR])), grid,
+            draw(st.sampled_from(["uniform", "piecewise"])), draw(st.integers(1, grid.counts[1])))
+
+
+BLOCK_CASES = {
+    "tir": tir_glass_vortices(),
+    "bessel-halo": bessel_on_a_halo_row(),
+    "gaussian-pair": gaussian_pair_grid(),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCK_CASES))
+@settings(max_examples=40)
+@given(data=st.data(), guard=st.sampled_from([0.0, 1e-4]))
+def test_the_anomaly_job_in_row_blocks_equals_the_whole_sample(kind, data, guard):
+    """The anomaly job keeps psi, labels and fast flags and searches each block of
+    rows with the next row as its halo; for any block height its records, with
+    their residuals, labels, counts and fast cells keep the bits of the search and
+    labelling of the whole sample."""
+    spec, grid, bound, height = data.draw(BLOCK_CASES[kind], label="case")
+    sample = sample_grid(spec, grid)
+    floor, singular = singular_cells(sample.amplitude)
+    want = vortices_in_sample(spec, grid, sample, floor, singular)
+    want_map = anomalies_in_sample(spec, grid, singular, local_momentum(sample, floor), bound,
+                                   guard)
+    with mock.patch.object(pf.grids, "_BLOCK_CELLS", height * grid.counts[0]):
+        got, got_map = _vortices_and_anomalies(spec, grid, bound, guard)
+    assert got == want
+    assert got_map.labels.tobytes() == want_map.labels.tobytes()
+    assert got_map.counts == want_map.counts
+    assert got_map.fast.tobytes() == want_map.fast.tobytes()
 
 
 def _tir(n, theta1, theta2, amp1, amp2):
