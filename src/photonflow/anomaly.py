@@ -19,11 +19,12 @@ A refined step is its end nodes' phase difference plus a multiple of
 2 pi, so each loop sum is whole turns up to rounding (a record's
 residual) and no winding is rejected as non-integer.  Plaquettes with a
 singular corner sample cannot be classified and are skipped; lay grids
-out so zeros fall in plaquette interiors, not on nodes.  The CLI's anomaly
-job keeps only psi, label codes and fast flags (18 B per cell) of its grid's
-blocks of rows; the singular floor needs the peak, so a second pass marks
-singular cells and searches each block with the next row as its halo.  Both
-blocks refine an edge on their border, to the same step.
+out so zeros fall in plaquette interiors, not on nodes.  detect_vortices,
+classify_anomalies and the CLI's anomaly job keep only psi, label codes and
+fast flags (18 B per cell) of the grid's blocks of rows; the singular floor
+needs the peak, so the singular cells are marked after the first pass, and
+the search then runs each block with the next row as its halo.  Both blocks
+refine an edge on their border, to the same step.
 
 Known limitation (anomaly-charge-split): an edge whose phase step is near
 2 pi wraps small and is not refined, so a charge-2 vortex close to a
@@ -43,7 +44,7 @@ import numpy as np
 
 from .errors import ParameterError, ResolutionError
 from .fields import FieldSample, FieldSpec, TirTwoWaveSpec, _require_finite
-from .grids import GridSpec, _row_blocks, _row_slices, sample_grid
+from .grids import GridSpec, _row_blocks, _row_slices
 from .observables import ComplexMomentum, _is_singular, local_momentum, singular_cells
 
 LABELS = ("normal", "backflow", "superluminal", "singular")
@@ -106,7 +107,7 @@ def plaquette_winding(phases: np.ndarray) -> np.ndarray:
     Interior edges cancel to rounding, so the sum over any rectangular
     block equals the winding around the block's boundary to rounding.
     Values are trustworthy where all four wrapped edge differences stay
-    below pi/2; vortices_in_sample refines the rest, edge by edge.
+    below pi/2; detect_vortices refines the rest, edge by edge.
     """
     ph = np.asarray(phases, dtype=float)
     if ph.ndim != 2 or ph.shape[0] < 2 or ph.shape[1] < 2:
@@ -193,29 +194,17 @@ def _refined_steps(spec, floor, a, b, ph_a, ph_b, depth=0):
 def detect_vortices(spec: FieldSpec, grid: GridSpec) -> list:
     """Locate phase singularities on the grid by plaquette winding.
 
-    Samples the grid and runs vortices_in_sample on it.
-    """
-    sample = sample_grid(spec, grid)
-    return vortices_in_sample(spec, grid, sample, *singular_cells(sample.amplitude))
-
-
-def vortices_in_sample(spec: FieldSpec, grid: GridSpec, sample: FieldSample, floor: float,
-                       singular: np.ndarray) -> list:
-    """Vortices of a grid sample (sample_grid(spec, grid)) by plaquette winding.
-
-    floor and singular are singular_cells of the sample's amplitude.
     Requires the grid to resolve the fastest local phase advance
     (spacing under an eighth of the shortest local wavelength).  Returns
     one VortexRecord per nonzero-winding plaquette, in row-major grid
     order.  Refined loop sums are whole turns up to rounding, which each
     record keeps as its residual.
     """
-    _check_resolution(spec, grid)
-    return _vortex_rows(spec, grid, sample.psi, singular, floor)
+    return _vortices_and_anomalies(spec, grid, "uniform", 0.0)[0]
 
 
 def _vortex_rows(spec, grid, psi, singular, floor, r0=0):
-    """vortices_in_sample of the node rows r0 to r0 + len(psi) - 1, given their psi and mask."""
+    """Vortices of the node rows r0 to r0 + len(psi) - 1, given their psi and singular mask."""
     ph = np.angle(psi)
     c1, c2 = grid.coords(0), grid.coords(1)[r0:]
     ok = ~(singular[:-1, :-1] | singular[:-1, 1:] | singular[1:, 1:] | singular[1:, :-1])
@@ -276,12 +265,11 @@ def classify_anomalies(spec: FieldSpec, grid: GridSpec, bound_model: str = "unif
                        superluminal_guard: float = 0.0) -> AnomalyMap:
     """Label every grid sample normal / backflow / superluminal / singular.
 
-    Samples the grid and runs anomalies_in_sample on it.
+    The labels of anomalies_in_sample, taken block by block (module
+    docstring); any grid spacing will do, since no winding is taken.
     """
-    sample = sample_grid(spec, grid)
-    floor, singular = singular_cells(sample.amplitude)
-    return anomalies_in_sample(spec, grid, singular, local_momentum(sample, floor), bound_model,
-                               superluminal_guard)
+    check_label_options(spec, bound_model, superluminal_guard)
+    return _scan(spec, grid, bound_model, superluminal_guard)[2]
 
 
 def anomalies_in_sample(spec: FieldSpec, grid: GridSpec, singular: np.ndarray,
@@ -320,12 +308,10 @@ def _label_rows(re_p, bound, guard, labels, fast):
     np.greater(np.sqrt(re_p_mag, out=re_p_mag), bound, out=fast)
 
 
-def _vortices_and_anomalies(spec, grid, bound_model, superluminal_guard) -> tuple:
-    """The vortices and AnomalyMap of the grid's sample, from its row blocks (module
-    docstring).  Pass 1 labels each block with no singular floor, which can only
-    change cells that pass 2 marks singular, so every result keeps its bits."""
-    check_label_options(spec, bound_model, superluminal_guard)
-    _check_resolution(spec, grid)
+def _scan(spec, grid, bound_model, superluminal_guard) -> tuple:
+    """psi, the singular floor and the AnomalyMap of the grid's sample, from its row
+    blocks (module docstring).  Pass 1 labels each block with no singular floor, which
+    can only change cells that are then marked singular, so every label keeps its bits."""
     psi, labels, fast = (np.zeros(grid.counts[::-1], dtype=t) for t in (complex, np.int8, bool))
     bound = np.broadcast_to(_bound(spec, bound_model, grid), psi.shape)
     peak = 0.0
@@ -338,13 +324,23 @@ def _vortices_and_anomalies(spec, grid, bound_model, superluminal_guard) -> tupl
         _label_rows(re_p, bound[rows], superluminal_guard, labels[rows], fast[rows])
         del psi_rows, grads, sample, re_p  # before the next block is evaluated
     floor = singular_cells(peak)[0]  # its checks of the peak: finite and above 0.0
+    for rows in _row_slices(grid):
+        singular = _is_singular(np.abs(psi[rows]), floor)
+        labels[rows][singular] = LABEL_CODES["singular"]
+        fast[rows] &= ~singular
+    return psi, floor, AnomalyMap(grid=grid, labels=labels, bound=bound, fast=fast,
+                                  guard=float(superluminal_guard))
+
+
+def _vortices_and_anomalies(spec, grid, bound_model, superluminal_guard) -> tuple:
+    """The vortices and AnomalyMap of the grid's sample: _scan, then the vortex search
+    of each block of rows with the next row as its halo."""
+    check_label_options(spec, bound_model, superluminal_guard)
+    _check_resolution(spec, grid)
+    psi, floor, amap = _scan(spec, grid, bound_model, superluminal_guard)
     vortices = []
     for rows in _row_slices(grid):
         halo = slice(rows.start, rows.stop + 1)
-        singular = _is_singular(np.abs(psi[halo]), floor)
-        own = singular[:rows.stop - rows.start]  # the block's rows, without the halo
-        labels[rows][own] = LABEL_CODES["singular"]
-        fast[rows] &= ~own
+        singular = amap.labels[halo] == LABEL_CODES["singular"]
         vortices += _vortex_rows(spec, grid, psi[halo], singular, floor, rows.start)
-    return vortices, AnomalyMap(grid=grid, labels=labels, bound=bound, fast=fast,
-                                guard=float(superluminal_guard))
+    return vortices, amap

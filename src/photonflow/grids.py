@@ -7,12 +7,13 @@ order: the first grid axis, shape (1, counts1), varies along columns, the
 second, (counts2, 1), along rows, and off-axis ones are floats; no dense
 mesh is built.  Orientation-sensitive consumers (vortex charge signs)
 follow the right-handed (axis1, axis2) order as given.  sample_grid
-evaluates a field on every node once, for all of the map-making layers, a
-block of whole rows at a time into one buffer; the anomaly job reads the blocks.
+evaluates a field on every node once, for the map-making layers, a block of
+whole rows at a time into one buffer; anomaly's search and labels read the blocks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,11 @@ class GridSpec:
         ranges = tuple(self.ranges)
         if len(ranges) != 2:
             raise ParameterError("one (lo, hi) range per axis required")
-        object.__setattr__(self, "ranges", tuple(_require_interval("ranges", r) for r in ranges))
+        ranges = tuple(_require_interval("ranges", r) for r in ranges)
+        for name, (lo, hi) in zip(axes, ranges):
+            if not math.isfinite(hi - lo):  # coords and spacing are taken from the width
+                raise ParameterError(f"the {name} range {(lo, hi)} is too wide: hi - lo overflows")
+        object.__setattr__(self, "ranges", ranges)
 
         if not all(float(c).is_integer() for c in self.counts):  # int() would truncate 2.9
             raise ParameterError(f"sample counts must be whole numbers, got {self.counts!r}")

@@ -304,13 +304,22 @@ def test_tir_air_side_is_vortex_free(tir_field):
     assert pf.detect_vortices(tir_field, grid) == []
 
 
-def test_coarse_grid_raises_resolution_error(tir_field, bessel_ell2):
+def refuse_to_sample(monkeypatch):
+    def refuse(spec, grid):
+        raise AssertionError("the grid was sampled before the options were checked")
+
+    for module in (pf.grids, pf.anomaly):
+        monkeypatch.setattr(module, "_row_blocks", refuse)
+
+
+def test_coarse_grid_raises_resolution_error(tir_field, bessel_ell2, monkeypatch):
     # shortest wavelength in glass is (1/1.5) mm; spacing must stay
     # under an eighth of that
     coarse = pf.GridSpec(
         axes=("x", "z"), ranges=((-2.0, 0.0), (0.0, 2.0)), counts=(9, 9)
     )
-    with pytest.raises(ResolutionError):
+    with monkeypatch.context() as m, pytest.raises(ResolutionError):
+        refuse_to_sample(m)  # checked before the grid is sampled
         pf.detect_vortices(tir_field, coarse)
     ok = pf.GridSpec(axes=("x", "z"), ranges=((-0.2, 0.0), (0.0, 0.2)), counts=(9, 9))
     pf.detect_vortices(tir_field, ok)  # fine spacing passes the same check
@@ -394,10 +403,11 @@ def test_the_bound_is_a_read_only_broadcast_to_the_grid(tir_field, axes, bound_m
     assert np.array_equal(amap.bound, np.where(x < 0.0, glass, k))
 
 
-def test_classifier_validation(gaussian_pair, tir_field):
+def test_classifier_validation(gaussian_pair, tir_field, monkeypatch):
     grid = pf.GridSpec(
         axes=("x", "z"), ranges=((-1.0, 1.0), (0.0, 1.0)), counts=(10, 10)
     )
+    refuse_to_sample(monkeypatch)  # each option is checked before the grid is sampled
     with pytest.raises(ParameterError):
         pf.classify_anomalies(gaussian_pair, grid, bound_model="piecewise")
     with pytest.raises(ParameterError):

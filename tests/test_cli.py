@@ -603,26 +603,40 @@ def test_anomaly_with_labels_layer(tmp_path, evanescent):
     assert data["fast_cells"] == 1200
 
 
-# tracemalloc's peak of a criterion-05 `anomaly --with-labels` job, in bytes per
-# grid cell, by grid size.  The job keeps psi, the label codes and the fast flags
-# of the whole grid (18 B per cell) and evaluates and labels it a block of about
-# 2^15 cells at a time, so a block's temporaries, about 4.3 MB, add less per cell
-# on a larger grid: 45.7 B per cell at 400^2 and 24.8 at 800^2 when measured, in
-# either axis order.  The bounds leave a margin of about a fifth and a quarter.
-# It was 96 with a whole-grid sample, momentum and labels, and 124 before those
-# dropped their whole-grid temporaries.
+# tracemalloc's peak of a criterion-05 anomaly job, in bytes per grid cell, by
+# grid size: `anomaly --with-labels`, detect_vortices or classify_anomalies(...,
+# "piecewise"), which run the same job.  It keeps psi, the label codes and the
+# fast flags of the whole grid (18 B per cell) and evaluates and labels it a block
+# of about 2^15 cells at a time, so a block's temporaries, about 4.3 MB, add less
+# per cell on a larger grid: 45.7 B per cell at 400^2 and 24.8 at 800^2 when
+# measured, in either axis order and for each entry point.  The bounds leave a
+# margin of about a fifth and a quarter.  It was 96 with a whole-grid sample,
+# momentum and labels, and 124 before those dropped their whole-grid temporaries;
+# the library calls held 87-94 while they took a whole-grid sample.
 ANOMALY_BYTES_PER_CELL = {400: 55, 800: 32}
 
 
-def test_the_criterion_05_anomaly_job_stays_in_its_memory_budget(tir_file, tmp_path):
+@pytest.mark.parametrize("job", ["cli", "detect_vortices", "classify_anomalies"])
+def test_the_criterion_05_anomaly_job_stays_in_its_memory_budget(tir_field, tir_file, tmp_path,
+                                                                 job):
     argv = ["anomaly", "--field", tir_file, "--bound", "piecewise", "--with-labels",
             "--out", str(tmp_path / "anomaly.json"), "--grid"]
-    assert cli.run(argv + ["x:-2.0:2.0:64,z:0.0:4.0:64"]) == 0  # imports and caches first
+
+    def run(n):
+        text = f"x:-2.0:2.0:{n},z:0.0:4.0:{n}"
+        if job == "cli":
+            assert cli.run(argv + [text]) == 0
+        elif job == "detect_vortices":
+            pf.detect_vortices(tir_field, pf.GridSpec.from_string(text))
+        else:
+            pf.classify_anomalies(tir_field, pf.GridSpec.from_string(text), "piecewise")
+
+    run(64)  # imports and caches first
     for n, bound in ANOMALY_BYTES_PER_CELL.items():
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
-            assert cli.run(argv + [f"x:-2.0:2.0:{n},z:0.0:4.0:{n}"]) == 0
+            run(n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -834,6 +848,14 @@ def pair(w0, lambda_mm=1):
     # an infinite or NaN step is not "> 0" alone
     (PLANE_TRACE + ["--step=inf"], {}, "step must be finite and > 0, got inf"),
     (PLANE_TRACE + ["--step=nan"], {}, "step must be finite and > 0, got nan"),
+    # a finite, ordered grid range whose width overflows, named before numpy warns of it
+    pytest.param(["fieldmap", "--field-json", PLANE, "--grid", "x:-1e308:1e308:3,z:0:1:3",
+                  "--layers", "amp"], {},
+                 "the x range (-1e+308, 1e+308) is too wide: hi - lo overflows",
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+    pytest.param(["anomaly", "--field-json", PLANE, "--grid", "z:0:1:3,x:-1e308:1e308:3"], {},
+                 "the x range (-1e+308, 1e+308) is too wide: hi - lo overflows",
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
 ])
 def test_rejected_input_exits_two_with_its_message(tmp_path, capsys, argv, files, message):
     for name, text in files.items():

@@ -483,6 +483,15 @@ def test_grid_needs_one_range_per_axis():
         pf.GridSpec(axes=("x", "z"), ranges=((0.0, 1.0),), counts=(2, 2))
 
 
+def test_grid_range_whose_width_overflows_is_rejected():
+    # finite and ordered, but hi - lo overflows, so coords and spacing would be inf or nan
+    with pytest.raises(ParameterError, match=r"^the z range \(-1e\+308, 1e\+308\) is too wide: "
+                                             r"hi - lo overflows$"):
+        pf.GridSpec(axes=("x", "z"), ranges=((0.0, 1.0), (-1e308, 1e308)), counts=(3, 3))
+    grid = pf.GridSpec(axes=("x", "z"), ranges=((0.0, 1.0), (-8e307, 8e307)), counts=(3, 3))
+    assert np.isfinite(grid.coords(1)).all() and math.isfinite(grid.spacing(1))
+
+
 def test_grid_counts_are_whole_numbers():
     ranges = ((0.0, 1.0), (0.0, 1.0))
     with pytest.raises(ParameterError, match=r"^sample counts must be whole numbers, "

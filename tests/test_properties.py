@@ -86,7 +86,7 @@ from hypothesis.extra import numpy as hnp
 import photonflow as pf
 from conftest import TWO_PI, make_tir
 from photonflow import artifacts, cli
-from photonflow.anomaly import _vortices_and_anomalies, anomalies_in_sample, vortices_in_sample
+from photonflow.anomaly import _vortex_rows, _vortices_and_anomalies, anomalies_in_sample
 from photonflow.grids import frame_names, sample_grid
 from photonflow.observables import local_momentum, poynting_from_sample, singular_cells
 
@@ -527,19 +527,24 @@ def test_the_anomaly_job_in_row_blocks_equals_the_whole_sample(kind, data, guard
     """The anomaly job keeps psi, labels and fast flags and searches each block of
     rows with the next row as its halo; for any block height its records, with
     their residuals, labels, counts and fast cells keep the bits of the search and
-    labelling of the whole sample."""
+    labelling of the whole sample.  detect_vortices and classify_anomalies are the
+    job's two halves."""
     spec, grid, bound, height = data.draw(BLOCK_CASES[kind], label="case")
     sample = sample_grid(spec, grid)
     floor, singular = singular_cells(sample.amplitude)
-    want = vortices_in_sample(spec, grid, sample, floor, singular)
+    want = _vortex_rows(spec, grid, sample.psi, singular, floor)
     want_map = anomalies_in_sample(spec, grid, singular, local_momentum(sample, floor), bound,
                                    guard)
     with mock.patch.object(pf.grids, "_BLOCK_CELLS", height * grid.counts[0]):
         got, got_map = _vortices_and_anomalies(spec, grid, bound, guard)
+        vortices = pf.detect_vortices(spec, grid)
+        amap = pf.classify_anomalies(spec, grid, bound, guard)
     assert got == want
-    assert got_map.labels.tobytes() == want_map.labels.tobytes()
-    assert got_map.counts == want_map.counts
-    assert got_map.fast.tobytes() == want_map.fast.tobytes()
+    assert vortices == want  # the job's records need no label options
+    for m in (got_map, amap):
+        assert m.labels.tobytes() == want_map.labels.tobytes()
+        assert m.counts == want_map.counts
+        assert m.fast.tobytes() == want_map.fast.tobytes()
 
 
 def _tir(n, theta1, theta2, amp1, amp2):
