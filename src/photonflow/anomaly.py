@@ -19,12 +19,11 @@ A refined step is its end nodes' phase difference plus a multiple of
 2 pi, so each loop sum is whole turns up to rounding (a record's
 residual) and no winding is rejected as non-integer.  Plaquettes with a
 singular corner sample cannot be classified and are skipped; lay grids
-out so zeros fall in plaquette interiors, not on nodes.  detect_vortices,
-classify_anomalies and the CLI's anomaly job keep only psi, label codes and
-fast flags (18 B per cell) of the grid's blocks of rows; the singular floor
-needs the peak, so the singular cells are marked after the first pass, and
-the search then runs each block with the next row as its halo.  Both blocks
-refine an edge on their border, to the same step.
+out so zeros fall in plaquette interiors, not on nodes.  One pass over the
+grid's row blocks (grids._row_pass) keeps psi (16 B per cell) and, for labels,
+the codes and fast flags (2 B); the singular cells are marked after it, from
+the peak's floor, and the search runs each block with the next row as its
+halo.  Both blocks refine an edge on their border, to the same step.
 
 Known limitation (anomaly-charge-split): an edge whose phase step is near
 2 pi wraps small and is not refined, so a charge-2 vortex close to a
@@ -43,9 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ResolutionError
-from .fields import FieldSample, FieldSpec, TirTwoWaveSpec, _require_finite
-from .grids import GridSpec, _row_blocks, _row_slices
-from .observables import ComplexMomentum, _is_singular, local_momentum, singular_cells
+from .fields import FieldSpec, TirTwoWaveSpec, _require_finite
+from .grids import GridSpec, _row_pass, _row_slices
+from .observables import _is_singular, local_momentum
 
 LABELS = ("normal", "backflow", "superluminal", "singular")
 LABEL_CODES = {name: code for code, name in enumerate(LABELS)}
@@ -200,7 +199,7 @@ def detect_vortices(spec: FieldSpec, grid: GridSpec) -> list:
     order.  Refined loop sums are whole turns up to rounding, which each
     record keeps as its residual.
     """
-    return _vortices_and_anomalies(spec, grid, "uniform", 0.0)[0]
+    return _vortices_and_anomalies(spec, grid)[0]
 
 
 def _vortex_rows(spec, grid, psi, singular, floor, r0=0):
@@ -237,7 +236,7 @@ def _vortex_rows(spec, grid, psi, singular, floor, r0=0):
 
 def check_label_options(spec: FieldSpec, bound_model: str = "uniform",
                         superluminal_guard: float = 0.0) -> None:
-    """Raise ParameterError unless anomalies_in_sample accepts these options.
+    """Raise ParameterError unless classify_anomalies accepts these options.
 
     It evaluates nothing, so a caller can check before a grid's vortex search.
     """
@@ -253,11 +252,11 @@ def check_label_options(spec: FieldSpec, bound_model: str = "uniform",
             "piecewise bound (n k in glass, k in air) requires a two-wave TIR field")
 
 
-def _bound(spec, bound_model, grid):
-    """The local spectrum bound, compact: a float, or an array that broadcasts to the grid."""
+def _bound(spec, bound_model, coords):
+    """The local spectrum bound at frame coordinates: a float, or an array that broadcasts."""
     k = spec.wave.k
     if bound_model == "piecewise":
-        k = np.where(spec.in_glass(grid.mesh(spec.ndim)[0]), spec.n * k, k)
+        k = np.where(spec.in_glass(coords[0]), spec.n * k, k)
     return k
 
 
@@ -265,82 +264,62 @@ def classify_anomalies(spec: FieldSpec, grid: GridSpec, bound_model: str = "unif
                        superluminal_guard: float = 0.0) -> AnomalyMap:
     """Label every grid sample normal / backflow / superluminal / singular.
 
-    The labels of anomalies_in_sample, taken block by block (module
-    docstring); any grid spacing will do, since no winding is taken.
-    """
-    check_label_options(spec, bound_model, superluminal_guard)
-    return _scan(spec, grid, bound_model, superluminal_guard)[2]
-
-
-def anomalies_in_sample(spec: FieldSpec, grid: GridSpec, singular: np.ndarray,
-                        momentum: ComplexMomentum, bound_model: str = "uniform",
-                        superluminal_guard: float = 0.0) -> AnomalyMap:
-    """Labels of a grid sample from its singular mask and local momentum.
-
     backflow: re_p_z < 0.  superluminal: re_p_z > b*(1 + guard), with b
     the local spectrum bound from bound_model.  The guard (default 0,
     strict) absorbs a known paraxial excess of order 1e-5 when mapping
     fields whose p_z hugs the bound from above; pass it explicitly
-    rather than loosening the bound globally.  Samples in the singular
-    mask are labeled singular.
+    rather than loosening the bound globally.  Samples under the grid's
+    singular floor are labeled singular.  The grid is labelled block by
+    block (module docstring); any grid spacing will do, since no winding
+    is taken.
     """
-    check_label_options(spec, bound_model, superluminal_guard)
-    bound = np.broadcast_to(_bound(spec, bound_model, grid), singular.shape)
-    labels, fast = (np.zeros(singular.shape, dtype=t) for t in (np.int8, bool))
-    for rows in _row_slices(grid):
-        _label_rows(momentum.re_p[:, rows], bound[rows], superluminal_guard, labels[rows],
-                    fast[rows])
-    labels[singular] = LABEL_CODES["singular"]
-    fast &= ~singular
-    return AnomalyMap(grid=grid, labels=labels, bound=bound, fast=fast,
-                      guard=float(superluminal_guard))
+    return _vortices_and_anomalies(spec, grid, bound_model, superluminal_guard, search=False)[1]
 
 
-def _label_rows(re_p, bound, guard, labels, fast):
-    """Rows' codes but "singular" into labels (zeros on entry), and |Re p| > bound into fast."""
+def _label_rows(re_p, bound, guard, labels, fast=None):
+    """Rows' codes but "singular" into labels (zeros on entry), returned; |Re p| > bound in fast."""
     re_pz = re_p[-1]
     labels[re_pz < 0.0] = LABEL_CODES["backflow"]
     labels[re_pz > bound * (1.0 + guard)] = LABEL_CODES["superluminal"]
-    # the squares added component by component, as a sum over the leading axis adds them
-    re_p_mag = re_p[0] * re_p[0]
-    for c in re_p[1:]:
-        re_p_mag += c * c
-    np.greater(np.sqrt(re_p_mag, out=re_p_mag), bound, out=fast)
+    if fast is not None:  # the CLI's label layer keeps no fast flags
+        # the squares added component by component, as a sum over the leading axis adds them
+        re_p_mag = re_p[0] * re_p[0]
+        for c in re_p[1:]:
+            re_p_mag += c * c
+        np.greater(np.sqrt(re_p_mag, out=re_p_mag), bound, out=fast)
+    return labels
 
 
-def _scan(spec, grid, bound_model, superluminal_guard) -> tuple:
-    """psi, the singular floor and the AnomalyMap of the grid's sample, from its row
-    blocks (module docstring).  Pass 1 labels each block with no singular floor, which
-    can only change cells that are then marked singular, so every label keeps its bits."""
-    psi, labels, fast = (np.zeros(grid.counts[::-1], dtype=t) for t in (complex, np.int8, bool))
-    bound = np.broadcast_to(_bound(spec, bound_model, grid), psi.shape)
-    peak = 0.0
-    for rows, psi_rows, grads in _row_blocks(spec, grid):
-        psi[rows] = psi_rows
-        sample = FieldSample(psi[rows], np.stack(grads), spec.wave.k)
-        peak = np.maximum(peak, sample.amplitude.max())  # NaN stays NaN, as in np.max
-        with np.errstate(over="ignore", invalid="ignore"):  # only on cells the floor masks
-            re_p = local_momentum(sample, 0.0).re_p
-        _label_rows(re_p, bound[rows], superluminal_guard, labels[rows], fast[rows])
-        del psi_rows, grads, sample, re_p  # before the next block is evaluated
-    floor = singular_cells(peak)[0]  # its checks of the peak: finite and above 0.0
-    for rows in _row_slices(grid):
-        singular = _is_singular(np.abs(psi[rows]), floor)
-        labels[rows][singular] = LABEL_CODES["singular"]
-        fast[rows] &= ~singular
-    return psi, floor, AnomalyMap(grid=grid, labels=labels, bound=bound, fast=fast,
-                                  guard=float(superluminal_guard))
+def _vortices_and_anomalies(spec, grid, bound_model=None, superluminal_guard=0.0,
+                            search=True) -> tuple:
+    """The vortices of the grid's sample (none unless search) and, given a bound_model, its
+    AnomalyMap (else None), from one pass over its row blocks (module docstring).  Blocks
+    are labelled with no floor, which only changes cells then marked singular."""
+    check_label_options(spec, bound_model or "uniform", superluminal_guard)
+    if search:
+        _check_resolution(spec, grid)
+    psi = np.empty(grid.counts[::-1], dtype=complex)
+    amap = None if bound_model is None else AnomalyMap(
+        grid=grid, labels=np.zeros(psi.shape, dtype=np.int8), fast=np.zeros(psi.shape, dtype=bool),
+        bound=np.broadcast_to(_bound(spec, bound_model, grid.mesh(spec.ndim)), psi.shape),
+        guard=float(superluminal_guard))
 
+    def keep(rows, coords, sample):
+        psi[rows] = sample.psi
+        if amap is not None:
+            with np.errstate(over="ignore", invalid="ignore"):  # only on cells the floor masks
+                re_p = local_momentum(sample).re_p
+            _label_rows(re_p, amap.bound[rows], amap.guard, amap.labels[rows], amap.fast[rows])
 
-def _vortices_and_anomalies(spec, grid, bound_model, superluminal_guard) -> tuple:
-    """The vortices and AnomalyMap of the grid's sample: _scan, then the vortex search
-    of each block of rows with the next row as its halo."""
-    check_label_options(spec, bound_model, superluminal_guard)
-    _check_resolution(spec, grid)
-    psi, floor, amap = _scan(spec, grid, bound_model, superluminal_guard)
+    floor = _row_pass(spec, grid, keep)()
     vortices = []
     for rows in _row_slices(grid):
         halo = slice(rows.start, rows.stop + 1)
-        singular = amap.labels[halo] == LABEL_CODES["singular"]
-        vortices += _vortex_rows(spec, grid, psi[halo], singular, floor, rows.start)
+        singular = _is_singular(np.abs(psi[halo]), floor)
+        if amap is not None:
+            own = singular[:rows.stop - rows.start]
+            amap.labels[rows][own] = LABEL_CODES["singular"]
+            amap.fast[rows] &= ~own
+        if search:
+            vortices += _vortex_rows(spec, grid, psi[halo], singular, floor, rows.start)
     return vortices, amap

@@ -5,8 +5,9 @@ Six subcommands: fieldmap (named observable layers on a grid), stokes
 anomaly (vortices plus backflow/superluminal labeling), force (dipole
 force maps), render (PGM raster of one scalar layer).
 
-The CLI holds no physics: each grid command samples its grid once, and
-every library result it writes is derived from that sample at most once.
+The CLI holds no physics: each grid command evaluates its grid once, a block
+of rows at a time (grids._row_pass), and every library result it writes is
+derived from each block at most once.
 It holds no file format either: photonflow.artifacts writes and reads
 every file.  photonflow's own warnings (ParameterWarning) go to stderr as
 "warning: ..." and never stop a command.  Exit codes: 0 success, 2
@@ -24,18 +25,18 @@ from functools import cache
 import numpy as np
 
 from . import __version__
-from .anomaly import _vortices_and_anomalies, anomalies_in_sample, check_label_options
+from .anomaly import LABEL_CODES, _bound, _label_rows, _vortices_and_anomalies, check_label_options
 from .artifacts import (_COMPONENTS, _decode, _label_layer, _read_text, _render, _scalar_layer,
                         _write_json, _write_trace_csv)
 from .errors import ParameterError, ParameterWarning
 from .fields import FieldSpec, GaussianPairSpec, _require_interval, field_from_dict
 from .forces import Polarizability, force_from_sample, forces_from_momentum
-from .grids import GridSpec, frame_names, sample_grid
-from .observables import (PolarizationState, energy_density, local_momentum,
+from .grids import GridSpec, _row_pass, frame_names
+from .observables import (PolarizationState, _is_singular, energy_density, local_momentum,
                           poynting_from_sample, singular_cells)
 from .tracing import ARC_LENGTH, PARAXIAL, TraceConfig, check_seeds, trace_streamline
-from .weakmeasure import (CalciteSpec, _check_invertible, calcite_fields, predicted_parameters,
-                          readout_momentum, stokes_parameters)
+from .weakmeasure import (CalciteSpec, _check_invertible, _perturbed, _stokes_rows,
+                          predicted_parameters, readout_momentum)
 
 _POLS = {
     "diag": PolarizationState.linear_diag,
@@ -46,30 +47,32 @@ _POLS = {
 }
 
 
-
-# grid layers: name -> layer built from the layer name and the command's
-# library results (_derivations)
+# grid layers: name -> (mask, values).  values gives the layer on one block of rows from
+# the block's library results (_write_layers).  mask names the kept layer whose singular
+# floor masks the layer's undefined cells: "amp" (psi's), "sqrt_I" (the calcite fields',
+# kept for that alone) or None; a force is masked with --normalized only.
 _LAYERS = {
-    "amp": lambda n, d: _scalar_layer(n, d["sample"].amplitude),
-    "phase": lambda n, d: _scalar_layer(n, np.angle(d["sample"].psi), d["mask"]),
-    "re_px": lambda n, d: _scalar_layer(n, d["momentum"].re_p[0], d["mask"]),
-    "re_pz": lambda n, d: _scalar_layer(n, d["momentum"].re_p[-1], d["mask"]),
-    "im_px": lambda n, d: _scalar_layer(n, d["momentum"].im_p[0], d["mask"]),
-    "im_pz": lambda n, d: _scalar_layer(n, d["momentum"].im_p[-1], d["mask"]),
-    "S1": lambda n, d: _scalar_layer(n, d["stokes"][0], d["stokes"][3]),
-    "S2": lambda n, d: _scalar_layer(n, d["stokes"][1], d["stokes"][3]),
-    "S3": lambda n, d: _scalar_layer(n, d["stokes"][2], d["stokes"][3]),
-    "W": lambda n, d: _scalar_layer(n, energy_density(d["sample"])),
-    "P_O": lambda n, d: _scalar_layer(n, np.moveaxis(d["poynting"].P_O, 0, -1)),
-    "P_S": lambda n, d: _scalar_layer(n, np.moveaxis(d["poynting"].P_S, 0, -1)),
-    "label": lambda n, d: _label_layer(d["anomalies"].labels),
-    "S1_pred": lambda n, d: _scalar_layer(n, d["prediction"][0], d["mask"]),
-    "S2_pred": lambda n, d: _scalar_layer(n, d["prediction"][1], d["mask"]),
-    "S3_pred": lambda n, d: _scalar_layer(n, d["prediction"][2], d["mask"]),
-    "re_px_readout": lambda n, d: _scalar_layer(n, d["readout"][0], d["stokes"][3]),
-    "im_px_readout": lambda n, d: _scalar_layer(n, d["readout"][1], d["stokes"][3]),
-    "F_grad": lambda n, d: _scalar_layer(n, np.moveaxis(d["force"][0], 0, -1), d["force"][2]),
-    "F_scat": lambda n, d: _scalar_layer(n, np.moveaxis(d["force"][1], 0, -1), d["force"][2]),
+    "amp": (None, lambda d: d["sample"].amplitude),
+    "phase": ("amp", lambda d: np.angle(d["sample"].psi)),
+    "re_px": ("amp", lambda d: d["momentum"].re_p[0]),
+    "re_pz": ("amp", lambda d: d["momentum"].re_p[-1]),
+    "im_px": ("amp", lambda d: d["momentum"].im_p[0]),
+    "im_pz": ("amp", lambda d: d["momentum"].im_p[-1]),
+    "S1": ("sqrt_I", lambda d: d["stokes"][0]),
+    "S2": ("sqrt_I", lambda d: d["stokes"][1]),
+    "S3": ("sqrt_I", lambda d: d["stokes"][2]),
+    "W": (None, lambda d: energy_density(d["sample"])),
+    "P_O": (None, lambda d: np.moveaxis(d["poynting"].P_O, 0, -1)),
+    "P_S": (None, lambda d: np.moveaxis(d["poynting"].P_S, 0, -1)),
+    "label": ("amp", lambda d: d["label"]),
+    "S1_pred": ("amp", lambda d: d["prediction"][0]),
+    "S2_pred": ("amp", lambda d: d["prediction"][1]),
+    "S3_pred": ("amp", lambda d: d["prediction"][2]),
+    "re_px_readout": ("sqrt_I", lambda d: d["readout"][0]),
+    "im_px_readout": ("sqrt_I", lambda d: d["readout"][1]),
+    "F_grad": ("amp", lambda d: np.moveaxis(d["force"][0], 0, -1)),
+    "F_scat": ("amp", lambda d: np.moveaxis(d["force"][1], 0, -1)),
+    "sqrt_I": (None, lambda d: d["stokes"][3]),
 }
 ALL_LAYERS = ("amp", "phase", "re_px", "re_pz", "im_px", "im_pz", "S1", "S2", "S3", "W",
               "P_O", "P_S", "label")
@@ -78,9 +81,8 @@ _STOKES_LAYERS = ("S1", "S2", "S3", "S1_pred", "S2_pred", "S3_pred", "re_px_read
 
 
 class _Derived(dict):
-    """Library results of one grid sample, each computed on its first lookup.
-    The calls take this mapping as an argument rather than closing over it:
-    no reference cycle keeps the results alive after the command."""
+    """Library results, each computed on its first lookup.  The calls take this mapping as
+    an argument: no reference cycle keeps the results alive after their block."""
 
     def __init__(self, calls):
         super().__init__()
@@ -91,33 +93,48 @@ class _Derived(dict):
         return value
 
 
-def _derivations(spec, grid, args, cal=None, chi=None) -> _Derived:
-    """Sample the grid once; every other result is derived from that sample."""
-    sample = sample_grid(spec, grid)
-    return _Derived({
-        "sample": lambda d: sample,
-        "singular": lambda d: singular_cells(sample.amplitude),  # (floor, mask)
-        "mask": lambda d: d["singular"][1],
-        "momentum": lambda d: local_momentum(sample, d["singular"][0]),
-        "poynting": lambda d: poynting_from_sample(sample, cal.pol),
-        "stokes": lambda d: stokes_parameters(
-            *calcite_fields(spec, cal, grid.mesh(spec.ndim), sample.psi)),
-        "prediction": lambda d: predicted_parameters(d["momentum"], cal),
-        "readout": lambda d: readout_momentum(d["stokes"][0], d["stokes"][2], cal),
-        # (F_grad, F_scat, mask): F/W is undefined on singular cells, F is not
-        "force": lambda d: ((*forces_from_momentum(d["momentum"], chi), d["mask"])
-                            if args.normalized else (*force_from_sample(sample, chi), None)),
-        "anomalies": lambda d: anomalies_in_sample(spec, grid, d["mask"], d["momentum"],
-                                                   args.bound, args.superluminal_guard),
-    })
-
-
 def _write_layers(args, spec, grid, names, extra, cal=None, chi=None) -> int:
-    """Write the named layers of one grid sample and the command's extra keys."""
-    derived = _derivations(spec, grid, args, cal, chi)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported by name, as in sample_grid
-        layers = {name: _LAYERS[name](name, derived) for name in names}
-    derived["singular"]  # a peak that overflows or underflows to 0.0 exits 2, whatever the layers
+    """Write the named layers of the grid and the command's extra keys, from one pass over
+    its row blocks that keeps each layer and each array a mask is taken from.  The checks
+    follow: layers defined on every cell in the order named, the peak, masked layers."""
+    masks = {name: _LAYERS[name][0] for name in names}
+    if chi is not None and not args.normalized:  # a raw force is defined on every cell
+        masks.update(F_grad=None, F_scat=None)
+    made = [name for name in dict.fromkeys([*names, *masks.values()]) if name]
+    kept = {}
+
+    def keep(rows, coords, sample):
+        psi, first = sample.psi, rows.start == 0  # the first block warns of a large shift
+        d = _Derived({
+            "sample": lambda d: sample,
+            "momentum": lambda d: local_momentum(sample),  # no floor: masks come after the pass
+            "poynting": lambda d: poynting_from_sample(sample, cal.pol),
+            "stokes": lambda d: _stokes_rows(*_perturbed(spec, cal, coords, psi, warn=first)),
+            "prediction": lambda d: predicted_parameters(d["momentum"], cal),
+            "readout": lambda d: readout_momentum(d["stokes"][0], d["stokes"][2], cal),
+            "force": lambda d: (forces_from_momentum(d["momentum"], chi) if args.normalized
+                                else force_from_sample(sample, chi)),
+            "label": lambda d: _label_rows(d["momentum"].re_p, _bound(spec, args.bound, coords),
+                                           args.superluminal_guard, np.zeros(psi.shape, np.int8)),
+        })
+        for name in made:
+            values = _LAYERS[name][1](d)
+            if name not in kept:
+                kept[name] = np.empty(grid.counts[::-1] + values.shape[2:], values.dtype)
+            kept[name][rows] = values
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported by name
+        take_floor = _row_pass(spec, grid, keep)
+    layers = {name: _scalar_layer(name, kept[name]) for name in names if not masks[name]}
+    floor = take_floor()
+    singular = _Derived({"amp": lambda d: _is_singular(kept["amp"], floor),
+                         "sqrt_I": lambda d: singular_cells(kept["sqrt_I"])[1]})
+    for name in names:
+        if name == "label":
+            kept[name][singular["amp"]] = LABEL_CODES["singular"]
+            layers[name] = _label_layer(kept[name])
+        elif masks[name]:
+            layers[name] = _scalar_layer(name, kept[name], singular[masks[name]])
     _write_json(args.out, {"grid": grid.to_dict(), "layers": layers,
                            "provenance": _provenance(spec, args), **extra})
     return 0

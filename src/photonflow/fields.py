@@ -91,14 +91,14 @@ class WaveParameters:
 
 
 class FieldSample:
-    """psi and its exact gradient at one point (evaluate) or on a grid.
+    """psi and its exact gradient at one point (evaluate) or on grid nodes.
 
     grad_psi has one complex entry per spatial coordinate of the field's
     frame on its leading axis: (d/dx, d/dz) for planar families,
-    (d/dx, d/dy, d/dz) for 3D; grid samples (grids.sample_grid) carry
-    arrays of shape (counts2, counts1) behind it.  The wavenumber k of
-    the generating field rides along so that momentum consumers can
-    normalize without re-fetching the spec.
+    (d/dx, d/dy, d/dz) for 3D; the sample of a grid's block of rows
+    (grids._row_pass) carries arrays of shape (rows, counts1).  The
+    wavenumber k of the generating field rides along so that momentum
+    consumers can normalize without re-fetching the spec.
     """
 
     __slots__ = ("psi", "grad_psi", "k", "amplitude")  # not a dataclass: one per point evaluation

@@ -6,9 +6,9 @@ sampled on a 2D slice).  Coordinates are open axes in the field's frame
 order: the first grid axis, shape (1, counts1), varies along columns, the
 second, (counts2, 1), along rows, and off-axis ones are floats; no dense
 mesh is built.  Orientation-sensitive consumers (vortex charge signs)
-follow the right-handed (axis1, axis2) order as given.  sample_grid
-evaluates a field on every node once, for the map-making layers, a block of
-whole rows at a time into one buffer; anomaly's search and labels read the blocks.
+follow the right-handed (axis1, axis2) order as given.  Every grid command
+evaluates its grid once, a block of whole rows at a time, in one pass
+(_row_pass) that also takes the singular floor of its peak amplitude.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .fields import FieldSample, _require_finite, _require_interval
+from .observables import singular_cells
 
 AXIS_NAMES = ("x", "y", "z")
 _BLOCK_CELLS = 1 << 15  # cells per block of whole rows in which a grid is evaluated
@@ -147,27 +148,32 @@ def _row_slices(grid: GridSpec) -> list:
     return [slice(r, min(r + step, n2)) for r in range(0, n2, step)]
 
 
-def _row_blocks(spec, grid: GridSpec):
-    """(rows, psi, grads) for each of _row_slices: the field on those rows of the
-    (counts2, 1) frame coordinate, with the other coordinates as they are."""
+def _row_pass(spec, grid: GridSpec, visit):
+    """Evaluate the grid a block of _row_slices at a time, calling visit(rows, coords, sample)
+    on each.  Returns floor(), which checks the grid's peak amplitude and gives its singular
+    floor (observables.singular_cells)."""
     mesh = grid.mesh(spec.ndim)
-    at = frame_names(spec.ndim).index(grid.axes[1])
+    at = frame_names(spec.ndim).index(grid.axes[1])  # the (counts2, 1) coordinate
+    peak = 0.0
     for rows in _row_slices(grid):
         coords = (*mesh[:at], mesh[at][rows], *mesh[at + 1:])
         with np.errstate(over="ignore", invalid="ignore"):  # the peak amplitude is checked
             psi, grads = spec.psi_grad(*coords)
-        yield rows, psi, grads
-        del psi, grads  # before the next block is evaluated
+        sample = FieldSample(psi, np.stack(grads), spec.wave.k)
+        del psi, grads
+        peak = np.maximum(peak, sample.amplitude.max())  # NaN stays NaN, as in np.max
+        visit(rows, coords, sample)
+        del sample  # before the next block is evaluated
+    return lambda: singular_cells(peak)[0]
 
 
 def sample_grid(spec, grid: GridSpec) -> FieldSample:
-    """psi and its exact gradient on every node of the grid.
-
-    psi has shape (counts2, counts1); grad_psi stacks the frame
-    components on a leading axis, shape (ndim, counts2, counts1), in one buffer.
-    """
+    """psi, shape (counts2, counts1), and its exact gradient, the frame components
+    stacked on a leading axis, on every node of the grid, in one buffer."""
     buf = np.empty((1 + spec.ndim, grid.counts[1], grid.counts[0]), dtype=complex)
-    for rows, psi, grads in _row_blocks(spec, grid):
-        for out, value in zip(buf, (psi, *grads)):
-            out[rows] = value
+
+    def keep(rows, coords, sample):
+        buf[0, rows], buf[1:, rows] = sample.psi, sample.grad_psi
+
+    _row_pass(spec, grid, keep)
     return FieldSample(psi=buf[0], grad_psi=buf[1:], k=spec.wave.k)

@@ -12,8 +12,8 @@ planar fields embed with y = 0, which is also where their spin current
 lives since nothing depends on y.
 
 Every observable is element-wise in the sample: a point sample gives
-values at one point, a grid sample (grids.sample_grid) gives them on
-every node, with vector components on the leading axis.
+values at one point, the sample of a grid's block of rows (grids._row_pass)
+on each of its nodes, with vector components on the leading axis.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DegeneratePointerError, ParameterError, ParameterWarning, SingularPointError
 from .fields import FieldSpec, GaussianPairSpec, _point_coords, _require_finite
-from .observables import ComplexMomentum, PolarizationState, singular_cells
+from .observables import ComplexMomentum, PolarizationState
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,10 @@ class StokesVector:
         return (self.s1, self.s2, self.s3)
 
 
-def _perturbed(spec: FieldSpec, cal: CalciteSpec, coords, psi):
-    # each public caller calls this directly, so stacklevel 3 names the line that called it
-    if isinstance(spec, GaussianPairSpec) and abs(cal.delta_x) > spec.w0_mm / 100.0:
+def _perturbed(spec: FieldSpec, cal: CalciteSpec, coords, psi, warn=True):
+    # each public caller calls this directly, so stacklevel 3 names the line that called it;
+    # a map taken block by block warns on its first block only
+    if warn and isinstance(spec, GaussianPairSpec) and abs(cal.delta_x) > spec.w0_mm / 100.0:
         warnings.warn(
             f"delta_x = {cal.delta_x} mm exceeds w0/100 = {spec.w0_mm / 100.0} mm; "
             "the first-order Stokes readout may be inaccurate", ParameterWarning, stacklevel=3)
@@ -104,16 +105,12 @@ def _normalized_stokes(ex, ey, intensity):
             2.0 * cross.imag / intensity)
 
 
-def stokes_parameters(ex, ey):
-    """Normalized Stokes maps (S1, S2, S3, singular) of two-component fields.
-
-    singular marks cells whose field magnitude sqrt(I) is at or below the
-    map's singular floor; they are divided by 1 instead of I and carry
-    no meaning.
-    """
+def _stokes_rows(ex, ey):
+    """Normalized Stokes maps (S1, S2, S3) of two-component fields and their magnitude
+    sqrt(I), element-wise.  The S values carry no meaning where sqrt(I) is at or below
+    the whole map's singular floor (observables.singular_cells of its sqrt(I))."""
     intensity = (ex.real ** 2 + ex.imag ** 2) + (ey.real ** 2 + ey.imag ** 2)
-    _, singular = singular_cells(np.sqrt(intensity))
-    return _normalized_stokes(ex, ey, np.where(singular, 1.0, intensity)) + (singular,)
+    return _normalized_stokes(ex, ey, intensity) + (np.sqrt(intensity),)
 
 
 def exact_stokes(ex: complex, ey: complex) -> StokesVector:

@@ -305,11 +305,10 @@ def test_tir_air_side_is_vortex_free(tir_field):
 
 
 def refuse_to_sample(monkeypatch):
-    def refuse(spec, grid):
+    def refuse(*args):
         raise AssertionError("the grid was sampled before the options were checked")
 
-    for module in (pf.grids, pf.anomaly):
-        monkeypatch.setattr(module, "_row_blocks", refuse)
+    monkeypatch.setattr(pf.anomaly, "_row_pass", refuse)
 
 
 def test_coarse_grid_raises_resolution_error(tir_field, bessel_ell2, monkeypatch):

@@ -109,7 +109,7 @@ def test_coarse_anomaly_grid_exits_two(tir_file, tmp_path, capsys):
     assert "resolve" in capsys.readouterr().err
 
 
-def _refuse_to_sample(spec, grid):
+def _refuse_to_sample(*args):
     raise AssertionError("the grid was sampled before the options were checked")
 
 
@@ -129,11 +129,9 @@ def _refuse_to_sample(spec, grid):
 def test_a_grid_command_checks_its_options_before_it_samples(bessel_file, tmp_path, capsys,
                                                              monkeypatch, command, flags, message):
     # the 0.5 mm grid cannot resolve the winding: anomaly checks its options first.
-    # Sampling raises, by the whole-grid sample or by the block iterator that it
-    # and the anomaly job read
-    for module, name in ((cli, "sample_grid"), (pf.grids, "_row_blocks"),
-                         (pf.anomaly, "_row_blocks")):
-        monkeypatch.setattr(module, name, _refuse_to_sample)
+    # Sampling raises: every grid command evaluates its grid in grids._row_pass
+    for module in (cli, pf.anomaly):
+        monkeypatch.setattr(module, "_row_pass", _refuse_to_sample)
     code = cli.run([command, "--field", bessel_file, "--grid", "x:-1:1:5,y:-1:1:5",
                     "--fixed", "z=0", *flags, "--out", str(tmp_path / "a.json")])
     assert code == 2
@@ -192,15 +190,17 @@ def test_non_utf8_input_exits_two(pair_file, tmp_path, capsys, reader):
 
 
 def test_unrepresentable_layer_exits_two_and_names_it(tmp_path, capsys):
-    # the amplitude overflows to inf on most of the grid; JSON cannot hold it
+    # the amplitude overflows to inf on most of the grid; JSON cannot hold it.  A layer
+    # defined on every cell is checked before the peak, whatever the order of --layers
     out = tmp_path / "o.json"
-    code = cli.run(["fieldmap", "--field-json",
-                    '{"family":"evanescent","lambda_mm":1,"kappa_per_mm":50}',
-                    "--grid", "x:-20:1:32,z:0:1:8", "--layers", "amp,re_px",
-                    "--out", str(out)])
-    assert code == 2
-    assert "layer 'amp' cannot be represented" in capsys.readouterr().err
-    assert not out.exists()
+    for layers in ("amp,re_px", "re_px,amp"):
+        code = cli.run(["fieldmap", "--field-json",
+                        '{"family":"evanescent","lambda_mm":1,"kappa_per_mm":50}',
+                        "--grid", "x:-20:1:32,z:0:1:8", "--layers", layers,
+                        "--out", str(out)])
+        assert code == 2, layers
+        assert "layer 'amp' cannot be represented" in capsys.readouterr().err, layers
+        assert not out.exists()
 
 
 EVANESCENT_45 = '{"family":"evanescent","lambda_mm":1,"kappa_per_mm":45}'
@@ -606,8 +606,8 @@ def test_anomaly_with_labels_layer(tmp_path, evanescent):
 # tracemalloc's peak of a criterion-05 anomaly job, in bytes per grid cell, by
 # grid size: `anomaly --with-labels`, detect_vortices or classify_anomalies(...,
 # "piecewise"), which run the same job.  It keeps psi, the label codes and the
-# fast flags of the whole grid (18 B per cell) and evaluates and labels it a block
-# of about 2^15 cells at a time, so a block's temporaries, about 4.3 MB, add less
+# fast flags of the whole grid (18 B per cell; psi alone for detect_vortices) and
+# evaluates and labels it a block of about 2^15 cells at a time, so a block's temporaries, about 4.3 MB, add less
 # per cell on a larger grid: 45.7 B per cell at 400^2 and 24.8 at 800^2 when
 # measured, in either axis order and for each entry point.  The bounds leave a
 # margin of about a fifth and a quarter.  It was 96 with a whole-grid sample,
@@ -633,6 +633,42 @@ def test_the_criterion_05_anomaly_job_stays_in_its_memory_budget(tir_field, tir_
 
     run(64)  # imports and caches first
     for n, bound in ANOMALY_BYTES_PER_CELL.items():
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            run(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - held) / n ** 2 < bound, n
+
+
+# tracemalloc's peak of the other grid commands on the same grid, in bytes per cell,
+# by grid size.  Each keeps a whole-grid float array of each layer it writes and of
+# each array its masks are taken from (24 B per cell for the three-layer fieldmap, 96
+# for stokes, 56 for force and 64 for force --normalized) and evaluates the grid a
+# block of about 2^15 cells at a time.  Measured in either axis order, at 400^2 and
+# 800^2: 43.5 and 28.8, 130.1 and 104.4, 86.9 and 63.6, 94.9 and 71.6 (72.6 z first);
+# the bounds leave a margin of about a fifth and a quarter.  With a whole-grid sample
+# they held 96 and 92, 174 and 162, 152 and 152, 160 and 153.
+GRID_BYTES_PER_CELL = {
+    "fieldmap --layers amp,re_px,im_px": {400: 52, 800: 36},
+    "stokes": {400: 156, 800: 130},
+    "force": {400: 104, 800: 80},
+    "force --normalized": {400: 114, 800: 90},
+}
+
+
+@pytest.mark.parametrize("job", sorted(GRID_BYTES_PER_CELL))
+def test_a_grid_command_stays_in_its_memory_budget(tir_file, tmp_path, job):
+    argv = job.split()
+
+    def run(n):
+        assert cli.run(argv[:1] + ["--field", tir_file, "--grid", f"x:-2.0:2.0:{n},z:0.0:4.0:{n}"]
+                       + argv[1:] + ["--out", str(tmp_path / "map.json")]) == 0
+
+    run(64)  # imports and caches first
+    for n, bound in GRID_BYTES_PER_CELL[job].items():
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
@@ -892,8 +928,8 @@ def test_non_finite_parameters_exit_two(tir_file, tmp_path, capsys, argv):
 # nodes passed to local_momentum, in grids' worth, and calls of singular_cells by
 # each command below: a raw force map needs no momentum, and every command derives
 # each at most once (singular_cells also rejects a peak that over- or underflows).
-# The anomaly job takes each block's momentum once, and singular_cells of the
-# peak amplitude of its blocks.
+# Every command takes each block's momentum once, and grids._row_pass takes
+# singular_cells of the peak amplitude of its blocks.
 DERIVED = {"anomaly --with-labels": (1, 1), "fieldmap --layers amp,re_px,P_O,label": (1, 1),
            "force": (0, 1), "stokes": (1, 1), "force --normalized": (1, 1)}
 
@@ -927,11 +963,13 @@ def test_each_command_samples_its_grid_once(tir_file, tmp_path, monkeypatch, arg
             return fn(*args)
         return wrapper
 
-    # where the grid sample's own derivations are made; weakmeasure's
-    # singular_cells of the Stokes intensity is not one of them
+    # where the grid's own derivations are made; the Stokes map's singular_cells
+    # of sqrt(I), which cli takes, is not one of them
     for module in (cli, pf.anomaly):
-        for name in derived:
-            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        monkeypatch.setattr(module, "local_momentum", counted("local_momentum",
+                                                              module.local_momentum))
+    monkeypatch.setattr(pf.grids, "singular_cells", counted("singular_cells",
+                                                            pf.grids.singular_cells))
     out = str(tmp_path / "o.json")
     assert cli.run(argv[:1] + ["--field", tir_file, "--grid", "x:-2:0:81,z:0.1:0.6:21"]
                    + argv[1:] + ["--out", out]) == 0

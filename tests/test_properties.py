@@ -25,9 +25,11 @@ winding of two adjacent blocks adds up to that of their union.  The anomaly
 job, in row blocks of any height with a one-row halo, gives the records,
 residuals, labels, counts and fast cells of the whole sample, on TIR grids in
 either axis order, on a Bessel vortex between a block and its halo row and on
-a Gaussian pair.  Each refined vortex winding is whole turns to rounding, on
-off-centre Bessel grids and on TIR grids across the interface, and a Bessel
-grid's vortex set moves with the grid when both axes shift by whole spacings.
+a Gaussian pair.  fieldmap, stokes and force write the same artifacts with
+one-row blocks as with the default blocks, on every family.  Each refined
+vortex winding is whole turns to rounding, on off-centre Bessel grids and on
+TIR grids across the interface, and a Bessel grid's vortex set moves with the
+grid when both axes shift by whole spacings.
 
 A traced bundle is one set of array evaluations per RK4 stage, and the same
 holds for its rows: row i of a bundle equals seed i traced in a bundle with
@@ -86,7 +88,7 @@ from hypothesis.extra import numpy as hnp
 import photonflow as pf
 from conftest import TWO_PI, make_tir
 from photonflow import artifacts, cli
-from photonflow.anomaly import _vortex_rows, _vortices_and_anomalies, anomalies_in_sample
+from photonflow.anomaly import _bound, _label_rows, _vortex_rows, _vortices_and_anomalies
 from photonflow.grids import frame_names, sample_grid
 from photonflow.observables import local_momentum, poynting_from_sample, singular_cells
 
@@ -520,6 +522,15 @@ BLOCK_CASES = {
 }
 
 
+def whole_sample_labels(spec, grid, sample, floor, singular, bound_model, guard):
+    """The label codes and fast flags of a whole-grid sample, labelled in one call."""
+    bound = np.broadcast_to(_bound(spec, bound_model, grid.mesh(spec.ndim)), singular.shape)
+    labels, fast = np.zeros(singular.shape, dtype=np.int8), np.zeros(singular.shape, dtype=bool)
+    _label_rows(local_momentum(sample, floor).re_p, bound, guard, labels, fast)
+    labels[singular] = pf.anomaly.LABEL_CODES["singular"]
+    return labels, fast & ~singular
+
+
 @pytest.mark.parametrize("kind", sorted(BLOCK_CASES))
 @settings(max_examples=40)
 @given(data=st.data(), guard=st.sampled_from([0.0, 1e-4]))
@@ -533,8 +544,7 @@ def test_the_anomaly_job_in_row_blocks_equals_the_whole_sample(kind, data, guard
     sample = sample_grid(spec, grid)
     floor, singular = singular_cells(sample.amplitude)
     want = _vortex_rows(spec, grid, sample.psi, singular, floor)
-    want_map = anomalies_in_sample(spec, grid, singular, local_momentum(sample, floor), bound,
-                                   guard)
+    want_labels, want_fast = whole_sample_labels(spec, grid, sample, floor, singular, bound, guard)
     with mock.patch.object(pf.grids, "_BLOCK_CELLS", height * grid.counts[0]):
         got, got_map = _vortices_and_anomalies(spec, grid, bound, guard)
         vortices = pf.detect_vortices(spec, grid)
@@ -542,9 +552,63 @@ def test_the_anomaly_job_in_row_blocks_equals_the_whole_sample(kind, data, guard
     assert got == want
     assert vortices == want  # the job's records need no label options
     for m in (got_map, amap):
-        assert m.labels.tobytes() == want_map.labels.tobytes()
-        assert m.counts == want_map.counts
-        assert m.fast.tobytes() == want_map.fast.tobytes()
+        assert m.labels.tobytes() == want_labels.tobytes()
+        assert m.counts == {name: int(np.sum(want_labels == code))
+                            for code, name in enumerate(pf.LABELS)}
+        assert m.fast.tobytes() == want_fast.tobytes()
+
+
+@st.composite
+def grid_commands(draw, spec):
+    """A grid of 2 to 12 nodes per axis on a drawn axis pair of the spec's frame, and the
+    fieldmap (all layers), stokes, force and force --normalized commands on it.  The
+    calcite shift reaches past a hundredth of the Gaussian pair's waist, where it warns."""
+    names = frame_names(spec.ndim)
+    axes = tuple(draw(st.permutations(names)))[:2]
+    ranges = []
+    for _ in axes:
+        lo = draw(st.floats(-6.0, 3.0))
+        ranges.append((lo, lo + draw(st.floats(0.05, 6.0))))
+    counts = (draw(st.integers(2, 12)), draw(st.integers(2, 12)))
+    fixed = [f"{name}={draw(st.floats(-3.0, 3.0))!r}" for name in names if name not in axes]
+    argv = ["--field-json", json.dumps(pf.field_to_dict(spec)), "--grid",
+            ",".join(f"{a}:{lo!r}:{hi!r}:{n}" for a, (lo, hi), n in zip(axes, ranges, counts))]
+    argv += ["--fixed", ",".join(fixed)] if fixed else []
+    delta_x = repr(draw(st.sampled_from([1e-4, 1e-2])))
+    layers = ["--layers", ",".join(cli.ALL_LAYERS),
+              "--pol", draw(st.sampled_from(sorted(cli._POLS))), "--delta-x-mm", delta_x,
+              "--superluminal-guard", draw(st.sampled_from(["0", "1e-4"]))]
+    if spec.family == "tir_two_wave":
+        layers += ["--bound", draw(st.sampled_from(["uniform", "piecewise"]))]
+    chi = f"--chi={draw(st.floats(-1e-2, 1e-2))!r},{draw(st.floats(0.0, 1e-3))!r}"
+    return [["fieldmap", *argv, *layers], ["stokes", *argv, "--delta-x-mm", delta_x],
+            ["force", *argv, chi], ["force", *argv, chi, "--normalized"]]
+
+
+ARTIFACT_SPECS = FAMILY_SPECS + [pf.GaussianPairSpec(wave=pf.WaveParameters(1.0), w0_mm=0.5,
+                                                     a_mm=1.0)]  # with singular cells
+
+
+@pytest.mark.parametrize("spec", ARTIFACT_SPECS,
+                         ids=[f"{s.family}-{s.ndim}d-{i}" for i, s in enumerate(ARTIFACT_SPECS)])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_grid_artifacts_do_not_depend_on_the_block_height(spec, data, tmp_path_factory):
+    """fieldmap, stokes and force derive each block of rows and keep whole-grid layers;
+    with one-row blocks and with the default blocks each writes the same bytes, exit
+    code and stderr, which holds at most one warning."""
+    out = tmp_path_factory.getbasetemp() / "blocks-artifact.json"
+    for argv in data.draw(grid_commands(spec), label="commands"):
+        runs = []
+        for cells in (1, pf.grids._BLOCK_CELLS):
+            err = io.StringIO()
+            with mock.patch.object(pf.grids, "_BLOCK_CELLS", cells), \
+                    contextlib.redirect_stderr(err):
+                code = cli.run(argv + ["--out", str(out)])
+            assert code == 0, (argv, err.getvalue())
+            runs.append((out.read_bytes(), err.getvalue()))
+        assert runs[0] == runs[1], argv
+        assert runs[0][1].count("warning:") <= 1
 
 
 def _tir(n, theta1, theta2, amp1, amp2):
