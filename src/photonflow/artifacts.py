@@ -3,7 +3,9 @@
 _scalar_layer and _label_layer build the one layer type, _Layer, and
 _write_json writes a dict of them one block of rows at a time.
 _write_trace_csv writes trajectories, _read_text and _decode read input
-files, and _render gives the PGM of one layer of an artifact.
+files, and _render gives the PGM of one layer of an artifact.  _render
+reads the layout _write_json writes a piece of rows at a time, keeping only
+the drawn layer, and reads any other file whole with json.
 
 Output discipline: JSON is compact with sorted keys, floats are written
 as Python's shortest round-trip repr writes them, CSV floats likewise, PGM
@@ -41,7 +43,8 @@ def _orjson():
     orjson's first decode allocates the parse buffer (8 MiB) it keeps for the
     life of the process.  It is made here, while the process is small, so that
     malloc maps it on its own; made by a later render, after grid arrays were
-    freed, it would stay in the heap among them."""
+    freed, it would stay in the heap among them.  A render decodes pieces of
+    about _PIECE bytes, which that buffer holds."""
     import orjson
     orjson.loads(b"0")
     return orjson
@@ -256,6 +259,9 @@ def _write_trace_csv(path: str, trajectories) -> None:
 
 _COMPONENTS = {"x": 0, "y": 1, "z": 2}
 _NUMBERS = (int, float)  # exact types: a bool is not a number
+_NOT_NUMBERS = (b'"', b"t", b"f", b"n", b"{")  # the first bytes of strings, literals and objects
+_READ = 1 << 20  # bytes read from an artifact at a time when a layer is rendered
+_PIECE = 1 << 18  # bytes of whole rows decoded at a time
 
 
 def _non_finite(layer: str) -> ParameterError:
@@ -263,14 +269,28 @@ def _non_finite(layer: str) -> ParameterError:
                           "numeral beyond the float range)")
 
 
-def _render_cells(layer: str, rows: list, width: int, component):
-    """Float values and singular mask of a layer's rows.  Rows and cells are
-    read in row-major order and the first failure raises: a row of the wrong
-    length, a cell that is neither a number nor "singular" (nor, with a
-    component, a vector cell holding a number there), or an integer numeral
-    beyond the float range.  A number is an int or a float, never a bool;
-    NaN and infinite floats pass, for the caller to report."""
+def _render_cells(layer: str, rows: list, width, component, text=None):
+    """Float values and singular mask of a layer's rows, each of `width`
+    cells (None: as many as the first row has).  Rows and cells are read in
+    row-major order and the first failure raises: a row that is not a list
+    (checked first, for every row), a row of the wrong length, a cell that
+    is neither a number nor "singular" (nor, with a component, a vector cell
+    holding a number there), or an integer numeral beyond the float range.
+    A number is an int or a float, never a bool; NaN and infinite floats
+    pass, for the caller to report.
+
+    text, where given, is the JSON text of rows.  Where it holds no string,
+    literal or object, _numbers reads rows of numbers, or of vector cells,
+    at once."""
+    if not all(isinstance(row, list) for row in rows):
+        raise ParameterError(f"layer {layer!r} is not a list of rows")
+    if width is None:
+        width = len(rows[0]) if rows else 0
     axis = _COMPONENTS.get(component)
+    if text is not None and not any(map(text.__contains__, _NOT_NUMBERS)):
+        values = _numbers(rows, width, axis)
+        if values is not None:
+            return values, np.zeros(values.shape, dtype=bool)
     values = np.empty((len(rows), width))
     mask = np.zeros((len(rows), width), dtype=bool)
     for i, row in enumerate(rows):
@@ -305,23 +325,38 @@ def _render_cells(layer: str, rows: list, width: int, component):
     return values, mask
 
 
-def _render_pgm(obj, path: str, layer: str, component) -> bytes:
-    """The binary PGM of the named layer of the artifact decoded from path."""
-    layers = obj.get("layers") if isinstance(obj, dict) else None
-    if not isinstance(layers, dict) or layer not in layers:
-        raise ParameterError(f"no layer {layer!r} in {path}")
-    rows = layers[layer]
-    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise ParameterError(f"layer {layer!r} is not a list of rows")
+def _numbers(rows: list, width: int, axis):
+    """The float values of rows of `width` numbers, or with an axis of that
+    component of rows of `width` vector cells; None for rows of another
+    shape.  Each cell must be a number or an array, as where the rows'
+    JSON text holds no string, literal or object."""
+    from itertools import chain
+    from operator import itemgetter
+    if set(map(len, rows)) - {width}:
+        return None
+    if axis is None:
+        try:
+            values = np.array(rows, dtype=float)
+        except ValueError:  # arrays among the numbers
+            return None
+        return values if values.shape == (len(rows), width) else None
+    cells = list(chain.from_iterable(rows))
+    if set(map(type, cells)) != {list} or min(map(len, cells)) <= axis:
+        return None
+    numbers = list(map(itemgetter(axis), cells))
+    if not set(map(type, numbers)) <= set(_NUMBERS):
+        return None
+    return np.array(numbers, dtype=float).reshape(len(rows), width)
 
-    height = len(rows)
-    width = len(rows[0]) if height else 0
-    if height < 1 or width < 1:
+
+def _pgm(layer: str, values, mask) -> bytes:
+    """The binary PGM of a layer's float values, black on its singular cells.
+    A layer without cells, or with a non-finite value, raises."""
+    if not values.size:
         raise ParameterError(f"layer {layer!r} is empty")
-    values, mask = _render_cells(layer, rows, width, component)
     if not np.isfinite(values).all():
         raise _non_finite(layer)
-
+    height, width = values.shape
     live = values[~mask]
     pixels = np.zeros((height, width), dtype=np.uint8)
     if live.size:
@@ -332,25 +367,210 @@ def _render_pgm(obj, path: str, layer: str, component) -> bytes:
         if vmax == vmin:
             pixels[~mask] = 128
         else:
-            scaled = np.rint((values - vmin) / (vmax - vmin) * 255.0)
-            pixels = np.clip(scaled, 0, 255).astype(np.uint8)
+            scaled = values - vmin  # then scaled in place: one temporary
+            scaled /= vmax - vmin
+            scaled *= 255.0
+            pixels = np.clip(np.rint(scaled, out=scaled), 0, 255, out=scaled).astype(np.uint8)
             pixels[mask] = 0
     # Row 0 of the data is the lowest second-axis coordinate; PGM viewers
     # draw row 0 at the top, so maps appear flipped vs. plot conventions.
     return f"P5\n{width} {height}\n255\n".encode("ascii") + pixels.tobytes()
 
 
-def _render(path: str, layer: str, component) -> bytes:
-    """The binary PGM of a layer of the artifact at path.  orjson decodes the
-    file's bytes.  Where it raises, or the render would exit 2, json decodes
-    the text again: every rejection is json's reading, with json's message."""
+def _json_cells(obj, path: str, layer: str, component):
+    """Values and mask of the named layer of obj, the artifact json decoded from path."""
+    layers = obj.get("layers") if isinstance(obj, dict) else None
+    if not isinstance(layers, dict) or layer not in layers:
+        raise ParameterError(f"no layer {layer!r} in {path}")
+    rows = layers[layer]
+    if not isinstance(rows, list):
+        raise ParameterError(f"layer {layer!r} is not a list of rows")
+    return _render_cells(layer, rows, None, component)
+
+
+class _Bytes:
+    """The bytes of a file from a cursor on: buf[pos:end], read as they are
+    asked for into a buffer of _READ bytes (less for a smaller file, more
+    where more are asked for at once)."""
+
+    def __init__(self, fh):
+        size = fh.seek(0, 2) + 1  # one more: a read that returns nothing ends the file
+        fh.seek(0)
+        self.fh, self.buf, self.pos, self.end = fh, bytearray(min(size, _READ)), 0, 0
+
+    def ahead(self, n: int) -> int:
+        """How many of the next n bytes there are, fewer only at the end of
+        the file; they are read into buf[pos:end] first."""
+        if self.end - self.pos < n and self.fh:
+            left = self.end - self.pos
+            self.buf[:left] = self.buf[self.pos:self.end]
+            if n > len(self.buf):
+                self.buf += bytes(n - len(self.buf))
+            self.pos, self.end = 0, left
+            while self.end < n:
+                got = self.fh.readinto(memoryview(self.buf)[self.end:])
+                if not got:
+                    self.fh = None  # the end of the file
+                    break
+                self.end += got
+        return min(n, self.end - self.pos)
+
+    def find(self, sub: bytes, n: int) -> int:
+        """The offset of the first sub within the next n bytes, or -1."""
+        n = self.ahead(n)  # first: it may move buf[pos:] to the front
+        i = self.buf.find(sub, self.pos, self.pos + n)
+        return i - self.pos if i >= 0 else -1
+
+    def peek(self, n: int, before=b"", after=b"") -> bytes:
+        """The next n bytes, between before and after."""
+        if not 0 <= n <= self.ahead(n):
+            raise ValueError("the artifact ends early")
+        return b"".join((before, memoryview(self.buf)[self.pos:self.pos + n], after))
+
+    def skip(self, n: int) -> None:
+        self.pos += n
+
+    def take(self, n: int) -> bytes:
+        """The next n bytes; the cursor moves past them."""
+        text = self.peek(n)
+        self.pos += n
+        return text
+
+
+def _has_keys(lib, text) -> bool:
+    """Whether {text} is a JSON object with a key, and with no "layers" key."""
+    obj = lib.loads(b"".join((b"{", text, b"}")))
+    return bool(obj) and "layers" not in obj
+
+
+def _row_kind(rows):
+    """"vector" where a row holds an array cell, "scalar" where it holds a
+    number or literal, None where each cell is a string (or there is none)."""
+    cells = {type(cell) for row in rows if type(row) is list for cell in row}
+    return "vector" if list in cells else "scalar" if cells - {str} else None
+
+
+def _row_end(src: _Bytes, n: int, kind) -> int:
+    """The offset of a bracket that closes a row of a layer within the next n
+    bytes, found by the bytes around it in the writer's layout, or -1: the
+    last that is followed by another row (a "scalar" layer's rows close in
+    ],[ and a "vector" layer's in ]],[ or "],[), or the first bracket where
+    the kind is not known."""
+    buf, lo, hi = src.buf, src.pos, src.pos + n
+    if kind is None:
+        at = buf.find(b"]", lo, hi)
+    elif kind == "scalar":
+        at = buf.rfind(b"],[", lo, hi)
+    else:
+        at = buf.rfind(b"]],[", lo, hi)
+        at = max(at, buf.rfind(b'"],[', max(lo, at), hi))
+        if at >= 0:
+            at += 1  # the row's bracket, after the cell's
+    return at - lo if at >= 0 else -1
+
+
+def _layer_rows(src: _Bytes, lib, layer: str, component, keep: bool):
+    """Decode the rows of a layer, whose opening bracket is read, and read
+    its closing bracket.  Returns the values and mask of its cells where
+    keep, else None.
+
+    The rows are decoded a piece of whole rows at a time, within the next
+    _PIECE bytes where a row is not longer.  In the writer's layout the
+    layer closes at the last bracket before the next ':' (the next layer's
+    key) or '}' (the end of the layers), and _row_end finds where a row
+    closes.  Bytes laid out otherwise give a piece that does not decode."""
+    blocks, width, kind, size = [], None, None, _PIECE
+    while True:
+        n = src.ahead(size)
+        ahead = [i for i in (src.find(b":", n), src.find(b"}", n)) if i >= 0]
+        end = src.buf.rfind(b"]", src.pos, src.pos + min(ahead)) - src.pos if ahead else -1
+        closing = end >= 0
+        if not closing:
+            end = _row_end(src, n, kind) + 1
+            if not end:  # no row closes within the window
+                if ahead or n < size:
+                    raise ValueError("a layer does not close where the writer closes it")
+                size *= 2
+                continue
+        text = src.peek(end, b"[", b"]")
+        try:
+            rows = lib.loads(text)
+        except lib.JSONDecodeError:
+            if kind is not None or closing:
+                raise
+            kind = "vector"  # the first bracket closed a vector cell, not the row
+            continue
+        src.skip(end)
+        if not rows and blocks:  # nothing between a comma and the layer's bracket
+            raise ValueError("a row is missing")
+        blocks.append(_render_cells(layer, rows, width, component, text) if keep else None)
+        if keep:
+            width = blocks[-1][0].shape[1]
+        sep = src.take(1)
+        if sep == b"]":  # the layer's bracket
+            break
+        if closing or sep != b",":
+            raise ValueError("rows not separated by a comma")
+        kind = kind or _row_kind(rows)
+        size = _PIECE
+    if not keep:
+        return None
+    if len(blocks) == 1:
+        return blocks[0]
+    return tuple(np.concatenate(part) for part in zip(*blocks))
+
+
+def _read_layer(path: str, layer: str, component):
+    """Values and mask of the named layer of the artifact at path, read in
+    the layout _write_json writes: {<keys>,"layers":{"<name>":[<row>,...],
+    ...},<keys>} and a newline, where either run of keys may be absent.
+
+    orjson decodes every value of the file, and every layer a piece of
+    whole rows at a time; only the named layer's cells are kept.  Whatever
+    is laid out otherwise, or could be read otherwise by json.loads (a
+    repeated key, a literal that orjson rejects), raises ValueError."""
     lib = _orjson()
+    found, names = None, set()
+    with open(path, "rb", buffering=0) as fh:
+        src = _Bytes(fh)
+        head = src.take(src.find(b'"layers":{', _READ))
+        if head != b"{" and not (head[:1] == b"{" and head[-1:] == b","
+                                 and _has_keys(lib, head[1:-1])):
+            raise ValueError("the artifact does not open with its keys and its layers")
+        src.skip(10)
+        while True:
+            name = lib.loads(src.take(src.find(b'":[', _READ) + 1))
+            if type(name) is not str or name in names:
+                raise ValueError("a layer name that is no new string")
+            names.add(name)
+            src.skip(2)
+            cells = _layer_rows(src, lib, layer, component, name == layer)
+            if name == layer:
+                found = cells
+            sep = src.take(1)
+            if sep == b"}":
+                break
+            if sep != b",":
+                raise ValueError("layers not separated by a comma")
+        tail = src.take(src.ahead(_READ))
+        if src.ahead(1) or tail != b"}\n" and not (tail[:1] == b"," and tail[-2:] == b"}\n"
+                                                  and _has_keys(lib, tail[1:-2])):
+            raise ValueError("the artifact does not close with its keys and a newline")
+    if found is None:
+        raise ValueError(f"no layer {layer!r}")
+    return found
+
+
+def _render(path: str, layer: str, component) -> bytes:
+    """The binary PGM of a layer of the artifact at path.  _read_layer reads
+    the writer's layout.  Where it raises, or the render would exit 2, json
+    decodes the text again: every rejection is json's reading, with json's
+    message."""
     try:
-        with open(path, "rb") as fh:
-            pgm = _render_pgm(lib.loads(fh.read()), path, layer, component)
-    except (OSError, lib.JSONDecodeError, ParameterError):
-        pgm = None  # outside the handler: its traceback would keep orjson's objects alive
+        pgm = _pgm(layer, *_read_layer(path, layer, component))
+    except (OSError, ValueError):  # orjson's errors and ParameterError are ValueErrors
+        pgm = None  # outside the handler: its traceback would keep the decoded rows alive
     if pgm is None:
-        pgm = _render_pgm(_decode(_read_text(path, "grid result"), "grid result"), path, layer,
-                          component)
+        obj = _decode(_read_text(path, "grid result"), "grid result")
+        pgm = _pgm(layer, *_json_cells(obj, path, layer, component))
     return pgm

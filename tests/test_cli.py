@@ -679,6 +679,32 @@ def test_a_grid_command_stays_in_its_memory_budget(tir_file, tmp_path, job):
         assert (peak - held) / n ** 2 < bound, n
 
 
+# tracemalloc's peak of `render` of one layer of a 400^2 three-layer fieldmap artifact
+# (9.3 MB), in bytes per cell.  render reads the file a piece of rows at a time and keeps
+# the drawn layer's float64 values and mask; then the PGM takes the live values and one
+# scaling temporary.  Measured: 28.0 for amp and for re_px, at 400^2 and at 800^2; the
+# bound leaves a margin of about a fifth.  Decoding the whole file held 154.7.
+RENDER_BYTES_PER_CELL = 34
+
+
+@pytest.mark.parametrize("layer", ["amp", "im_px"])
+def test_a_render_stays_in_its_memory_budget(tir_file, tmp_path, layer):
+    source, n = str(tmp_path / "map.json"), 400
+    render = ["render", "--in", source, "--layer", layer, "--out", str(tmp_path / "x.pgm")]
+    for size in (64, n):  # the first render imports and caches
+        assert cli.run(["fieldmap", "--field", tir_file, "--grid",
+                        f"x:-2.0:2.0:{size},z:0.0:4.0:{size}", "--layers", "amp,re_px,im_px",
+                        "--out", source]) == 0
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            assert cli.run(render) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peak - held) / n ** 2 < RENDER_BYTES_PER_CELL
+
+
 def test_micron_wavelength_field_needs_finer_anomaly_grid(pair_file, tmp_path, capsys):
     # vortex detection requires the grid to resolve the phase winding;
     # a mm-scale grid over a micron wavelength cannot
@@ -892,6 +918,14 @@ def pair(w0, lambda_mm=1):
     pytest.param(["anomaly", "--field-json", PLANE, "--grid", "z:0:1:3,x:-1e308:1e308:3"], {},
                  "the x range (-1e+308, 1e+308) is too wide: hi - lo overflows",
                  marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+    # a layer is empty when it has no rows (above) or only empty rows, in either layout
+    (["render", "--in", "{dir}/empty.json", "--layer", "amp"],
+     {"empty.json": '{"layers": {"amp": [[]]}}'}, "layer 'amp' is empty"),
+    (["render", "--in", "{dir}/empty.json", "--layer", "amp"],
+     {"empty.json": '{"grid":{},"layers":{"amp":[[],[]],"b":[[1.0]]},"provenance":{}}\n'},
+     "layer 'amp' is empty"),
+    (["render", "--in", "{dir}/empty.json", "--layer", "amp"],
+     {"empty.json": '{"grid":{},"layers":{"amp":[]}}\n'}, "layer 'amp' is empty"),
 ])
 def test_rejected_input_exits_two_with_its_message(tmp_path, capsys, argv, files, message):
     for name, text in files.items():
@@ -1083,7 +1117,8 @@ def test_render_vector_component_with_singular_cells(tmp_path):
     assert np.array_equal(pixels, expected)
 
 
-@pytest.mark.parametrize("rows, message", [
+# rows of a layer L that render rejects, and the message it prints
+UNDRAWABLE = [
     ([[1.0, True]], "error: layer 'L' is not numeric (cell True); "
                     "categorical layers cannot be rendered"),
     ([[1.0, "abc"]], "error: layer 'L' is not numeric (cell 'abc'); "
@@ -1106,7 +1141,12 @@ def test_render_vector_component_with_singular_cells(tmp_path):
     # an object row's keys and a string row's characters are not cells
     ([{"singular": 5}, [2.0]], "error: layer 'L' is not a list of rows"),
     (["ab", [1.0, 2.0]], "error: layer 'L' is not a list of rows"),
-])
+    # an empty first row is a row of the wrong length when a later row has cells
+    ([[], [1.0]], "error: layer 'L' rows have inconsistent lengths"),
+]
+
+
+@pytest.mark.parametrize("rows, message", UNDRAWABLE)
 def test_render_rejects_cells_it_cannot_draw(tmp_path, capsys, rows, message):
     assert cli.run(["render", "--in", write_layer(tmp_path, rows), "--layer", "L",
                     "--out", str(tmp_path / "x.pgm")]) == 2
@@ -1114,7 +1154,8 @@ def test_render_rejects_cells_it_cannot_draw(tmp_path, capsys, rows, message):
     assert not (tmp_path / "x.pgm").exists()
 
 
-@pytest.mark.parametrize("rows", [
+# rows of a vector layer L whose y component render rejects
+NO_Y_COMPONENT = [
     [[[1.0, None, 0.0], 2.0]],
     [[[1.0, "x", 0.0]]],
     [[[1.0]]],
@@ -1124,12 +1165,87 @@ def test_render_rejects_cells_it_cannot_draw(tmp_path, capsys, rows, message):
     # the first failure in row-major order is the one reported, here before
     # an integer numeral beyond the float range
     [[[1.0], 10 ** 400]],
-])
+]
+
+
+@pytest.mark.parametrize("rows", NO_Y_COMPONENT)
 def test_render_rejects_vector_cells_without_the_component(tmp_path, capsys, rows):
     assert cli.run(["render", "--in", write_layer(tmp_path, rows), "--layer", "L",
                     "--component", "y", "--out", str(tmp_path / "x.pgm")]) == 2
     assert capsys.readouterr().err == (
         "error: layer 'L' has a vector cell without a numeric y component\n")
+
+
+def writer_layout(tmp_path, rows):
+    """An artifact in the writer's layout whose layer L, between a scalar and a
+    vector layer, holds rows."""
+    path = tmp_path / "writer.json"
+    path.write_text('{"grid":{"axes":["x","z"]},"layers":{"A":[[1.0,"singular"]],"L":'
+                    + json.dumps(rows, separators=(",", ":"))
+                    + ',"Z":[[[1.0,2.0,3.0],"singular"]]},"provenance":{"tool_version":"0"}}\n')
+    return str(path)
+
+
+@pytest.mark.parametrize("rows, component, message", [
+    *[(rows, None, message) for rows, message in UNDRAWABLE],
+    *[(rows, "y", "error: layer 'L' has a vector cell without a numeric y component")
+      for rows in NO_Y_COMPONENT],
+])
+def test_render_rejects_the_same_cells_in_the_writer_layout(tmp_path, capsys, rows, component,
+                                                            message):
+    argv = ["render", "--in", writer_layout(tmp_path, rows), "--layer", "L",
+            "--out", str(tmp_path / "x.pgm")]
+    assert cli.run(argv + (["--component", component] if component else [])) == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
+# artifacts of each writer: TIR and Bessel fieldmaps of all 13 layers (the Bessel grid
+# holds the vortex axis, a singular cell), a Gaussian-pair fieldmap whose rows run along
+# z (its first and last rows are singular throughout), stokes, and force raw and
+# normalized; {tir}, {bessel} and {pair} are field files
+WRITER_ARTIFACTS = [
+    ["fieldmap", "--field", "{tir}", "--grid", "x:-2:2:17,z:0:4:13"],
+    ["fieldmap", "--field", "{bessel}", "--grid", "x:-1:1:9,y:-1:1:9", "--fixed", "z=0"],
+    ["fieldmap", "--field", "{pair}", "--grid", "z:0:50:11,x:-12:12:15"],
+    ["stokes", "--field", "{pair}", "--grid", "x:-4:4:12,z:0:50:10"],
+    ["force", "--field", "{tir}", "--grid", "x:-2:2:10,z:0:4:14"],
+    ["force", "--field", "{bessel}", "--grid", "x:-1:1:9,y:-1:1:9", "--fixed", "z=0",
+     "--normalized"],
+]
+
+
+@pytest.mark.parametrize("argv", WRITER_ARTIFACTS, ids=lambda argv: " ".join(argv[:4]))
+@pytest.mark.parametrize("piece, read", [(None, None), (64, 2048)])
+def test_the_layout_reader_renders_every_writer_artifact_itself(
+        tir_file, bessel_file, pair_file, tmp_path, monkeypatch, argv, piece, read):
+    """Each layer and component of a writer's artifact renders without json's
+    path, to the PGM json's path gives; with pieces of 64 bytes and reads of
+    2048 every layer is read in several pieces, across several reads."""
+    files = {"tir": tir_file, "bessel": bessel_file, "pair": pair_file}
+    source = str(tmp_path / "map.json")
+    extra = ["--layers", ",".join(cli.ALL_LAYERS)] if argv[0] == "fieldmap" else []
+    assert cli.run([a.format(**files) for a in argv] + extra + ["--out", source]) == 0
+    for name, value in (("_PIECE", piece), ("_READ", read)):
+        if value:
+            monkeypatch.setattr(artifacts, name, value)
+
+    def fall_back(*args):
+        raise ValueError("json's path only")
+
+    def refuse(*args):
+        raise AssertionError("json's path was taken")
+
+    for layer, rows in load(source)["layers"].items():
+        if layer == "label":  # categorical: every render of it exits 2
+            continue
+        vector = any(isinstance(cell, list) for row in rows for cell in row)
+        for component in ("x", "y", "z") if vector else (None,):
+            with monkeypatch.context() as patch:
+                patch.setattr(artifacts, "_read_layer", fall_back)
+                want = artifacts._render(source, layer, component)
+            with monkeypatch.context() as patch:
+                patch.setattr(artifacts, "_decode", refuse)
+                assert artifacts._render(source, layer, component) == want, (layer, component)
 
 
 def test_render_scales_values_that_span_more_than_a_double(tmp_path, capsys):

@@ -1023,10 +1023,92 @@ def layer_cell(draw, vector):
     return draw(numeral())
 
 
+# floats as the writer writes them
+WRITER_FLOATS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+# strings that hold the bytes the layout reader looks for: the ends of rows and
+# layers, the key that opens the layers, a key's quote and colon
+READER_STRINGS = st.sampled_from(['"a],[b"', '"]]"', '"]]]"', '"]],\\"x"', '"],[["', '"}"',
+                                  '":["', '"\\"layers\\":{"'])
+# edits aimed at the layout reader, one per artifact in the writer's layout
+WRITER_EDITS = st.sampled_from([None] * 6 + ["string", "repeat", "nested", "after", "truncate",
+                                             "bom", "space", "token", "nan"])
+# the other layers of an artifact in the writer's layout, and their kinds of cell
+OTHER_LAYERS = st.lists(st.sampled_from([("K", "scalar"), ("P", "vector"), ("label", "label")]),
+                        unique=True)
+
+
+@st.composite
+def writer_cell(draw, kind):
+    if kind == "label":
+        return json.dumps(draw(st.sampled_from(pf.LABELS)))
+    if draw(st.integers(0, 5)) == 0:
+        return '"singular"'
+    if kind == "vector":
+        return "[" + ",".join(draw(WRITER_FLOATS) for _ in range(3)) + "]"
+    return draw(WRITER_FLOATS)
+
+
+def _writer_layout(draw, drawn, width, height):
+    """Artifact bytes in the writer's layout: grid, layers and provenance, with
+    the rows `drawn` as layer 'L' among a scalar, a vector and a label layer,
+    and maybe one edit aimed at the layout reader."""
+    layers = {"L": drawn}
+    for name, kind in draw(OTHER_LAYERS):
+        layers[name] = ["[" + ",".join(draw(writer_cell(kind)) for _ in range(width)) + "]"
+                        for _ in range(height)]
+    grid = f'{{"axes":["x","z"],"counts":[{width},{height}]}}'
+    provenance = '{"command":"fieldmap","tool_version":"0.1.0"}'
+    names = sorted(layers)
+    undrawn = [name for name in names if name != "L"]
+    edit = draw(WRITER_EDITS)
+    if edit == "string":
+        text = draw(READER_STRINGS)
+        where = draw(st.sampled_from(["grid", "provenance"] + undrawn))
+        if where == "grid":
+            grid = grid[:-1] + ',"name":' + text + "}"
+        elif where == "provenance":
+            provenance = '{"command":' + text + "}"
+        else:
+            layers[where] = layers[where][:-1] + ["[" + text + "]"]
+    elif edit == "repeat":  # json keeps the last
+        at = draw(st.integers(0, len(names)))
+        names.insert(at, names[max(at - 1, 0)])
+    elif edit == "nested":
+        nested = '"layers":{"L":[[5.0]]}'
+        if draw(st.booleans()):
+            grid = grid[:-1] + "," + nested + "}"
+        else:
+            provenance = provenance[:-1] + "," + nested + "}"
+    elif edit == "nan":
+        where = draw(st.sampled_from(undrawn or ["K"]))
+        layers[where] = ["[" + draw(st.sampled_from(["NaN", "Infinity", "-Infinity"])) + "]"]
+        names = sorted(layers)
+    body = ",".join(f'"{name}":[' + ",".join(layers[name]) + "]" for name in names)
+    artifact = ('{"grid":' + grid + ',"layers":{' + body + '},"provenance":' + provenance
+                + "}\n").encode("utf-8")
+    if edit == "after":
+        artifact += draw(st.sampled_from([b"x", b"{}", b" ", b"\n", b"0"]))
+    elif edit == "truncate":
+        artifact = artifact[:draw(st.integers(0, len(artifact) - 1))]
+    elif edit == "bom":
+        artifact = b"\xef\xbb\xbf" + artifact
+    elif edit == "space":  # whitespace between tokens
+        tokens = [i for i, byte in enumerate(artifact) if byte in b",:[]{}"]
+        at = draw(st.sampled_from(tokens)) + draw(st.integers(0, 1))
+        artifact = artifact[:at] + draw(st.sampled_from([b" ", b"\n", b"\t", b"\r"])) + artifact[at:]
+    elif edit == "token":  # a structural byte dropped, doubled or turned into a space
+        at = draw(st.sampled_from([i for i, byte in enumerate(artifact) if byte in b",:[]{}"]))
+        artifact = artifact[:at] + draw(st.sampled_from([b"", artifact[at:at + 1] * 2, b" "])) \
+            + artifact[at + 1:]
+    return artifact
+
+
 @st.composite
 def render_artifact(draw):
-    """Artifact bytes of one layer 'L', maybe beside another key of the layers
-    or of the artifact, and the --component to draw."""
+    """Artifact bytes with a layer 'L', the --component to draw, and the sizes
+    of the layout reader's pieces and reads (None: its own).  A share of the
+    artifacts is in the writer's layout; the others hold layer 'L' alone,
+    maybe beside another key of the layers or of the artifact."""
     vector = draw(st.booleans())
     width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     rows = [[draw(layer_cell(vector)) for _ in range(width)] for _ in range(height)]
@@ -1038,15 +1120,18 @@ def render_artifact(draw):
     text = ["[" + ",".join(row) + "]" for row in rows]
     if edit == "string":
         text[i] = json.dumps("ab"[:width])
+    # mostly a component for a vector layer and none for a scalar one
+    components = ["x", "y", "z"] * 2 + [None] + ["z", "y", "x"] * 2 if vector else [None, "y", None]
+    component = draw(st.sampled_from(components))
+    sizes = draw(st.sampled_from([None, None, (8, 256), (32, 256)]))
+    if draw(st.booleans()):
+        return _writer_layout(draw, text, width, height), component, sizes
     layers = ['"L":[' + ",".join(text) + "]"]
     top = ['"layers":{}']
     sibling = draw(SIBLINGS)
     if sibling is not None:
         keys = draw(st.sampled_from([layers, top]))
         keys.insert(draw(st.integers(0, len(keys))), sibling)
-    # mostly a component for a vector layer and none for a scalar one
-    components = ["x", "y", "z"] * 2 + [None] + ["z", "y", "x"] * 2 if vector else [None, "y", None]
-    component = draw(st.sampled_from(components))
     artifact = ("{" + ",".join(top) + "}").replace('"layers":{}', '"layers":{' + ",".join(layers)
                                                    + "}").encode("utf-8")
     byte_edit = draw(BYTE_EDITS)
@@ -1054,7 +1139,7 @@ def render_artifact(draw):
         artifact = b"\xef\xbb\xbf" + artifact
     elif byte_edit == "invalid":
         artifact = artifact.replace(b'"layers"', b'"\xffx":0,"layers"')
-    return artifact, component
+    return artifact, component, sizes
 
 
 def _render_outcome(path, out, component):
@@ -1079,25 +1164,42 @@ class _NoOrjson:
 TOO_DEEP = "error: grid result nests arrays or objects too deeply to decode\n"
 
 
+# an artifact in the writer's layout, whose layer K nests past json's recursion limit
+DEEP_BESIDE = ('{"grid":{},"layers":{"K":[' + DEEP + '],"L":[[1.0,2.0]]},"provenance":{}}\n')
+
+
 @settings(max_examples=200)
 @given(case=render_artifact())
-@example(case=(b'{"layers":{"L":[[123456789012345678901234567890,1.0]]}}', None))
-@example(case=(b'{"layers":{"L":[[1.0,2.0]],"L":[[3.0]]},"layers":{"L":[[1.0,2.0]]}}', None))
-@example(case=(b'\xef\xbb\xbf{"layers":{"L":[[1.0,2.0]]}}', None))
-@example(case=(b'{"layers":{"L":[[1.0,"\xff"]]}}', None))
-@example(case=(('{"deep":' + DEEP + ',"layers":{"L":[[1.0,2.0]]}}').encode("ascii"), None))
-@example(case=(('{"layers":{"L":[[[1.0,2.0,' + DEEP + ']]]}}').encode("ascii"), "y"))
-@example(case=(('{"layers":{"L":[[[1.0,2.0,' + DEEP + ']]]}}').encode("ascii"), "z"))
+@example(case=(b'{"layers":{"L":[[123456789012345678901234567890,1.0]]}}', None, None))
+@example(case=(b'{"layers":{"L":[[1.0,2.0]],"L":[[3.0]]},"layers":{"L":[[1.0,2.0]]}}', None, None))
+@example(case=(b'\xef\xbb\xbf{"layers":{"L":[[1.0,2.0]]}}', None, None))
+@example(case=(b'{"layers":{"L":[[1.0,"\xff"]]}}', None, None))
+@example(case=(('{"deep":' + DEEP + ',"layers":{"L":[[1.0,2.0]]}}').encode("ascii"), None, None))
+@example(case=(('{"layers":{"L":[[[1.0,2.0,' + DEEP + ']]]}}').encode("ascii"), "y", None))
+@example(case=(('{"layers":{"L":[[[1.0,2.0,' + DEEP + ']]]}}').encode("ascii"), "z", None))
+@example(case=(DEEP_BESIDE.encode("ascii"), None, (8, 256)))
+@example(case=(b'{"grid":{},"layers":{"L":[[1.0],[2.0]],"L":[[3.0]]},"provenance":{}}\n', None, None))
+@example(case=(b'{"grid":{},"layers":{"L":[[1.0],[2.0]],"label":[["]],\\"x"]]},"provenance":{}}\n',
+               None, (8, 256)))
+# a piece of rows ends on a comma, and the next piece is the layer's bracket alone
+@example(case=(b'{"grid":{},"layers":{"L":[[1.0,2.0,3.000],]},"provenance":{}}\n', None, (16, 256)))
+# rows not separated by a comma; keys before the layers that are no JSON
+@example(case=(b'{"grid":{},"layers":{"L":[[1.0] [2.0]]},"provenance":{}}\n', None, (8, 256)))
+@example(case=(b'{"grid":{"a":},"layers":{"L":[[1.0]]},"provenance":{}}\n', None, None))
 def test_a_render_command_exits_0_or_2(case, tmp_path_factory):
-    """Exit code, stderr and PGM bytes equal those of the json.loads path.  The
-    one documented exception: orjson reads a value nested past json's recursion
-    limit, so where json rejects the file for it and the drawn layer is valid,
-    the render draws the layer as though the deep value were []."""
-    artifact, component = case
+    """Exit code, stderr and PGM bytes equal those of the json.loads path, with
+    the layout reader's own piece and read sizes or small ones.  The one
+    documented exception: orjson reads a value nested past json's recursion
+    limit, so where json rejects a file in the writer's layout for it and the
+    drawn layer is valid, the render draws the layer as though the deep value
+    were []."""
+    artifact, component, sizes = case
     base = tmp_path_factory.getbasetemp()
     path, out = base / "render-artifact.json", base / "render-artifact.pgm"
     path.write_bytes(artifact)
-    got = _render_outcome(path, out, component)
+    with (mock.patch.multiple(artifacts, _PIECE=sizes[0], _READ=sizes[1]) if sizes
+          else contextlib.nullcontext()):
+        got = _render_outcome(path, out, component)
     assert got[0] in (0, 2)
     assert (got[0] == 0) == (got[2] is not None)
     with mock.patch.object(artifacts, "_orjson", lambda: _NoOrjson):
