@@ -59,9 +59,13 @@ def wrap_angle(delta):
 
 
 def _wrapped(d):
-    """wrap_angle of the float array d, computed in d: no temporary of its size."""
+    """wrap_angle of the float array d, computed in d: no float temporary of its size."""
     np.subtract(math.pi, d, out=d)
-    np.mod(d, 2.0 * math.pi, out=d)
+    # np.mod returns a value in [0, 2 pi) unchanged (and -0.0 as +0.0, which
+    # the subtraction below maps to the same pi), so it runs only on the
+    # rest: a few edges of a sampled phase, and NaN
+    kept = (d >= 0.0) & (d < 2.0 * math.pi)
+    np.mod(d, 2.0 * math.pi, out=d, where=~kept)
     return np.subtract(math.pi, d, out=d)
 
 

@@ -149,6 +149,16 @@ class PoyntingDecomposition:
         return self.P_O + self.P_S
 
 
+def _momentum(psi, grads, where=True):
+    """p = -i grad(psi)/psi element-wise, grads with one entry per coordinate on
+    its leading axis; where `where` is False, p keeps -i grad(psi), undivided.
+
+    The one momentum formula: local_momentum and both tracer loops call it.
+    """
+    p = np.multiply(-1j, grads)
+    return np.divide(p, psi, out=p, where=where)  # in place: on a grid, p is the largest array
+
+
 def local_momentum(sample: FieldSample, amp_floor: float = 0.0) -> ComplexMomentum:
     """Complex local momentum p = -i grad(psi)/psi of a sample, element-wise.
 
@@ -160,14 +170,11 @@ def local_momentum(sample: FieldSample, amp_floor: float = 0.0) -> ComplexMoment
     """
     amp = sample.amplitude
     singular = _is_singular(amp, amp_floor)
-    if isinstance(amp, float) and singular:
-        raise SingularPointError(f"amplitude {amp!r} at/below singularity floor {amp_floor!r}")
-    p = -1j * sample.grad_psi
-    if isinstance(amp, float):
-        p /= sample.psi
-    else:  # in place: on a grid, p is the largest array a command holds
-        np.divide(p, sample.psi, out=p, where=~singular)
-    return ComplexMomentum(p=p, k=sample.k)
+    if not isinstance(singular, np.ndarray):  # a point sample: ~ on its bool would not negate it
+        if singular:
+            raise SingularPointError(f"amplitude {amp!r} at/below singularity floor {amp_floor!r}")
+        return ComplexMomentum(p=_momentum(sample.psi, sample.grad_psi), k=sample.k)
+    return ComplexMomentum(p=_momentum(sample.psi, sample.grad_psi, ~singular), k=sample.k)
 
 
 def energy_density(sample: FieldSample):

@@ -47,8 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SeedError
-from .fields import BesselSpec, FieldSample, FieldSpec, _require_interval, evaluate, special
-from .observables import SINGULAR_REL_THRESHOLD, _is_singular, local_momentum
+from .fields import BesselSpec, FieldSpec, _point_coords, _require_interval, special
+from .observables import SINGULAR_REL_THRESHOLD, _is_singular, _momentum
 
 PARAXIAL = "paraxial-z"
 ARC_LENGTH = "arc-length"
@@ -121,28 +121,35 @@ def _momentum_rate(spec, pos, which: str, paraxial: bool, p_max: float, amp_max:
     amplitude the trajectory has seen, pos included.  The rate is None
     where the step must shrink: near a vortex (|p| > p_max), where the
     paraxial parameterization breaks down (v_z <= 0) and at an arc-length
-    stagnation point (|v| = 0).
+    stagnation point (|v| = 0).  The speed |v| is sqrt(v.dot(v)), the bits
+    of np.linalg.norm without its wrapper; |p| is only compared with p_max,
+    so its squares are summed in p's memory order.
     """
-    sample = evaluate(spec, pos)
-    if not math.isfinite(sample.amplitude):  # not a field zero: no step size can pass it
-        raise ParameterError(f"the field amplitude overflows at {tuple(pos.tolist())}: "
-                             f"|psi| = {sample.amplitude!r}")
-    amp_max = max(amp_max, sample.amplitude)
+    coords = pos.tolist()
+    if not all(map(math.isfinite, coords)):
+        _point_coords(spec, coords)  # raises evaluate's message
+    psi, grads = spec.psi_grad(*coords)
+    amp = abs(complex(psi))
+    if not math.isfinite(amp):  # not a field zero: no step size can pass it
+        raise ParameterError(f"the field amplitude overflows at {tuple(coords)}: |psi| = {amp!r}")
+    amp_max = max(amp_max, amp)
     floor = SINGULAR_REL_THRESHOLD * amp_max
-    if _is_singular(sample.amplitude, floor):
+    if _is_singular(amp, floor):
         return None, None, amp_max
-    p = local_momentum(sample, floor).p
-    if np.linalg.norm(p) > p_max:
+    p = _momentum(psi, grads)
+    flat = p.view(float)  # re, im, re, im, ...
+    if math.sqrt(flat.dot(flat)) > p_max:
         return p, None, amp_max
     # Orientation: re runs with the current; im descends the osmotic
     # field toward amplitude maxima (see module docstring).
     v = p.real if which == "re" else -p.imag
-    speed = v[-1] if paraxial else np.linalg.norm(v)
+    speed = v[-1] if paraxial else math.sqrt(v.dot(v))
     return p, (None if speed <= 0.0 else v / speed), amp_max
 
 
-def _inside(pos, domain) -> bool:
-    return all(lo <= c <= hi for c, (lo, hi) in zip(pos, domain))
+def _inside(coords, domain) -> bool:
+    """Whether coords, a sequence of Python floats, lie in the domain box."""
+    return all(lo <= c <= hi for c, (lo, hi) in zip(coords, domain))
 
 
 def _trace_one(spec, cfg: TraceConfig, which: str, seed) -> Trajectory:
@@ -158,7 +165,7 @@ def _trace_one(spec, cfg: TraceConfig, which: str, seed) -> Trajectory:
     h = cfg.step
     cause = None
     while True:
-        if not _inside(pos, cfg.domain):
+        if not _inside(pos.tolist(), cfg.domain):
             cause = "left-domain"
             break
         # The point's momentum is recorded and its rate is also the next
@@ -196,7 +203,7 @@ def _trace_one(spec, cfg: TraceConfig, which: str, seed) -> Trajectory:
             if len(ks) == 4:
                 _, k2, k3, k4 = ks
                 step = (h_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                if not np.linalg.norm(step) > 2.0 * h_eff:  # a NaN step is taken, then leaves
+                if not math.sqrt(step.dot(step)) > 2.0 * h_eff:  # a NaN step is taken, then leaves
                     break
             h *= 0.5
         else:
@@ -218,11 +225,11 @@ def _bundle_rate(spec, q, which: str, paraxial: bool, p_max: float, amp_max):
 
     Returns (p, rate, amp_max, singular, ok).  singular marks the columns
     where _momentum_rate's p is None and ok those where its rate is not;
-    rate holds dpos/dt in the ok columns.
+    rate holds dpos/dt in the ok columns.  Each norm is np.linalg.norm's
+    sqrt of a sum over axis 0, without its wrapper.
     """
     psi, grads = spec.psi_grad(*q)
-    sample = FieldSample(psi=psi, grad_psi=np.array(grads), k=spec.wave.k)
-    amp = sample.amplitude
+    amp = np.abs(psi)
     finite = np.isfinite(amp)
     if not finite.all():
         j = int(np.argmin(finite))
@@ -231,10 +238,10 @@ def _bundle_rate(spec, q, which: str, paraxial: bool, p_max: float, amp_max):
     amp_max = np.maximum(amp_max, amp)
     floor = SINGULAR_REL_THRESHOLD * amp_max
     singular = _is_singular(amp, floor)
-    p = local_momentum(sample, floor).p
+    p = _momentum(psi, grads, ~singular)
     v = p.real if which == "re" else -p.imag
-    speed = v[-1] if paraxial else np.linalg.norm(v, axis=0)
-    ok = ~(singular | (np.linalg.norm(p, axis=0) > p_max) | (speed <= 0.0))
+    speed = v[-1] if paraxial else np.sqrt((v * v).sum(axis=0))
+    ok = ~(singular | (np.sqrt((p.conj() * p).real.sum(axis=0)) > p_max) | (speed <= 0.0))
     return p, v / np.where(ok, speed, 1.0), amp_max, singular, ok
 
 
@@ -288,35 +295,39 @@ def _trace_bundle(spec, cfg: TraceConfig, which: str) -> list:
             if paraxial:
                 code[a[ta >= z_hi]] = _LEFT
         j = np.flatnonzero(code == 0)    # the seeds that try a step, until a stage fails
-        h_eff = np.minimum(h[j], z_hi - t[j]) if paraxial else h[j]
-        x, k = pos[:, j], k1[:, j]
+        cols = slice(None) if j.size == n else j  # while every seed runs, views and not copies
+        h_eff = np.minimum(h[cols], z_hi - t[cols]) if paraxial else h[cols]
+        x, k = pos[:, cols], k1[:, cols]
         acc = k                          # k1 + 2 k2 + 2 k3 + k4, left to right
         for c, w in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
             if not j.size:
                 break
-            _, k, amp_max[j], singular, ok = _bundle_rate(
-                spec, x + (c * h_eff) * k, which, paraxial, p_max, amp_max[j])
+            _, k, amp_max[cols], singular, ok = _bundle_rate(
+                spec, x + (c * h_eff) * k, which, paraxial, p_max, amp_max[cols])
             if not ok.all():
                 code[j[singular]] = _SINGULAR
                 j, x, h_eff, k, acc = (arr[..., ok] for arr in (j, x, h_eff, k, acc))
+                cols = j
             acc = acc + w * k
         step = (h_eff / 6.0) * acc
-        good = ~(np.linalg.norm(step, axis=0) > 2.0 * h_eff)  # a NaN step is taken, then leaves
+        # a NaN step is taken, then leaves
+        good = ~(np.sqrt((step * step).sum(axis=0)) > 2.0 * h_eff)
         halved = code == 0
         halved[j[good]] = False
-        if halved.any():
+        if halved.any():  # h_eff may view h, but h[halved] is not among the h_eff[good] kept
             h[halved] *= 0.5
             fails[halved] += 1
             code[halved & (fails > _MAX_HALVINGS)] = _VORTEX
             j, h_eff, step = j[good], h_eff[good], step[:, good]
-        y, hj = pos[:, j] + step, h[j]
+            cols = j
+        y, hj = pos[:, cols] + step, h[cols]
         if paraxial:  # land on z_hi exactly; z keeps t's exact ladder
-            t[j] = y[-1] = np.where(h_eff < hj, z_hi, t[j] + h_eff)
+            t[cols] = y[-1] = np.where(h_eff < hj, z_hi, t[cols] + h_eff)
         else:
-            t[j] += h_eff
-        pos[:, j] = y
-        h[j] = np.minimum(cfg.step, 2.0 * hj)
-        fails[j] = 0
+            t[cols] += h_eff
+        pos[:, cols] = y
+        h[cols] = np.minimum(cfg.step, 2.0 * hj)
+        fails[cols] = 0
         inside = ((lo <= y) & (y <= hi)).all(axis=0)
         code[j[~inside]] = _LEFT
         arrived = j[inside]

@@ -1,12 +1,14 @@
 """Local momentum, Poynting split, group velocity."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 import photonflow as pf
 from photonflow.errors import ParameterError, SingularPointError
+from photonflow.fields import FieldSample
 from photonflow.observables import singular_cells
 
 from conftest import TWO_PI, draw_points, fd_momentum
@@ -288,6 +290,28 @@ def test_local_momentum_respects_amp_floor(plane_wave):
     sample = pf.evaluate(plane_wave, (0.0, 0.0))
     with pytest.raises(SingularPointError):
         pf.local_momentum(sample, amp_floor=2.0)
+
+
+@pytest.mark.parametrize("psi, amp_floor, message", [
+    (0j, 0.0, "amplitude 0.0 at/below singularity floor 0.0"),
+    (0.5 + 0j, 0.5, "amplitude 0.5 at/below singularity floor 0.5"),
+    (np.complex128(0j), 0.0, "amplitude np.float64(0.0) at/below singularity floor 0.0"),
+    (np.complex128(3e-13), 1e-12, "amplitude np.float64(3e-13) at/below singularity floor 1e-12"),
+    (np.array(0j), 0.0, "amplitude np.float64(0.0) at/below singularity floor 0.0"),
+], ids=["zero", "at-floor", "numpy-zero", "numpy-below", "0-d-array"])
+def test_a_singular_point_sample_raises_with_its_amplitude(psi, amp_floor, message):
+    # a point's mask is a bool, and ~ on a bool is -1 or -2, both true: were it
+    # used as the division's mask, a singular point would be divided, not raised
+    sample = FieldSample(psi=psi, grad_psi=np.array([1j, -2.0 + 0j]), k=1.0)
+    with pytest.raises(SingularPointError, match=f"^{re.escape(message)}$"):
+        pf.local_momentum(sample, amp_floor)
+
+
+@pytest.mark.parametrize("psi", [0.5 - 2j, np.complex128(0.5 - 2j), np.array(0.5 - 2j)])
+def test_a_point_sample_above_its_floor_is_divided(psi):
+    grads = np.array([1j, -2.0 + 0j])
+    p = pf.local_momentum(FieldSample(psi=psi, grad_psi=grads, k=1.0), 1e-3).p
+    assert p.tobytes() == (-1j * grads / complex(psi)).tobytes()
 
 
 def test_momentum_ratio_raises_at_zero_energy(bessel_ell2):

@@ -21,7 +21,9 @@ time, for every family, any grid and any block height down to one row, equals
 one evaluation of the whole grid.
 
 Physics holds on every grid: P_O / W equals re_p / k to rounding, and the
-winding of two adjacent blocks adds up to that of their union.  The anomaly
+winding of two adjacent blocks adds up to that of their union.  The phase
+wrap runs np.mod only outside [0, 2 pi) and gives the bits of np.mod on every
+value, signed zeros, NaN, the infinities and the ends of [0, 2 pi) included.  The anomaly
 job, in row blocks of any height with a one-row halo, gives the records,
 residuals, labels, counts and fast cells of the whole sample, on TIR grids in
 either axis order, on a Bessel vortex between a block and its halo row and on
@@ -34,6 +36,12 @@ grid when both axes shift by whole spacings.
 A traced bundle is one set of array evaluations per RK4 stage, and the same
 holds for its rows: row i of a bundle equals seed i traced in a bundle with
 any one other seed, whichever of the two stops first and for whatever cause.
+An RK4 stage, of the lone-seed loop or of a bundle, gives the bits of the
+momentum, rate and amplitude maximum built the long way, from a FieldSample,
+local_momentum and np.linalg.norm, on every family, at field zeros, over the
+vortex guard and where the paraxial speed is not positive.  Each speed
+sqrt(v.dot(v)) the tracer takes is the bits of np.linalg.norm(v), for real
+views of complex 2- and 3-vectors and for bundle columns.
 
 Valid or not, a `trace`, `fieldmap`, `stokes`, `force` or `anomaly`
 command line ends in exit 0 or 2, never in exit 1.  The drawn `trace`
@@ -87,10 +95,13 @@ from hypothesis.extra import numpy as hnp
 
 import photonflow as pf
 from conftest import TWO_PI, make_tir
-from photonflow import artifacts, cli
-from photonflow.anomaly import _bound, _label_rows, _vortex_rows, _vortices_and_anomalies
+from photonflow import artifacts, cli, tracing
+from photonflow.anomaly import (_bound, _label_rows, _vortex_rows, _vortices_and_anomalies,
+                                _wrapped)
+from photonflow.fields import FieldSample
 from photonflow.grids import frame_names, sample_grid
-from photonflow.observables import local_momentum, poynting_from_sample, singular_cells
+from photonflow.observables import (SINGULAR_REL_THRESHOLD, _is_singular, local_momentum,
+                                    poynting_from_sample, singular_cells)
 
 TILE_CASES = [
     (pf.PlaneWaveSpec(wave=pf.WaveParameters(0.5), direction=(0.6, 0.8)), "x:-2:2:33,z:0:3:27"),
@@ -136,6 +147,13 @@ def random_blocks(rng, shape):
             sl.append(slice(int(lo), int(hi), int(rng.integers(1, 4))))
         blocks.append(tuple(sl))
     return blocks
+
+
+def same_bits(a, b):
+    if a is None or b is None:
+        return a is b
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 def as_bytes(psi, grads):
@@ -393,6 +411,32 @@ def test_winding_adds_up_over_adjacent_blocks(seed, shape, axis, data):
     qa, qb, qu = (round(w / TWO_PI) for w in (wa, wb, wu))
     assert qa + qb == qu
     assert abs(wu - TWO_PI * qu) <= WINDING_TOL
+
+
+def wrapped_by_np_mod(d):
+    """The phase wrap as first written: np.mod on every value."""
+    return math.pi - np.mod(math.pi - d, 2.0 * math.pi)
+
+
+WRAP_EDGES = [0.0, -0.0, math.pi, -math.pi, 2.0 * math.pi, -2.0 * math.pi,
+              np.nextafter(2.0 * math.pi, 0.0), -np.nextafter(2.0 * math.pi, 0.0),
+              math.pi - 2.0 * math.pi, 3.0 * math.pi, -3.0 * math.pi, np.nextafter(math.pi, 4.0),
+              np.nextafter(-math.pi, -4.0), math.nan, math.inf, -math.inf, 1e300, -1e300,
+              5e-324, -5e-324]
+
+
+@settings(max_examples=300)
+@given(d=hnp.arrays(float, st.tuples(st.integers(1, 6), st.integers(1, 40)), elements=st.one_of(
+    st.floats(-7.0, 7.0), st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(WRAP_EDGES))))
+@example(d=np.array([WRAP_EDGES]))
+def test_the_phase_wrap_is_the_bits_of_np_mod(d):
+    with np.errstate(invalid="ignore"):  # np.mod of an infinity is NaN, and warns
+        want = wrapped_by_np_mod(d)
+        got = _wrapped(d.copy())
+        scalar = [pf.wrap_angle(x) for x in d.ravel().tolist()]
+    assert same_bits(got, want)
+    assert same_bits(np.array(scalar).reshape(d.shape), want)
 
 
 def off_centre_grid(h, counts, lows, shift=(0, 0)):
@@ -665,6 +709,84 @@ def test_a_traced_row_does_not_depend_on_its_bundle(case):
             causes.add((short.termination, long.termination))
     # in some pair one seed stops first, for another cause than the other's
     assert any(a != b for a, b in causes), causes
+
+
+def stage_the_long_way(spec, q, which, paraxial, p_max, amp_max):
+    """A tracer stage as it was first written: a FieldSample, local_momentum
+    and np.linalg.norm; q is one point (ndim,) or bundle columns (ndim, m)."""
+    if q.ndim == 1:
+        sample = pf.evaluate(spec, q)
+        amp_max = max(amp_max, sample.amplitude)
+        floor = SINGULAR_REL_THRESHOLD * amp_max
+        if _is_singular(sample.amplitude, floor):
+            return None, None, amp_max
+        p = local_momentum(sample, floor).p
+        assert same_bits(p, -1j * sample.grad_psi / sample.psi)  # the formula, written out
+        if np.linalg.norm(p) > p_max:
+            return p, None, amp_max
+        v = p.real if which == "re" else -p.imag
+        speed = v[-1] if paraxial else np.linalg.norm(v)
+        return p, (None if speed <= 0.0 else v / speed), amp_max
+    psi, grads = spec.psi_grad(*q)
+    sample = FieldSample(psi=psi, grad_psi=np.array(grads), k=spec.wave.k)
+    amp_max = np.maximum(amp_max, sample.amplitude)
+    floor = SINGULAR_REL_THRESHOLD * amp_max
+    singular = _is_singular(sample.amplitude, floor)
+    p = local_momentum(sample, floor).p
+    v = p.real if which == "re" else -p.imag
+    speed = v[-1] if paraxial else np.linalg.norm(v, axis=0)
+    ok = ~(singular | (np.linalg.norm(p, axis=0) > p_max) | (speed <= 0.0))
+    return p, v / np.where(ok, speed, 1.0), amp_max, singular, ok
+
+
+@st.composite
+def stage_case(draw):
+    """A field of any family, bundle columns (exact zeros included, so Bessel
+    axes and TIR interfaces come up), an orientation, a parameterization and a
+    running amplitude maximum and guard that make some columns singular or
+    over the guard."""
+    family = draw(st.sampled_from(sorted(FIELD_JSON)))
+    spec = pf.field_from_dict({"family": family, **draw(FIELD_JSON[family])})
+    m = draw(st.integers(1, 4))
+    coord = st.one_of(st.just(0.0), _floats(-4.0, 4.0))
+    q = np.array([[draw(coord) for _ in range(m)] for _ in range(spec.ndim)])
+    amp_max = draw(st.sampled_from([0.0, 0.5, 1e300]))
+    p_max = draw(st.sampled_from([0.5, 2.0, 100.0])) * spec.wave.k
+    return (spec, q, draw(st.sampled_from(["re", "im"])), draw(st.booleans()), p_max, amp_max)
+
+
+@settings(max_examples=300)
+@given(case=stage_case())
+def test_an_rk4_stage_is_the_momentum_and_norm_of_a_field_sample(case):
+    spec, q, which, paraxial, p_max, amp_max = case
+    with np.errstate(over="ignore", invalid="ignore"):  # as trace_streamline runs them
+        for j in range(q.shape[1]):  # each column as a lone seed's stage
+            got = tracing._momentum_rate(spec, q[:, j], which, paraxial, p_max, amp_max)
+            want = stage_the_long_way(spec, q[:, j], which, paraxial, p_max, amp_max)
+            assert type(got[2]) is type(want[2]) is float
+            assert all(same_bits(g, w) for g, w in zip(got, want)), j
+        amp_maxes = np.full(q.shape[1], amp_max)
+        got = tracing._bundle_rate(spec, q, which, paraxial, p_max, amp_maxes)
+        want = stage_the_long_way(spec, q, which, paraxial, p_max, amp_maxes)
+    assert all(same_bits(g, w) for g, w in zip(got, want))
+
+
+FINITE_COMPLEX = st.complex_numbers(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300)
+@given(p=st.one_of(hnp.arrays(complex, st.sampled_from([(2,), (3,)]), elements=FINITE_COMPLEX),
+                   hnp.arrays(complex, st.tuples(st.sampled_from([2, 3]), st.integers(1, 17)),
+                              elements=FINITE_COMPLEX)))
+@example(p=np.array([1e200 + 3e-300j, -0.0 + 1e-320j, 5e-324 - 1e154j]))
+def test_a_tracer_speed_is_the_bits_of_np_linalg_norm(p):
+    # the lone-seed arc-length speed runs in no benchmark job: this is its check
+    with np.errstate(over="ignore"):  # a sum of squares past a double is inf on both sides
+        for v in (p.real, -p.imag):  # a strided view, and a copy
+            if v.ndim == 1:
+                assert same_bits(math.sqrt(v.dot(v)), np.linalg.norm(v))
+            else:
+                assert same_bits(np.sqrt((v * v).sum(axis=0)), np.linalg.norm(v, axis=0))
 
 
 # ------------------------------------------------------------ trace argv

@@ -563,6 +563,26 @@ def test_a_non_finite_seed_is_named(plane_wave, seeds):
         pf.trace_streamline(plane_wave, cfg, "re")
 
 
+class SteepBelow:
+    """A plane wave along z, but at x < 0.1 its momentum is (1, 1e-320) /mm:
+    there dx/dz overflows, so the first RK4 stage lands at x = inf."""
+
+    wave, ndim = pf.WaveParameters(1.0), 2
+
+    def psi_grad(self, x, z):
+        psi = np.exp(1j * z) * np.ones_like(x)
+        steep = np.asarray(x) < 0.1
+        return psi, (np.where(steep, 1j * psi, 0j), np.where(steep, 1e-320j * psi, 1j * psi))
+
+
+def test_a_non_finite_stage_point_is_named():
+    # the lone-seed loop checks each stage point as evaluate does, with its message
+    cfg = pf.TraceConfig(seeds=((0.0, 0.0),), parameterization="paraxial-z", step=0.1,
+                         max_steps=10, domain=((-1.0, 1.0), (0.0, 1.0)))
+    with pytest.raises(ParameterError, match=r"^point \(inf, 0\.05\) has a non-finite coordinate$"):
+        pf.trace_streamline(SteepBelow(), cfg, "re")
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0])
 def test_a_step_radius_or_length_must_be_finite_and_positive(helix_bessel, bad):
     """inf satisfies "> 0": each message names the whole rule."""
