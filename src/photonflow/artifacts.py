@@ -11,15 +11,14 @@ Output discipline: JSON is compact with sorted keys, floats are written
 as Python's shortest round-trip repr writes them, CSV floats likewise, PGM
 is binary P5; no timestamps or environment data enter any output, so
 identical inputs give byte-identical files.  orjson writes every float of
-the layers and trace rows.  It prints the digits repr prints (both print
-the unique shortest digits that round-trip and lie nearest the value), so
-only the layout differs, in two ways that are fixed on orjson's bytes with
-numpy: an exponent gets repr's + or leading 0 (1e16 and 1e-7 become 1e+16
-and 1e-07), and 1e-5 <= |x| < 1e-4 is moved into exponent form (0.0000123
-becomes 1.23e-05).  Masked and non-finite floats go through orjson as NaN,
-which it writes as null, and each null is replaced in order.  Samples where
-a quantity is undefined are written as the string "singular", never as
-silent zeros.
+the layers and trace rows with repr's digits, and _repr_layout fixes the
+layout of three classes of floats, taken from their values: 1e-5 <= |x| <
+1e-4 (0.0000123 becomes 1.23e-05), 1e-9 <= |x| < 1e-5 (1e-7 becomes 1e-07)
+and |x| >= 1e16 (1e16 becomes 1e+16).  A block with none is left as orjson
+wrote it; otherwise one scan locates the fixes and one rebuild makes the
+text.  Masked and non-finite floats go through orjson as NaN, written as
+null, and each null is replaced in order.  Samples where a quantity is
+undefined are written as the string "singular", never as silent zeros.
 """
 
 from __future__ import annotations
@@ -50,71 +49,71 @@ def _orjson():
     return orjson
 
 
-def _byte_class(chars: bytes) -> np.ndarray:
-    """A lookup table: True at the byte values in chars."""
-    table = np.zeros(256, dtype=bool)
-    table[list(chars)] = True
-    return table
-
-
-_DIGIT = _byte_class(b"0123456789")
-_TOKEN_END = _byte_class(b",]")
-_TOKEN_START = _byte_class(b"[,-")  # the byte before a number's first digit
-_E, _MINUS, _DOT, _ZERO = b"e-.0"
+_COMMA, _OPEN, _CLOSE, _MINUS, _E, _DOT, _ZERO, _PLUS = b",[]-e.0+"
 _BLOCK = 1 << 14  # floats or labels per block of rows when a layer is written
+_SPLICE = 1 << 10  # a block with under one fix per this many bytes is joined around its fixes
 
 
-def _exponent_points(buf) -> list:
-    """Where repr's exponent differs from orjson's: the + after an e not
-    followed by -, and the 0 before a one-digit negative exponent."""
-    e = np.flatnonzero(buf == _E)
-    positive = buf[e + 1] != _MINUS
-    short = e[~positive]
-    short = short[_TOKEN_END[buf[short + 3]]]  # e-7, then , or ]
-    return [e[positive] + 1, short + 2]
+def _repr_layout(raw: bytes, size):
+    """orjson's text of a float array laid out as repr lays it out; size
+    holds the floats' magnitudes (NaN for a null) in the array's shape.
 
-
-def _band_numbers(buf, band: int) -> tuple:
-    """Where the `band` numbers written as 0.0000... start (after [, , or
-    -), and how many significant digits follow the 0.0000 of each."""
-    dots = np.flatnonzero(buf[:-5] == _DOT)
-    for k in (4, 3, 2, 1, -1):
-        dots = dots[buf[dots + k] == _ZERO]
-    starts = dots[_TOKEN_START[buf[dots - 2]]] - 1
-    if len(starts) != band:
-        raise RuntimeError(f"orjson wrote {len(starts)} numbers as 0.0000... for {band} floats")
-    end = starts + 7
-    while (more := _DIGIT[buf[end]]).any():
-        end += more
-    return starts, end - starts - 6
-
-
-def _repr_layout(raw: bytes, band: int):
-    """orjson's text of a float array laid out as repr lays it out.
-
-    orjson prints the digits that repr prints (both print the shortest
-    digits that round-trip) but differs in two layouts, fixed here on the
-    bytes: after an exponent's e it writes no + and no leading 0 (1e16 and
-    1e-7 for repr's 1e+16 and 1e-07), and it writes the `band` floats with
-    1e-5 <= |x| < 1e-4 as 0.0000123 for repr's 1.23e-05.  Returns raw
-    itself when neither layout occurs, else a uint8 array."""
-    exponents = b"e" in raw
-    if not (exponents or band):
+    The floats to fix are classed by value, and raw itself is returned where
+    there are none.  Else one scan for the commas places each by its rank,
+    it moves by the growth of the fixes before it (-1 or -2 for a band
+    float, +1 for an exponent), and one compress and one masked assign
+    rebuild the text, or under one fix per _SPLICE bytes a join does."""
+    flat = size.reshape(-1)
+    near = (flat < 1e-4) | (flat >= 1e16)  # zeros and |x| < 1e-9 too, which need no fix
+    if not near.any() or not len(f := np.flatnonzero(near & (flat >= 1e-9))):
         return raw
     buf = np.frombuffer(raw, dtype=np.uint8)
-    at, put = [], b""  # insertion points and the byte inserted at each
-    if exponents:
-        at += _exponent_points(buf)
-        put += b"+0"
-    if band:
-        starts, digits = _band_numbers(buf, band)
-        at = [p - 6 * np.searchsorted(starts, p) for p in at]  # once the 0.0000s are gone
-        buf = np.delete(buf, (starts[:, None] + np.arange(6)).ravel())
-        starts -= 6 * np.arange(band)
-        at += [starts[digits > 1] + 1] + [starts + digits] * 4  # 1.23e-05, 1e-05
-        put += b".e-05"
-    values = np.concatenate([np.full(len(p), c, np.uint8) for p, c in zip(at, put)])
-    return np.insert(buf, np.concatenate(at), values)
+    commas = np.flatnonzero(buf == _COMMA)
+    if len(commas) != len(flat) - 1:
+        raise RuntimeError(f"orjson wrote {len(commas) + 1} numbers for {len(flat)} floats")
+    x = flat[f]
+    band = (x >= 1e-5) & (x < 1e-4)
+    cuts = np.concatenate(([0], commas, [len(buf) - 1]))  # the outer [ and ] as commas
+    ends, starts = cuts[f + 1], cuts[f[band]] + 1
+    for _ in range(size.ndim - 1):  # past the ]s and [s of rows and cells
+        ends -= buf[ends - 1] == _CLOSE
+        starts += buf[starts] == _OPEN
+    starts += buf[starts] == _MINUS  # at the 0 of 0.0000
+    bend, exp = ends[band], ~band
+    one = bend - starts == 7  # a band float of one digit
+    small = x[exp] < 1e-5
+    at = ends[exp] - 2 + small - (x >= 1e100)[exp]  # where the + or the 0 goes
+    misplaced = (buf[starts] != _ZERO) | (buf[starts + 1] != _DOT)
+    if misplaced.any() or (buf[at - 1 - small] != _E).any():
+        raise RuntimeError(f"orjson laid out some of {len(f)} floats otherwise than their values")
+    if len(f) * _SPLICE < len(buf):
+        edits = [(a, a + 7, raw[a + 6:a + 7] + b"."[:many])
+                 for a, many in zip(starts.tolist(), (~one).tolist())]
+        edits += [(b, b, b"e-05") for b in bend.tolist()]
+        edits += [(a, a, b"0" if s else b"+") for a, s in zip(at.tolist(), small.tolist())]
+        pieces, pos = [], 0
+        for a, b, text in sorted(edits):
+            pieces += (raw[pos:a], text)
+            pos = b
+        return b"".join(pieces + [raw[pos:]])
+    grown = np.ones(len(f), dtype=np.int64)
+    grown[band] = -1 - one
+    grown = np.cumsum(grown)  # by each fix and those before it
+    kept = buf
+    if len(starts):  # 0.0000123 becomes 0.00001.23, then 1.23 without its zeros
+        kept = np.array(buf)
+        kept[starts + 5] = kept[starts + 6]
+        kept[starts + 6] = _DOT
+        kept[starts + np.arange(5)[:, None]] = 0
+        kept[starts[one] + 6] = 0  # 0.00001 becomes 1
+        kept = kept[kept != 0]
+    out = np.zeros(len(buf) + grown[-1], dtype=np.uint8)
+    bend += grown[band] - 4
+    for k, byte in enumerate(b"e-05"):
+        out[bend + k] = byte
+    out[at - 1 + grown[exp]] = np.where(small, _ZERO, _PLUS)
+    out[out == 0] = kept
+    return out
 
 
 def _float_text(values, mask=None) -> str:
@@ -140,10 +139,9 @@ def _float_text(values, mask=None) -> str:
         for i, value in zip(np.flatnonzero(bad[nulls]).tolist(), floats[bad].tolist()):
             texts[i] = repr(value)
         floats[nulls] = np.nan
-    size = np.abs(floats)
-    band = np.count_nonzero((size >= 1e-5) & (size < 1e-4))
     lib = _orjson()
-    text = str(_repr_layout(lib.dumps(floats, option=lib.OPT_SERIALIZE_NUMPY), band), "ascii")
+    text = str(_repr_layout(lib.dumps(floats, option=lib.OPT_SERIALIZE_NUMPY), np.abs(floats)),
+               "ascii")
     if texts is None:
         return text
     pieces = text.split("null")

@@ -226,8 +226,10 @@ def _bundle_rate(spec, q, which: str, paraxial: bool, p_max: float, amp_max):
     Returns (p, rate, amp_max, singular, ok).  singular marks the columns
     where _momentum_rate's p is None and ok those where its rate is not;
     rate holds dpos/dt in the ok columns.  Each norm is np.linalg.norm's
-    sqrt of a sum over axis 0, without its wrapper.
-    """
+    sqrt of a sum over axis 0, without its wrapper.  A non-finite column
+    raises evaluate's message, as _momentum_rate does."""
+    if not np.isfinite(q).all():
+        _point_coords(spec, q[:, np.argmin(np.isfinite(q).all(axis=0))].tolist())
     psi, grads = spec.psi_grad(*q)
     amp = np.abs(psi)
     finite = np.isfinite(amp)

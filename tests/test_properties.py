@@ -1413,6 +1413,60 @@ def test_write_json_writes_layers_block_by_block(block, scalar, vector, codes, t
         lists, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+
+def _fix_floats(rng, size):
+    """Floats of each layout class _repr_layout fixes or passes, signed:
+    the band 1e-5 <= |x| < 1e-4 (one-digit 1e-5 and 2e-5, its ends and
+    random ones), exponents e-6 to e-9 and e16 to e308, two- and three-digit
+    negative exponents and subnormals (no fix), zeros and ordinary floats."""
+    pools = [rng.uniform(1e-5, 1e-4, size), rng.choice([1e-5, 2e-5, 9e-5, 1e-4 - 1e-20], size),
+             10.0 ** rng.uniform(-9, -5, size), rng.choice([1e-9, 1e-6, 9.999999999999999e-06], size),
+             10.0 ** rng.uniform(16, 308, size), rng.choice([1e16, 1e99, 1e100, 1.7976931348623157e308], size),
+             10.0 ** rng.uniform(-323, -10, size), rng.choice([0.0, 5e-324, 1e-10], size),
+             rng.standard_normal(size)]
+    kind = rng.integers(0, len(pools), size)
+    values = np.choose(kind, pools)
+    return values * rng.choice([1.0, -1.0], size)
+
+
+def test_float_text_at_full_blocks_is_the_text_of_json_dumps(tmp_path):
+    """Seeded layers of the size CLI commands write, at the real _BLOCK: a
+    layer of band floats only and one with a band float first and last in
+    each row (each with more fixes than _SPLICE allows, so rebuilt by
+    compress and masked assign), a sparse layer (joined around its fixes),
+    a layer with nothing to fix (returned untouched) and a masked 64 x 64 x 3
+    vector layer whose masked cells hold 0, inf and nan.  Each layer is also
+    built by the path not selected for it."""
+    rng = np.random.default_rng(35)
+    band = rng.uniform(1e-5, 1e-4, (128, 128)) * rng.choice([1.0, -1.0], (128, 128))
+    band[rng.random((128, 128)) < 0.05] = rng.choice([1e-5, -1e-5, 2e-5, -2e-5])
+    mixed = _fix_floats(rng, (128, 128))
+    mixed[:, [0, -1]] = rng.choice([1.5e-05, -2e-05, 1e-05], (128, 2))
+    sparse = rng.standard_normal((128, 128))
+    cells = rng.integers(0, sparse.size, 40)
+    sparse.flat[cells] = _fix_floats(rng, 40)
+    plain = rng.uniform(1e-4, 1e15, (128, 128)) * rng.choice([1.0, -1.0], (128, 128))
+    plain.flat[cells] = rng.choice([0.0, 1e-10, 1e-300, 5e-324, 1e15], 40)
+    vector = _fix_floats(rng, (64, 64, 3))
+    mask = rng.random((64, 64)) < 0.2
+    vector[mask] = rng.choice([0.0, math.inf, -math.inf, math.nan], (np.count_nonzero(mask), 3))
+    layers = {"band": (band, None), "mixed": (mixed, None), "sparse": (sparse, None),
+              "plain": (plain, None), "vector": (vector, mask)}
+    for values, mask in layers.values():
+        want = json.dumps(list_form(values, mask), separators=(",", ":"))
+        for splice in (artifacts._SPLICE, 0, 1 << 62):  # as selected, always and never joined
+            with mock.patch.object(artifacts, "_SPLICE", splice):
+                assert artifacts._float_text(values, mask) == want
+    raw = artifacts._orjson().dumps(plain, option=artifacts._orjson().OPT_SERIALIZE_NUMPY)
+    assert artifacts._repr_layout(raw, np.abs(plain)) is raw
+    path = tmp_path / "full-blocks.json"
+    artifacts._write_json(str(path), {"layers": {name: artifacts._scalar_layer(name, *layer)
+                                                 for name, layer in layers.items()}})
+    assert path.read_text(encoding="utf-8") == json.dumps(
+        {"layers": {name: list_form(*layer) for name, layer in layers.items()}},
+        sort_keys=True, separators=(",", ":")) + "\n"
+
+
 # a trace's momenta may be infinite or NaN
 MOMENTUM_FLOATS = st.one_of(CELL_FLOATS, st.sampled_from([math.inf, -math.inf, math.nan]))
 

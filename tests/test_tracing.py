@@ -576,11 +576,14 @@ class SteepBelow:
 
 
 def test_a_non_finite_stage_point_is_named():
-    # the lone-seed loop checks each stage point as evaluate does, with its message
-    cfg = pf.TraceConfig(seeds=((0.0, 0.0),), parameterization="paraxial-z", step=0.1,
-                         max_steps=10, domain=((-1.0, 1.0), (0.0, 1.0)))
-    with pytest.raises(ParameterError, match=r"^point \(inf, 0\.05\) has a non-finite coordinate$"):
-        pf.trace_streamline(SteepBelow(), cfg, "re")
+    # the lone-seed loop and the bundle loop check each stage point as evaluate
+    # does, with its message: alone or bundled, the seed ends the same way
+    for seeds in (((0.0, 0.0),), ((0.0, 0.0), (0.5, 0.0))):
+        cfg = pf.TraceConfig(seeds=seeds, parameterization="paraxial-z", step=0.1,
+                             max_steps=10, domain=((-1.0, 1.0), (0.0, 1.0)))
+        with pytest.raises(ParameterError,
+                           match=r"^point \(inf, 0\.05\) has a non-finite coordinate$"):
+            pf.trace_streamline(SteepBelow(), cfg, "re")
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0])
