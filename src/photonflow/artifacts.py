@@ -59,10 +59,10 @@ def _repr_layout(raw: bytes, size):
     holds the floats' magnitudes (NaN for a null) in the array's shape.
 
     The floats to fix are classed by value, and raw itself is returned where
-    there are none.  Else one scan for the commas places each by its rank,
-    it moves by the growth of the fixes before it (-1 or -2 for a band
-    float, +1 for an exponent), and one compress and one masked assign
-    rebuild the text, or under one fix per _SPLICE bytes a join does."""
+    there are none.  Else one scan for the commas places each fix by its
+    rank, shifted by the growth of the fixes before it (-1 or -2 per band
+    float, +1 per exponent), and one compress and one masked assign rebuild
+    the text, or, under one fix per _SPLICE bytes, a join around them."""
     flat = size.reshape(-1)
     near = (flat < 1e-4) | (flat >= 1e16)  # zeros and |x| < 1e-9 too, which need no fix
     if not near.any() or not len(f := np.flatnonzero(near & (flat >= 1e-9))):

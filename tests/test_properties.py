@@ -76,7 +76,9 @@ whose message names the value.
 A float layer's text is the text json.dumps gives its list form, and a trace
 CSV is the per-row repr join, for any finite floats, the boundaries of
 orjson's range and their neighbours included.  So is a JSON artifact whose
-float and label layers are written in blocks of any size.
+float and label layers are written in blocks of any size, and so are
+seeded layers of whole blocks, dense and sparse in each fixed float layout,
+through each of the encoder's two rebuilds.
 """
 
 import contextlib
@@ -1419,9 +1421,11 @@ def _fix_floats(rng, size):
     the band 1e-5 <= |x| < 1e-4 (one-digit 1e-5 and 2e-5, its ends and
     random ones), exponents e-6 to e-9 and e16 to e308, two- and three-digit
     negative exponents and subnormals (no fix), zeros and ordinary floats."""
-    pools = [rng.uniform(1e-5, 1e-4, size), rng.choice([1e-5, 2e-5, 9e-5, 1e-4 - 1e-20], size),
-             10.0 ** rng.uniform(-9, -5, size), rng.choice([1e-9, 1e-6, 9.999999999999999e-06], size),
-             10.0 ** rng.uniform(16, 308, size), rng.choice([1e16, 1e99, 1e100, 1.7976931348623157e308], size),
+    below = math.nextafter
+    pools = [rng.uniform(1e-5, 1e-4, size), rng.choice([1e-5, 2e-5, 9e-5, below(1e-4, 0)], size),
+             10.0 ** rng.uniform(-9, -5, size), rng.choice([1e-9, 1e-6, below(1e-5, 0)], size),
+             10.0 ** rng.uniform(16, 308, size),
+             rng.choice([1e16, 1e99, 1e100, 1.7976931348623157e308], size),
              10.0 ** rng.uniform(-323, -10, size), rng.choice([0.0, 5e-324, 1e-10], size),
              rng.standard_normal(size)]
     kind = rng.integers(0, len(pools), size)
